@@ -3,7 +3,8 @@
 ``securepim run`` executes one (workload, scheme, verify, tamper) scenario
 and writes a deterministic JSON report; ``securepim compare`` checks two
 reports for digest equality and emits counter ratios.  Exit codes: 0 ok,
-2 verification or GC abort, 3 configuration error.
+2 verification or GC abort, 3 configuration error (including a load over the
+device memory budget).
 """
 
 import argparse
@@ -14,7 +15,8 @@ import sys
 import numpy as np
 
 from .adversary import Campaign, run_campaign
-from .errors import ConfigError, GcEvaluationFault, SecurePimError, VerificationError
+from .errors import (CapacityError, ConfigError, GcEvaluationFault,
+                     SecurePimError, VerificationError)
 from .host import SchemeConfig
 from .pimsim import TamperSpec
 from .workloads import WORKLOADS, run_workload
@@ -96,9 +98,15 @@ def cmd_run(args) -> int:
 
 
 def _load_config(path):
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return data if isinstance(data, list) else [data]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config {path!r}: {exc}") from None
+    scenarios = data if isinstance(data, list) else [data]
+    if not all(isinstance(sc, dict) for sc in scenarios):
+        raise ConfigError("config must hold a scenario object or a list of them")
+    return scenarios
 
 
 def _run_scenario(sc) -> int:
@@ -205,7 +213,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, CapacityError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
     except SecurePimError as exc:

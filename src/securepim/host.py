@@ -403,6 +403,9 @@ class EmbeddingOp:
         scheme = s.cfg.scheme
         ids = np.ascontiguousarray(ids, dtype=np.int64)
         weights = np.ascontiguousarray(weights, dtype=np.uint32)
+        rows = self.table.shape[0]
+        if ids.size and (ids.min() < 0 or ids.max() >= rows):
+            raise ConfigError(f"embedding ids must lie in [0, {rows})")
         s.record_leak("dlrm_indices_in_clear")
         if scheme in ("cpu_insecure", "cpu_secure"):
             table = self.table if scheme == "cpu_insecure" \
@@ -427,14 +430,11 @@ class EmbeddingOp:
             s.online.host_mac_ops += ids.size * self.table.shape[1]
             out = res_pim + res_cpu
         if self.row_tag_store is not None:
+            # one check for the whole batch: the sum over batch rows of each
+            # row's GEMV-over-tags against the sum of its result hashes
             tags = s.open_tag_store(self.row_tag_store)
-            picked = tags.residues[ids]
-            ftag_e = 0
-            for k in range(batch):
-                sl = slice(k * pf, (k + 1) * pf)
-                ftag_e = (ftag_e + kernels.dot_tags(
-                    np.ascontiguousarray(picked[sl]),
-                    mac.lift(weights[sl]))) % mac.Q
-            ftag_r = sum(mac.hash_result(out[k], s.s) for k in range(batch)) % mac.Q
+            ftag_e = kernels.dot_tags(tags.residues[ids], mac.lift(weights))
+            row_hashes = kernels.tag_columns(mac.lift(out.T), s.s)
+            ftag_r = sum(int(h) for h in row_hashes) % mac.Q
             s.check_verified(self.step, ftag_e, ftag_r)
         return out

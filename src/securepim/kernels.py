@@ -1,197 +1,133 @@
-"""Hot numeric kernels with numba and pure-numpy implementations.
-
-The numba path is the default; set SECUREPIM_NO_NUMBA=1 (or run without
-numba installed) to select the numpy fallback.  Both paths are bit-exact;
-``benchmarks/benchmark_kernels.py`` times them against each other.
+"""Hot numeric kernels, vectorized in numpy.
 
 Ring kernels work on uint32 arrays mod 2^32.  MAC kernels work on uint64
-residues mod the Mersenne prime 2^61 - 1 and rely on every intermediate
-fitting 64 bits (see the limb bounds in ``_mulmod61``).
+residues mod the Mersenne prime q = 2^61 - 1 and rely on every intermediate
+fitting 64 bits (see the limb bounds in ``_mul61``).
+
+The MAC tag of a column is a Horner polynomial,
+``tag_j = sum_i M[i,j] * s^(m-i) mod q``.  Instead of folding one row at a
+time, it is computed as one ``mulmod61`` of the operand by the power vector
+``[s^m, ..., s^1]`` followed by an exact sum mod q.  The sum adds the low
+and high 32-bit halves of the products (each < 2^62) separately, so neither
+partial sum can wrap uint64 while a fold has fewer than 2^32 terms, then
+recombines them as ``hi * 2^32 + lo mod q``.  The result is the same residue
+Horner's rule gives, bit for bit.
 """
 
-import os
+import math
 
 import numpy as np
 
 MASK32 = np.uint64(0xFFFFFFFF)
 Q61 = (1 << 61) - 1
 _M61 = np.uint64(Q61)
-
-try:
-    import numba
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and not os.environ.get("SECUREPIM_NO_NUMBA")
+_M29 = np.uint64((1 << 29) - 1)
+_BLOCK_TERMS = 1 << 14  # products folded per block; bounds uint64 temporaries
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-
-def gemv_np(W: np.ndarray, x: np.ndarray) -> np.ndarray:
+def gemv(W: np.ndarray, x: np.ndarray) -> np.ndarray:
     """y = W @ x over Z_{2^32}; W is (m, n) uint32, x is (n,) uint32."""
     y = W.astype(np.uint64) @ x.astype(np.uint64)
     return (y & MASK32).astype(np.uint32)
 
-def gemv_t_np(W: np.ndarray, e: np.ndarray) -> np.ndarray:
+
+def gemv_t(W: np.ndarray, e: np.ndarray) -> np.ndarray:
     """g = W.T @ e over the ring."""
     g = W.astype(np.uint64).T @ e.astype(np.uint64)
     return (g & MASK32).astype(np.uint32)
 
-def embedding_np(table, ids, weights, batch, pf):
+
+def embedding(table, ids, weights, batch, pf):
     """Weighted gather-reduce: out[k] = sum_j w[k*pf+j] * table[ids[k*pf+j]]."""
     rows = table.astype(np.uint64)[ids].reshape(batch, pf, -1)
     w = weights.astype(np.uint64).reshape(batch, pf, 1)
     out = (rows * w).sum(axis=1)
     return (out & MASK32).astype(np.uint32)
 
-def _fold61_np(x):
+
+def _fold61(x):
     return (x & _M61) + (x >> np.uint64(61))
 
-def mulmod61_np(a, b):
-    """Vectorized (a * b) mod 2^61-1 for uint64 residues < 2^62."""
-    u32 = np.uint64(0xFFFFFFFF)
-    a0 = a & u32
+
+def _mod61(x):
+    """Any uint64 reduced into [0, q)."""
+    x = _fold61(x)
+    return x - np.where(x >= _M61, _M61, np.uint64(0))
+
+
+def _mul61(a, b):
+    """A uint64 < 2^61 + 8 congruent to a * b mod q, for a, b < 2^62."""
+    a0 = a & MASK32
     a1 = a >> np.uint64(32)
-    b0 = b & u32
+    b0 = b & MASK32
     b1 = b >> np.uint64(32)
-    acc = _fold61_np(a0 * b0)
-    mid = _fold61_np(a1 * b0 + a0 * b1)
-    acc += (mid >> np.uint64(29)) + ((mid & np.uint64((1 << 29) - 1)) << np.uint64(32))
+    acc = _fold61(a0 * b0)
+    mid = _fold61(a1 * b0 + a0 * b1)
+    acc += (mid >> np.uint64(29)) + ((mid & _M29) << np.uint64(32))
     acc += (a1 * b1) << np.uint64(3)  # 2^64 = 8 mod q
-    acc = _fold61_np(_fold61_np(acc))
-    return acc - np.where(acc >= _M61, _M61, np.uint64(0))
-
-def tag_columns_np(m_lifted: np.ndarray, s: int) -> np.ndarray:
-    """Per-column Horner fold: tag_j = sum_i M[i,j] * s^(m-i) mod q."""
-    sv = np.uint64(s)
-    acc = np.zeros(m_lifted.shape[1], dtype=np.uint64)
-    for row in m_lifted:
-        acc = mulmod61_np(acc + row, sv)
-    return acc
-
-def poly_hash_np(v_lifted: np.ndarray, s: int) -> int:
-    acc = np.uint64(0)
-    sv = np.uint64(s)
-    for x in v_lifted:
-        acc = mulmod61_np(acc + x, sv)
-    return int(acc)
-
-def dot_tags_np(tags: np.ndarray, x_lifted: np.ndarray) -> int:
-    prods = mulmod61_np(tags, x_lifted)
-    return sum(int(p) for p in prods) % Q61
+    return _fold61(acc)
 
 
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def gemv_nb(W, x):
-        m, n = W.shape
-        y = np.empty(m, dtype=np.uint32)
-        for i in range(m):
-            acc = np.uint64(0)
-            for j in range(n):
-                acc += np.uint64(W[i, j]) * np.uint64(x[j])
-            y[i] = np.uint32(acc & np.uint64(0xFFFFFFFF))
-        return y
-
-    @njit(cache=True)
-    def gemv_t_nb(W, e):
-        m, n = W.shape
-        g = np.empty(n, dtype=np.uint32)
-        for j in range(n):
-            acc = np.uint64(0)
-            for i in range(m):
-                acc += np.uint64(W[i, j]) * np.uint64(e[i])
-            g[j] = np.uint32(acc & np.uint64(0xFFFFFFFF))
-        return g
-
-    @njit(cache=True)
-    def embedding_nb(table, ids, weights, batch, pf):
-        cols = table.shape[1]
-        out = np.empty((batch, cols), dtype=np.uint32)
-        for k in range(batch):
-            for c in range(cols):
-                acc = np.uint64(0)
-                for j in range(pf):
-                    p = k * pf + j
-                    acc += np.uint64(weights[p]) * np.uint64(table[ids[p], c])
-                out[k, c] = np.uint32(acc & np.uint64(0xFFFFFFFF))
-        return out
-
-    @njit(cache=True)
-    def _mulmod61_nb(a, b):
-        u32 = np.uint64(0xFFFFFFFF)
-        m61 = np.uint64(0x1FFFFFFFFFFFFFFF)
-        a0 = a & u32
-        a1 = a >> np.uint64(32)
-        b0 = b & u32
-        b1 = b >> np.uint64(32)
-        t = a0 * b0
-        acc = (t & m61) + (t >> np.uint64(61))
-        mid = a1 * b0 + a0 * b1
-        mid = (mid & m61) + (mid >> np.uint64(61))
-        acc += (mid >> np.uint64(29)) + ((mid & np.uint64((1 << 29) - 1)) << np.uint64(32))
-        acc += (a1 * b1) << np.uint64(3)
-        acc = (acc & m61) + (acc >> np.uint64(61))
-        acc = (acc & m61) + (acc >> np.uint64(61))
-        if acc >= m61:
-            acc -= m61
-        return acc
-
-    @njit(cache=True)
-    def tag_columns_nb(m_lifted, s):
-        rows, cols = m_lifted.shape
-        sv = np.uint64(s)
-        acc = np.zeros(cols, dtype=np.uint64)
-        for i in range(rows):
-            for j in range(cols):
-                acc[j] = _mulmod61_nb(acc[j] + m_lifted[i, j], sv)
-        return acc
-
-    @njit(cache=True)
-    def poly_hash_nb(v_lifted, s):
-        sv = np.uint64(s)
-        acc = np.uint64(0)
-        for i in range(v_lifted.shape[0]):
-            acc = _mulmod61_nb(acc + v_lifted[i], sv)
-        return acc
-
-    @njit(cache=True)
-    def dot_tags_nb(tags, x_lifted):
-        m61 = np.uint64(0x1FFFFFFFFFFFFFFF)
-        acc = np.uint64(0)
-        for j in range(tags.shape[0]):
-            acc = acc + _mulmod61_nb(tags[j], x_lifted[j])
-            acc = (acc & m61) + (acc >> np.uint64(61))
-        if acc >= m61:
-            acc -= m61
-        return acc
+def mulmod61(a, b):
+    """Vectorized (a * b) mod 2^61-1 for uint64 residues < 2^62."""
+    return _mod61(_mul61(a, b))
 
 
-if USE_NUMBA:
-    gemv = gemv_nb
-    gemv_t = gemv_t_nb
-    embedding = embedding_nb
+def _dot61(a, b):
+    """sum_i a[i] * b[i] mod q along axis 0, exactly; a, b < 2^62.
 
-    def tag_columns(m_lifted, s):
-        return tag_columns_nb(m_lifted, s)
+    ``b`` broadcasts against ``a`` (a column of powers against a matrix).
+    Rows are folded in blocks of about ``_BLOCK_TERMS`` products.
+    """
+    step = max(1, _BLOCK_TERMS // max(math.prod(a.shape[1:]), 1))
+    lo = np.zeros(a.shape[1:], dtype=np.uint64)
+    hi = np.zeros(a.shape[1:], dtype=np.uint64)
+    for start in range(0, a.shape[0], step):
+        prods = _mul61(a[start:start + step], b[start:start + step])
+        lo += (prods & MASK32).sum(axis=0, dtype=np.uint64)
+        hi += (prods >> np.uint64(32)).sum(axis=0, dtype=np.uint64)
+    # hi * 2^32 = (hi >> 29) * 2^61 + (hi mod 2^29) * 2^32, and 2^61 = 1 mod q
+    hi_shifted = ((hi & _M29) << np.uint64(32)) + (hi >> np.uint64(29))
+    return _mod61(hi_shifted + _mod61(lo))
 
-    def poly_hash(v_lifted, s):
-        return int(poly_hash_nb(v_lifted, s))
 
-    def dot_tags(tags, x_lifted):
-        return int(dot_tags_nb(tags, x_lifted))
-else:
-    gemv = gemv_np
-    gemv_t = gemv_t_np
-    embedding = embedding_np
-    tag_columns = tag_columns_np
-    poly_hash = poly_hash_np
-    dot_tags = dot_tags_np
+class _PowerCache:
+    """Single-slot cache of ``[s^k, ..., s^2, s^1]`` for the last ``s``.
+
+    The MAC secret is fixed per session, so a run builds its vector once and
+    grows it by doubling; any shorter fold reads a suffix of it.
+    """
+
+    def __init__(self):
+        self.s = None
+        self.desc = np.zeros(0, dtype=np.uint64)
+
+    def powers(self, s: int, m: int) -> np.ndarray:
+        """``[s^m, ..., s^1]`` as uint64 residues."""
+        if s != self.s:
+            self.s = s
+            self.desc = np.array([s], dtype=np.uint64)
+        desc = self.desc
+        while desc.size < m:  # [s^2k .. s^(k+1)] = [s^k .. s^1] * s^k
+            desc = np.concatenate((mulmod61(desc, desc[0]), desc))
+        self.desc = desc
+        return desc[desc.size - m:]
+
+
+_POWERS = _PowerCache()
+
+
+def tag_columns(m_lifted: np.ndarray, s: int) -> np.ndarray:
+    """Per-column Horner polynomial: tag_j = sum_i M[i,j] * s^(m-i) mod q."""
+    p = _POWERS.powers(s, m_lifted.shape[0])
+    return _dot61(m_lifted, p[:, None])
+
+
+def poly_hash(v_lifted: np.ndarray, s: int) -> int:
+    """The one-column case of ``tag_columns``."""
+    return int(_dot61(v_lifted, _POWERS.powers(s, v_lifted.shape[0])))
+
+
+def dot_tags(tags: np.ndarray, x_lifted: np.ndarray) -> int:
+    """sum_j tags[j] * x[j] mod q."""
+    return int(_dot61(tags, x_lifted))

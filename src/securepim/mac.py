@@ -5,6 +5,12 @@ running the kernel over the tags (FTag_e) must equal hashing the merged
 result (FTag_r).  Ring words enter the mod-q domain through a signed lift
 to (-2^31, 2^31), so the identity holds whenever the true integer result
 fits a signed word; desk-scale workloads are sized to guarantee that.
+
+For q = 2^61 - 1 the tags and hashes come from ``kernels``: each residue is
+one vectorized product of the lifted operand with the power vector
+``[s^m, ..., s^1]`` (cached per secret ``s``) and an exact sum mod q, which
+stays exact for folds of fewer than 2^32 terms.  Other moduli use the
+big-int Horner loop below.
 """
 
 from dataclasses import dataclass

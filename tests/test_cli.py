@@ -43,6 +43,20 @@ class TestExitCodes:
                           "--scheme", "pim_precompute")
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("text", ["{bad", "[1, 2]", None])
+    def test_malformed_config_is_config_error(self, tmp_path, text):
+        cfg_path = tmp_path / "scenarios.json"
+        if text is not None:
+            cfg_path.write_text(text)
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG
+
+    def test_over_budget_load_is_config_error(self, tmp_path):
+        cfg_path = tmp_path / "big.json"
+        cfg_path.write_text(json.dumps(
+            {"workload": "mlp", "scheme": "pim_runtime",
+             "params": {"dim": 2048, "depth": 2}}))
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG
+
     def test_unknown_scheme_is_config_error(self, tmp_path):
         code, _ = run_cli(tmp_path, "run", "--workload", "mlp",
                           "--scheme", "warp")

@@ -5,7 +5,7 @@ offline/online ledger separation, and the arithmetic-to-Yao activation.
 import numpy as np
 import pytest
 
-from securepim import ring
+from securepim import mac, ring
 from securepim.errors import ConfigError, VerificationError
 from securepim.host import (
     SCHEMES,
@@ -161,6 +161,55 @@ class TestEmbeddingOp:
         a = op.lookup(ids, ws, batch=1, pf=3)
         b = op.lookup(ids[::-1].copy(), ws[::-1].copy(), batch=1, pf=3)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("bad", [[0, 3], [-1, 0]])
+    def test_out_of_range_ids_are_config_errors(self, scheme, bad):
+        op = EmbeddingOp(session(scheme, verify=True), self.T)
+        with pytest.raises(ConfigError):
+            op.lookup(np.asarray(bad), np.asarray([1, 1], dtype=np.uint32),
+                      batch=1, pf=2)
+
+    def test_batched_check_matches_per_row_oracle(self):
+        rng = np.random.default_rng(5)
+        table = ring.from_signed_array(rng.integers(-4000, 4000, size=(6, 4)))
+        ids = np.asarray([0, 5, 2, 2, 4, 1])
+        ws = np.asarray([1, 2, 3, 1, 3, 2], dtype=np.uint32)
+        sess = session("pim_runtime", verify=True)
+        seen = []
+        sess.check_verified = lambda step, e, r: seen.append((e, r))
+        out = EmbeddingOp(sess, table).lookup(ids, ws, batch=3, pf=2)
+
+        def lift(w):
+            return ring.to_signed(int(w)) % mac.Q
+
+        def horner(words):
+            acc = 0
+            for w in words:
+                acc = (acc + lift(w)) * sess.s % mac.Q
+            return acc
+
+        tags = [horner(row) for row in table]
+        ftag_e = ftag_r = 0
+        for k in range(3):
+            ftag_e += sum(tags[ids[k * 2 + j]] * lift(ws[k * 2 + j])
+                          for j in range(2)) % mac.Q
+            ftag_r += horner(out[k])
+        assert seen == [(ftag_e % mac.Q, ftag_r % mac.Q)]
+        assert seen[0][0] == seen[0][1]
+
+    @pytest.mark.parametrize("scheme", ["pim_runtime", "pim_precompute"])
+    def test_tamper_in_later_batch_row_aborts(self, scheme):
+        sess = session(scheme, verify=True)
+        op = EmbeddingOp(sess, self.T)
+        # flat word 5 of the (3, 2) result: batch row 2, column 1
+        sess.device.arm_tamper(TamperSpec("device_result", "bit_flip", 5))
+        with pytest.raises(VerificationError):
+            op.lookup(np.asarray([0, 2, 1, 1, 2, 0]),
+                      np.asarray([1, 2, 3, 1, 1, 1], dtype=np.uint32),
+                      batch=3, pf=2)
+        assert sess.device.tamper_log[0]["index"] == 5
+        assert [e["ok"] for e in sess.verification_events] == [False]
 
     def test_index_leak_declared(self):
         sess = session("pim_runtime")

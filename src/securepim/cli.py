@@ -136,7 +136,7 @@ def _run_scenario(sc) -> int:
         words, sess = run_workload(workload, cfg, seed, params, tamper=tamper)
     except (VerificationError, GcEvaluationFault) as exc:
         aborted = {"reason": type(exc).__name__, "detail": str(exc)}
-        sess = exc.session if hasattr(exc, "session") else None
+        sess = exc.session
     if sess is None and aborted is not None:
         report = {"schema_version": SCHEMA_VERSION, "scenario": scenario_echo,
                   "digest": None, "aborted": aborted}

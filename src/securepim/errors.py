@@ -26,17 +26,22 @@ class TaintViolation(SecurePimError):
 
 
 class VerificationError(SecurePimError):
-    """A MAC check failed; carries the step at which it fired."""
+    """A MAC check failed; carries its step and the session it aborted."""
 
-    def __init__(self, step, ftag_e, ftag_r):
+    def __init__(self, step, ftag_e, ftag_r, session=None):
         super().__init__(f"verification failed at {step!r}: {ftag_e} != {ftag_r}")
         self.step = step
         self.ftag_e = ftag_e
         self.ftag_r = ftag_r
+        self.session = session
 
 
 class GcEvaluationFault(SecurePimError):
     """A garbled-table row failed its integrity check during evaluation."""
+
+    def __init__(self, message, session=None):
+        super().__init__(message)
+        self.session = session
 
 
 class ConfigError(SecurePimError):

@@ -1,11 +1,14 @@
-"""Trusted-host orchestration: scheme dispatch, merging, verification.
+"""Trusted-host orchestration: operand placement, merging, verification.
 
-The six schemes differ in where the kernel runs and what crosses the
-channel, never in arithmetic, so every scheme produces bit-identical ring
-results for the same inputs.  Fixed-point truncation happens only on merged
-(reconstructed) values, which is what keeps that equivalence exact.
+The six schemes differ in where a private operand lives (host or device;
+plain, sealed or additively shared) and in how the device's result merges
+with the host's part, never in arithmetic, so every scheme produces
+bit-identical ring results for the same inputs.  Fixed-point truncation
+happens only on merged (reconstructed) values, which is what keeps that
+equivalence exact.
 """
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -13,7 +16,7 @@ import numpy as np
 
 from . import kernels, mac, ring, sharing
 from .crypto import KeyStore, OtpContext
-from .errors import ConfigError, VerificationError
+from .errors import ConfigError, GcEvaluationFault, VerificationError
 from .pimsim import CostReport, DeviceTopology, PimDevice
 from .yao.circuit import bits_to_word
 from .yao.garble import EvalTranscript
@@ -24,6 +27,9 @@ SCHEMES = ("cpu_insecure", "cpu_secure", "pim_insecure", "pim_enc_dec",
 SHARE_SCHEMES = frozenset({"pim_runtime", "pim_precompute"})
 DEVICE_SCHEMES = frozenset({"pim_insecure", "pim_enc_dec",
                             "pim_runtime", "pim_precompute"})
+# private operands stay sealed under the host key: at rest in host memory
+# (cpu_secure), or on a device that holds the key (pim_enc_dec)
+SEALED_SCHEMES = frozenset({"cpu_secure", "pim_enc_dec"})
 VARIANTS = ("A", "A2Y")
 
 
@@ -101,11 +107,31 @@ class Session:
         ok = mac.verify(ftag_e, ftag_r)
         self.verification_events.append({"step": step, "ok": ok})
         if not ok:
-            exc = VerificationError(step, ftag_e, ftag_r)
-            exc.session = self
-            raise exc
+            raise VerificationError(step, ftag_e, ftag_r, session=self)
 
-    # -- sealed tag storage (MAC-then-encrypt, lives in untrusted memory) ---
+    def verify_gemv(self, step: str, store, x, y) -> None:
+        """Check y = M @ x against M's sealed tags; a no-op without tags."""
+        if store is None:
+            return
+        tags = self.open_tag_store(store)
+        self.check_verified(step, mac.tag_kernel_gemv(tags, x),
+                            mac.hash_result(y, self.s))
+
+    # -- sealed offline artefacts in untrusted memory (tags: MAC-then-encrypt)
+
+    def tag_store(self, M: np.ndarray, axis: str = mac.AXIS_COLUMNS):
+        """Tag M along ``axis`` and seal the tags; None unless verifying."""
+        if not self.cfg.verify:
+            return None
+        self.offline.host_mac_ops += M.size
+        return self.seal_tag_store(mac.gen_tags(M, self.s, axis=axis))
+
+    def seal_precomputed(self, res_cpu: np.ndarray, cost: int):
+        """Seal a resCPU that took ``cost`` host MACs to compute; returns
+        the (context, words) pair that ``KeyStore.open`` takes back."""
+        self.offline.host_mac_ops += cost
+        ctx = self.alloc_ctx()
+        return ctx, self.ks.seal(ctx, res_cpu, on_prf=self._off_prf)
 
     def seal_tag_store(self, tags: mac.TagVector):
         ctx = self.alloc_ctx()
@@ -132,7 +158,7 @@ class Session:
             transcript = EvalTranscript()
             try:
                 bits = self.device.evaluate_garbled(gcirc, labels, transcript)
-            except Exception as exc:
+            except GcEvaluationFault as exc:
                 exc.session = self
                 raise
             out[i] = bits_to_word(bits)
@@ -158,42 +184,29 @@ class PublicMatrixOp:
         self.step = step
         self._use = 0
         s = session
-        cfg = s.cfg
-        self.tag_store = None
-        if cfg.verify:
-            tags = mac.gen_tags(self.W, s.s)
-            s.offline.host_mac_ops += self.W.size
-            self.tag_store = s.seal_tag_store(tags)
-        if cfg.scheme in DEVICE_SCHEMES:
+        self.tag_store = s.tag_store(self.W)
+        if s.cfg.scheme in DEVICE_SCHEMES:
             self.handle = s.device.load(s._next_name("W"), self.W)
-        if cfg.scheme == "pim_precompute":
+        if s.cfg.scheme == "pim_precompute":
             self._pre = []
             for _ in range(uses):
                 ctx = s.alloc_ctx()
                 r = sharing.host_share(ctx, (self.W.shape[1],), s.ks,
                                        on_prf=s._off_prf)
                 res_cpu = kernels.gemv(self.W, r)
-                s.offline.host_mac_ops += self.W.size
-                seal_ctx = s.alloc_ctx()
-                self._pre.append({
-                    "x_ctx": ctx,
-                    "sealed": s.ks.seal(seal_ctx, res_cpu, on_prf=s._off_prf),
-                    "seal_ctx": seal_ctx,
-                })
+                self._pre.append((ctx, s.seal_precomputed(res_cpu, self.W.size)))
 
     def apply(self, x: np.ndarray, reshare: bool = False) -> np.ndarray:
         """Merged raw GEMV result (pre-truncation), verified if configured."""
         s = self.sess
-        cfg = s.cfg
         x = np.ascontiguousarray(x, dtype=np.uint32)
-        scheme = cfg.scheme
-        if scheme == "cpu_insecure":
+        scheme = s.cfg.scheme
+        if scheme not in DEVICE_SCHEMES:
+            if scheme in SEALED_SCHEMES:  # x is sealed at rest until used
+                ctx = s.alloc_ctx()
+                stored = s.ks.seal(ctx, x, on_prf=s._on_prf)
+                x = s.ks.open(ctx, stored, on_prf=s._on_prf)
             y = kernels.gemv(self.W, x)
-            s.online.host_mac_ops += self.W.size
-        elif scheme == "cpu_secure":
-            ctx = s.alloc_ctx()
-            stored = s.ks.seal(ctx, x, on_prf=s._on_prf)
-            y = kernels.gemv(self.W, s.ks.open(ctx, stored, on_prf=s._on_prf))
             s.online.host_mac_ops += self.W.size
         elif scheme == "pim_insecure":
             y = s.device.gemv(self.handle, x)
@@ -204,32 +217,97 @@ class PublicMatrixOp:
             y = s.device.gemv_enc(self.handle, sealed, s.ks, ctx_in, ctx_out)
             y = s.ks.open(ctx_out, y, on_prf=s._on_prf)
         else:
-            if scheme == "pim_precompute":
-                pre = self._pre[self._use]
-                sv = sharing.split(x, pre["x_ctx"], s.ks, on_prf=s._on_prf)
-                res_pim = s.device.gemv(self.handle, sv.cipher)
-                res_cpu = s.ks.open(pre["seal_ctx"], pre["sealed"],
-                                    on_prf=s._on_prf)
+            pre = self._pre[self._use] if scheme == "pim_precompute" else None
+            ctx = pre[0] if pre else s.alloc_ctx()
+            sv = sharing.split(x, ctx, s.ks, on_prf=s._on_prf)
+            y = s.device.gemv(self.handle, sv.cipher)
+            if pre:
+                y = y + s.ks.open(*pre[1], on_prf=s._on_prf)
             else:  # pim_runtime: R-kernel on the fly, parallel to the device
-                ctx = s.alloc_ctx()
-                sv = sharing.split(x, ctx, s.ks, on_prf=s._on_prf)
-                res_pim = s.device.gemv(self.handle, sv.cipher)
                 r = sharing.host_share(ctx, x.shape, s.ks, on_prf=s._on_prf)
-                res_cpu = kernels.gemv(self.W, r)
+                y = y + kernels.gemv(self.W, r)
                 s.online.host_mac_ops += self.W.size
-            y = res_pim + res_cpu
             if reshare:
                 s.reshare_events += 1
         self._use += 1
-        if self.tag_store is not None:
-            tags = s.open_tag_store(self.tag_store)
-            s.check_verified(f"{self.step}:{self._use - 1}",
-                             mac.tag_kernel_gemv(tags, x),
-                             mac.hash_result(y, s.s))
+        s.verify_gemv(f"{self.step}:{self._use - 1}", self.tag_store, x, y)
         return y
 
 
-class PrivateMatrixOp:
+class _PrivateOperand:
+    """A private matrix held where the scheme keeps it: the one placement
+    and merge path of PrivateMatrixOp and EmbeddingOp."""
+
+    def _place(self, M: np.ndarray, prefix: str, precompute=None) -> None:
+        """Put M on the host (plain or sealed at rest) or on the device
+        (plain, sealed or as the share C = M - R).  pim_precompute seals
+        resCPU = host_fn(R, *args) offline for each ``(key, host_fn, args)``
+        in ``precompute``; without static operands it materializes R in
+        trusted memory instead, so the online phase needs no PRF calls."""
+        s = self.sess
+        scheme = s.cfg.scheme
+        self.shape = M.shape
+        self.ctx = self._r = self._pre = None
+        data = M
+        if scheme == "pim_precompute" and precompute is None:
+            self.ctx = s.alloc_ctx()
+            self._r = sharing.host_share(self.ctx, M.shape, s.ks,
+                                         on_prf=s._off_prf)
+            s.ks.consume(self.ctx)
+            data = M - self._r
+        elif scheme in SHARE_SCHEMES:
+            self.ctx = s.alloc_ctx()
+            if scheme == "pim_precompute":
+                self._pre = []
+                for key, host_fn, args in precompute:
+                    r = sharing.host_share(self.ctx, M.shape, s.ks,
+                                           on_prf=s._off_prf)
+                    self._pre.append(
+                        (key, s.seal_precomputed(host_fn(r, *args), M.size)))
+            data = sharing.split(M, self.ctx, s.ks, on_prf=s._on_prf).cipher
+        elif scheme in SEALED_SCHEMES:
+            self.ctx = s.alloc_ctx()
+            data = s.ks.seal(self.ctx, M, on_prf=s._on_prf)
+        if scheme in DEVICE_SCHEMES:
+            self.handle = s.device.load(s._next_name(prefix), data,
+                                        secret_plaintext=data is M)
+        else:
+            self._at_rest = data
+
+    def _merge(self, host_fn, device_fn, sealed_fn, args: tuple, cost: int,
+               key=None) -> np.ndarray:
+        """Merge one linear kernel of the placed M with public ``args``: host
+        only (``host_fn(M, *args)``, ``cost`` host MACs), device only
+        (``device_fn(handle, *args)``), sealed device (``sealed_fn(handle,
+        *args, ks, ctx, ctx_out)``), or the device share plus the runtime
+        R-kernel or the sealed resCPU precomputed under ``key``."""
+        s = self.sess
+        scheme = s.cfg.scheme
+        if scheme not in DEVICE_SCHEMES:
+            M = self._at_rest
+            if scheme in SEALED_SCHEMES:
+                M = s.ks.open(self.ctx, M, on_prf=s._on_prf)
+            s.online.host_mac_ops += cost
+            return host_fn(M, *args)
+        if scheme in SEALED_SCHEMES:
+            ctx_out = s.alloc_ctx()
+            y = sealed_fn(self.handle, *args, s.ks, self.ctx, ctx_out)
+            return s.ks.open(ctx_out, y, on_prf=s._on_prf)
+        res_pim = device_fn(self.handle, *args)
+        if scheme not in SHARE_SCHEMES:
+            return res_pim
+        if self._pre is not None:
+            pre_key, res_sealed = self._pre.pop(0)
+            if pre_key != key:
+                raise ConfigError("precomputed direction mismatch")
+            return res_pim + s.ks.open(*res_sealed, on_prf=s._on_prf)
+        r = self._r if self._r is not None else sharing.host_share(
+            self.ctx, self.shape, s.ks, on_prf=s._on_prf)
+        s.online.host_mac_ops += cost
+        return res_pim + host_fn(r, *args)
+
+
+class PrivateMatrixOp(_PrivateOperand):
     """Private matrix resident on the device as a share; public vectors per
     call in the sample direction (X @ w) and gradient direction (X.T @ e).
 
@@ -244,116 +322,44 @@ class PrivateMatrixOp:
         self.X = np.ascontiguousarray(X, dtype=np.uint32)
         self.step = step
         s = session
-        cfg = s.cfg
-        self.col_tag_store = None
-        self.row_tag_store = None
-        if cfg.verify:
-            s.offline.host_mac_ops += self.X.size * (2 if tag_rows else 1)
-            self.col_tag_store = s.seal_tag_store(mac.gen_tags(self.X, s.s))
-            if tag_rows:
-                self.row_tag_store = s.seal_tag_store(
-                    mac.gen_tags(self.X, s.s, axis=mac.AXIS_ROWS))
-        if cfg.scheme == "pim_precompute" and precompute is None:
+        self.col_tag_store = s.tag_store(self.X)
+        self.row_tag_store = s.tag_store(self.X, mac.AXIS_ROWS) \
+            if tag_rows else None
+        if s.cfg.scheme == "pim_precompute" and precompute is None:
             raise ConfigError(
                 "pim_precompute requires static public operands; "
                 "rejected for training loops")
-        self.ctx = None
-        self.seal_ctx = None
-        if cfg.scheme in SHARE_SCHEMES:
-            self.ctx = s.alloc_ctx()
-            if cfg.scheme == "pim_precompute":
-                self._pre = []
-                for direction, vec in precompute:
-                    vec = np.ascontiguousarray(vec, dtype=np.uint32)
-                    r = sharing.host_share(self.ctx, self.X.shape, s.ks,
-                                           on_prf=s._off_prf)
-                    res_cpu = kernels.gemv(r, vec) if direction == "rows" \
-                        else kernels.gemv_t(r, vec)
-                    s.offline.host_mac_ops += self.X.size
-                    seal_ctx = s.alloc_ctx()
-                    self._pre.append({
-                        "direction": direction,
-                        "sealed": s.ks.seal(seal_ctx, res_cpu,
-                                            on_prf=s._off_prf),
-                        "seal_ctx": seal_ctx,
-                    })
-                self._pre_use = 0
-            sv = sharing.split(self.X, self.ctx, s.ks, on_prf=s._on_prf)
-            self.handle = s.device.load(s._next_name("X"), sv.cipher)
-        elif cfg.scheme == "pim_insecure":
-            self.handle = s.device.load(s._next_name("X"), self.X,
-                                        secret_plaintext=True)
-        elif cfg.scheme == "pim_enc_dec":
-            self.seal_ctx = s.alloc_ctx()
-            sealed = s.ks.seal(self.seal_ctx, self.X, on_prf=s._on_prf)
-            self.handle = s.device.load(s._next_name("X"), sealed)
-        elif cfg.scheme == "cpu_secure":
-            self.rest_ctx = s.alloc_ctx()
-            self._at_rest = s.ks.seal(self.rest_ctx, self.X, on_prf=s._on_prf)
+        self._place(self.X, "X", precompute and [
+            (direction, self._kernels(direction)[0],
+             (np.ascontiguousarray(vec, dtype=np.uint32),))
+            for direction, vec in precompute])
 
-    def _host_plain(self) -> np.ndarray:
-        s = self.sess
-        if s.cfg.scheme == "cpu_secure":
-            return s.ks.open(self.rest_ctx, self._at_rest, on_prf=s._on_prf)
-        return self.X
-
-    def _merged(self, vec: np.ndarray, direction: str) -> np.ndarray:
-        s = self.sess
-        scheme = s.cfg.scheme
-        vec = np.ascontiguousarray(vec, dtype=np.uint32)
-        rows = direction == "rows"
-        if scheme in ("cpu_insecure", "cpu_secure"):
-            X = self._host_plain()
-            s.online.host_mac_ops += X.size
-            return kernels.gemv(X, vec) if rows else kernels.gemv_t(X, vec)
-        if scheme == "pim_insecure":
-            return s.device.matvec_rows(self.handle, vec) if rows \
-                else s.device.matvec_cols(self.handle, vec)
-        if scheme == "pim_enc_dec":
-            ctx_out = s.alloc_ctx()
-            y = s.device.matvec_enc(self.handle, vec, s.ks, self.seal_ctx,
-                                    ctx_out, transpose=not rows)
-            return s.ks.open(ctx_out, y, on_prf=s._on_prf)
-        res_pim = s.device.matvec_rows(self.handle, vec) if rows \
-            else s.device.matvec_cols(self.handle, vec)
-        if scheme == "pim_precompute":
-            pre = self._pre[self._pre_use]
-            self._pre_use += 1
-            if pre["direction"] != direction:
-                raise ConfigError("precomputed direction mismatch")
-            res_cpu = s.ks.open(pre["seal_ctx"], pre["sealed"],
-                                on_prf=s._on_prf)
-        else:
-            r = sharing.host_share(self.ctx, self.X.shape, s.ks,
-                                   on_prf=s._on_prf)
-            res_cpu = kernels.gemv(r, vec) if rows else kernels.gemv_t(r, vec)
-            s.online.host_mac_ops += self.X.size
-        return res_pim + res_cpu
+    def _kernels(self, direction: str):
+        """Host, device and sealed kernels of X @ vec ("rows"), else X.T @ vec."""
+        dev = self.sess.device
+        if direction == "rows":
+            return kernels.gemv, dev.matvec_rows, dev.matvec_enc
+        return (kernels.gemv_t, dev.matvec_cols,
+                functools.partial(dev.matvec_enc, transpose=True))
 
     def matvec(self, w: np.ndarray, step_suffix: str = "dot") -> np.ndarray:
         """X @ w, merged; verified against the column tags."""
-        s = self.sess
-        y = self._merged(w, "rows")
-        if self.col_tag_store is not None:
-            tags = s.open_tag_store(self.col_tag_store)
-            s.check_verified(f"{self.step}:{step_suffix}",
-                             mac.tag_kernel_gemv(tags, w),
-                             mac.hash_result(y, s.s))
+        w = np.ascontiguousarray(w, dtype=np.uint32)
+        y = self._merge(*self._kernels("rows"), (w,), self.X.size, key="rows")
+        self.sess.verify_gemv(f"{self.step}:{step_suffix}",
+                              self.col_tag_store, w, y)
         return y
 
     def matvec_t(self, e: np.ndarray, step_suffix: str = "grad") -> np.ndarray:
         """X.T @ e, merged; verified against the row tags."""
-        s = self.sess
-        g = self._merged(e, "cols")
-        if self.row_tag_store is not None:
-            tags = s.open_tag_store(self.row_tag_store)
-            s.check_verified(f"{self.step}:{step_suffix}",
-                             mac.tag_kernel_gemv(tags, e),
-                             mac.hash_result(g, s.s))
+        e = np.ascontiguousarray(e, dtype=np.uint32)
+        g = self._merge(*self._kernels("cols"), (e,), self.X.size, key="cols")
+        self.sess.verify_gemv(f"{self.step}:{step_suffix}",
+                              self.row_tag_store, e, g)
         return g
 
 
-class EmbeddingOp:
+class EmbeddingOp(_PrivateOperand):
     """Private embedding table; weighted gather-reduce with public indices.
 
     pim_precompute materializes the table's OTP words in the offline phase
@@ -365,70 +371,20 @@ class EmbeddingOp:
         self.sess = session
         self.table = np.ascontiguousarray(table, dtype=np.uint32)
         self.step = step
-        s = session
-        cfg = s.cfg
-        self.row_tag_store = None
-        if cfg.verify:
-            s.offline.host_mac_ops += self.table.size
-            self.row_tag_store = s.seal_tag_store(
-                mac.gen_tags(self.table, s.s, axis=mac.AXIS_ROWS))
-        self._r_cache = None
-        if cfg.scheme in SHARE_SCHEMES:
-            self.ctx = s.alloc_ctx()
-            if cfg.scheme == "pim_precompute":
-                # offline keystream materialization: R lives in trusted
-                # memory, so the online phase needs no PRF calls at all
-                self._r_cache = sharing.host_share(
-                    self.ctx, self.table.shape, s.ks, on_prf=s._off_prf)
-                s.ks.consume(self.ctx)
-                cipher = self.table - self._r_cache
-            else:
-                cipher = sharing.split(self.table, self.ctx, s.ks,
-                                       on_prf=s._on_prf).cipher
-            self.handle = s.device.load(s._next_name("T"), cipher)
-        elif cfg.scheme == "pim_insecure":
-            self.handle = s.device.load(s._next_name("T"), self.table,
-                                        secret_plaintext=True)
-        elif cfg.scheme == "pim_enc_dec":
-            self.seal_ctx = s.alloc_ctx()
-            sealed = s.ks.seal(self.seal_ctx, self.table, on_prf=s._on_prf)
-            self.handle = s.device.load(s._next_name("T"), sealed)
-        elif cfg.scheme == "cpu_secure":
-            self.rest_ctx = s.alloc_ctx()
-            self._at_rest = s.ks.seal(self.rest_ctx, self.table,
-                                      on_prf=s._on_prf)
+        self.row_tag_store = session.tag_store(self.table, mac.AXIS_ROWS)
+        self._place(self.table, "T")
 
     def lookup(self, ids, weights, batch: int, pf: int) -> np.ndarray:
         s = self.sess
-        scheme = s.cfg.scheme
         ids = np.ascontiguousarray(ids, dtype=np.int64)
         weights = np.ascontiguousarray(weights, dtype=np.uint32)
         rows = self.table.shape[0]
         if ids.size and (ids.min() < 0 or ids.max() >= rows):
             raise ConfigError(f"embedding ids must lie in [0, {rows})")
         s.record_leak("dlrm_indices_in_clear")
-        if scheme in ("cpu_insecure", "cpu_secure"):
-            table = self.table if scheme == "cpu_insecure" \
-                else s.ks.open(self.rest_ctx, self._at_rest, on_prf=s._on_prf)
-            out = kernels.embedding(table, ids, weights, batch, pf)
-            s.online.host_mac_ops += ids.size * self.table.shape[1]
-        elif scheme == "pim_insecure":
-            out = s.device.embedding(self.handle, ids, weights, batch, pf)
-        elif scheme == "pim_enc_dec":
-            ctx_out = s.alloc_ctx()
-            out = s.device.embedding_enc(self.handle, ids, weights, batch, pf,
-                                         s.ks, self.seal_ctx, ctx_out)
-            out = s.ks.open(ctx_out, out, on_prf=s._on_prf)
-        else:
-            res_pim = s.device.embedding(self.handle, ids, weights, batch, pf)
-            if self._r_cache is not None:
-                r = self._r_cache
-            else:
-                r = sharing.host_share(self.ctx, self.table.shape, s.ks,
-                                       on_prf=s._on_prf)
-            res_cpu = kernels.embedding(r, ids, weights, batch, pf)
-            s.online.host_mac_ops += ids.size * self.table.shape[1]
-            out = res_pim + res_cpu
+        out = self._merge(kernels.embedding, s.device.embedding,
+                          s.device.embedding_enc, (ids, weights, batch, pf),
+                          ids.size * self.table.shape[1])
         if self.row_tag_store is not None:
             # one check for the whole batch: the sum over batch rows of each
             # row's GEMV-over-tags against the sum of its result hashes

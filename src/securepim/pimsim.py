@@ -28,7 +28,6 @@ MUTATIONS = ("bit_flip", "word_randomize")
 class DeviceTopology:
     dpu_count: int = 4
     mram_bytes_per_dpu: int = 4 << 20   # scaled-down stand-in for 64 MiB MRAM
-    tasklets_per_dpu: int = 24          # cost divisor only, never functional
 
 
 @dataclass
@@ -42,18 +41,6 @@ class CostReport:
     gc_ciphertexts: int = 0
     gc_bytes: int = 0
     verify_ops: int = 0
-
-    def as_dict(self):
-        return {
-            "bytes_h2d": self.bytes_h2d,
-            "bytes_d2h": self.bytes_d2h,
-            "device_mac_ops": self.device_mac_ops,
-            "host_mac_ops": self.host_mac_ops,
-            "host_prf_calls": self.host_prf_calls,
-            "device_prf_calls": self.device_prf_calls,
-            "gc_bytes": self.gc_bytes,
-            "verify_ops": self.verify_ops,
-        }
 
 
 @dataclass
@@ -177,32 +164,19 @@ class PimDevice:
 
     # -- kernels ------------------------------------------------------------
 
-    def gemv(self, name: str, x: np.ndarray) -> np.ndarray:
-        W = self._access(name)
-        x = np.ascontiguousarray(x, dtype=np.uint32)
-        if W.shape[1] != x.size:
-            raise DimensionError(f"gemv: {W.shape} x {x.shape}")
-        x = self._h2d(x, False, replicate=True)
-        self.report.device_mac_ops += W.size
-        return self._d2h(kernels.gemv(W, x))
+    def _broadcast(self, vec: np.ndarray) -> np.ndarray:
+        """Send a vector operand to every DPU."""
+        return self._h2d(np.ascontiguousarray(vec, dtype=np.uint32), False,
+                         replicate=True)
 
-    def matvec_rows(self, name: str, w: np.ndarray) -> np.ndarray:
-        """Per-sample dot products X @ w over the resident rows."""
-        return self.gemv(name, w)
-
-    def matvec_cols(self, name: str, e: np.ndarray) -> np.ndarray:
-        """Gradient direction X.T @ e over the resident rows."""
-        X = self._access(name)
-        e = np.ascontiguousarray(e, dtype=np.uint32)
-        if X.shape[0] != e.size:
-            raise DimensionError(f"matvec_cols: {X.shape} x {e.shape}")
-        e = self._h2d(e, False, replicate=True)
+    def _gemv(self, X, vec, transpose=False):
+        """X @ vec (X.T @ vec if ``transpose``) over device-side operands."""
+        if X.shape[0 if transpose else 1] != vec.size:
+            raise DimensionError(f"gemv: {X.shape} x {vec.shape}")
         self.report.device_mac_ops += X.size
-        return self._d2h(kernels.gemv_t(X, e))
+        return kernels.gemv_t(X, vec) if transpose else kernels.gemv(X, vec)
 
-    def embedding(self, name: str, ids: np.ndarray, weights: np.ndarray,
-                  batch: int, pf: int) -> np.ndarray:
-        table = self._access(name)
+    def _embedding(self, table, ids, weights, batch, pf):
         ids = np.ascontiguousarray(ids, dtype=np.int64)
         weights = np.ascontiguousarray(weights, dtype=np.uint32)
         if ids.size != batch * pf or weights.size != ids.size:
@@ -212,50 +186,49 @@ class PimDevice:
         self.report.bytes_h2d += ids.size * 4  # indices travel in clear
         weights = self._h2d(weights, False)
         self.report.device_mac_ops += ids.size * table.shape[1]
-        return self._d2h(kernels.embedding(table, ids, weights, batch, pf))
+        return kernels.embedding(table, ids, weights, batch, pf)
+
+    def gemv(self, name: str, x: np.ndarray) -> np.ndarray:
+        W = self._access(name)
+        return self._d2h(self._gemv(W, self._broadcast(x)))
+
+    def matvec_rows(self, name: str, w: np.ndarray) -> np.ndarray:
+        """Per-sample dot products X @ w over the resident rows."""
+        return self.gemv(name, w)
+
+    def matvec_cols(self, name: str, e: np.ndarray) -> np.ndarray:
+        """Gradient direction X.T @ e over the resident rows."""
+        X = self._access(name)
+        return self._d2h(self._gemv(X, self._broadcast(e), transpose=True))
+
+    def embedding(self, name: str, ids: np.ndarray, weights: np.ndarray,
+                  batch: int, pf: int) -> np.ndarray:
+        table = self._access(name)
+        return self._d2h(self._embedding(table, ids, weights, batch, pf))
 
     # -- enc/dec baseline: the device holds the key, decrypts, computes on
     # plaintext, and reseals the result before it leaves (Fig. 12 style).
 
-    def gemv_enc(self, name, sealed_x, ks, ctx_in, ctx_out):
-        W = self._access(name)
-        x = self._h2d(np.ascontiguousarray(sealed_x, dtype=np.uint32),
-                      False, replicate=True)
-        x = ks.open(ctx_in, x, on_prf=self._count_device_prf)
-        if W.shape[1] != x.size:
-            raise DimensionError(f"gemv_enc: {W.shape} x {x.shape}")
-        self.report.device_mac_ops += W.size
-        y = ks.seal(ctx_out, kernels.gemv(W, x), on_prf=self._count_device_prf)
+    def _sealed(self, ks, ctx_in, sealed, ctx_out, compute):
+        """Open ``sealed`` with the device-held key, ``compute`` on the
+        plaintext, and reseal the result under ``ctx_out`` on its way out."""
+        plain = ks.open(ctx_in, sealed, on_prf=self._count_device_prf)
+        y = ks.seal(ctx_out, compute(plain), on_prf=self._count_device_prf)
         return self._d2h(y)
 
+    def gemv_enc(self, name, sealed_x, ks, ctx_in, ctx_out):
+        W = self._access(name)
+        return self._sealed(ks, ctx_in, self._broadcast(sealed_x), ctx_out,
+                            lambda x: self._gemv(W, x))
+
     def matvec_enc(self, name, vec, ks, ctx_mat, ctx_out, transpose=False):
-        sealed = self._access(name)
-        X = ks.open(ctx_mat, sealed, on_prf=self._count_device_prf)
-        vec = self._h2d(np.ascontiguousarray(vec, dtype=np.uint32),
-                        False, replicate=True)
-        self.report.device_mac_ops += X.size
-        y = kernels.gemv_t(X, vec) if transpose else kernels.gemv(X, vec)
-        return self._d2h(ks.seal(ctx_out, y, on_prf=self._count_device_prf))
+        vec = self._broadcast(vec)
+        return self._sealed(ks, ctx_mat, self._access(name), ctx_out,
+                            lambda X: self._gemv(X, vec, transpose))
 
     def embedding_enc(self, name, ids, weights, batch, pf, ks, ctx_tab, ctx_out):
-        sealed = self._access(name)
-        table = ks.open(ctx_tab, sealed, on_prf=self._count_device_prf)
-        ids = np.ascontiguousarray(ids, dtype=np.int64)
-        weights = self._h2d(np.ascontiguousarray(weights, dtype=np.uint32), False)
-        self.report.bytes_h2d += ids.size * 4
-        self.report.device_mac_ops += ids.size * table.shape[1]
-        out = kernels.embedding(table, ids, weights, batch, pf)
-        return self._d2h(ks.seal(ctx_out, out, on_prf=self._count_device_prf))
-
-    def unseal(self, name: str, ks, ctx) -> None:
-        """pim_enc_dec: the device holds the key and decrypts in place."""
-        r = self._resident[name]
-        r.data = ks.open(ctx, self._access(name),
-                         on_prf=self._count_device_prf)
-
-    def seal_words(self, words: np.ndarray, ks, ctx) -> np.ndarray:
-        out = ks.seal(ctx, words, on_prf=self._count_device_prf)
-        return self._d2h(out)
+        return self._sealed(ks, ctx_tab, self._access(name), ctx_out,
+                            lambda T: self._embedding(T, ids, weights, batch, pf))
 
     def _count_device_prf(self, n):
         self.report.device_prf_calls += n

@@ -30,25 +30,9 @@ def sub(a: int, b: int) -> int:
     return (a - b) & MASK
 
 
-def mul(a: int, b: int) -> int:
-    return (a * b) & MASK
-
-
-def neg(a: int) -> int:
-    return (-a) & MASK
-
-
 def to_signed(w: int) -> int:
     """Two's-complement reinterpretation of a ring word."""
     return w - (1 << WORD_BITS) if w & SIGN_BIT else w
-
-
-def from_signed(v: int) -> int:
-    return v & MASK
-
-
-def is_negative(w: int) -> bool:
-    return bool(w & SIGN_BIT)
 
 
 def fx_encode(v) -> int:

@@ -13,6 +13,7 @@ from . import ring
 from .errors import ConfigError
 from .host import (
     DEVICE_SCHEMES,
+    SHARE_SCHEMES,
     EmbeddingOp,
     PrivateMatrixOp,
     PublicMatrixOp,
@@ -54,8 +55,7 @@ def run_mlp(cfg: SchemeConfig, seed: int, params=None, tamper=None):
     layers = [PublicMatrixOp(sess, W, uses=1, step=f"layer{i}")
               for i, W in enumerate(weights)]
     for i, layer in enumerate(layers):
-        y_raw = layer.apply(x, reshare=i > 0 and cfg.scheme in
-                            ("pim_runtime", "pim_precompute"))
+        y_raw = layer.apply(x, reshare=i > 0 and cfg.scheme in SHARE_SCHEMES)
         x = ring.relu_array(ring.trunc_array(y_raw))
     return x, sess
 

@@ -139,19 +139,22 @@ class CircuitBuilder:
         b1 = sign(x + 1/2), b2 = sign(x - 1/2); the middle branch selects
         v = x + 1/2 via b2 & ~b1, the high branch contributes the constant
         one; the branches are mutually exclusive so XOR realizes the sum.
+        x - 1/2 wraps to positive for x < -2^(width-1) + 1/2, so the high
+        branch also requires x >= 0.  Forming x - 1/2 as v - 1 needs one
+        AND fewer than x + (-1/2), which pays for that extra condition.
         """
         half = 1 << (frac_bits - 1)
         width = len(x)
         v = self.add_const(x, half)
-        w = self.add_const(x, (-half) % (1 << width))
+        w = self.add_const(v, (-(1 << frac_bits)) % (1 << width))
         b1 = v[-1]
         b2 = w[-1]
         sel = self.and_(b2, self.not_(b1))
-        not_b2 = self.not_(b2)
+        high = self.and_(self.not_(b2), self.not_(x[-1]))
         out = []
         for i in range(width):
             t = self.and_(sel, v[i])
-            out.append(self.xor(t, not_b2) if i == frac_bits else t)
+            out.append(self.xor(t, high) if i == frac_bits else t)
         return out
 
     def build(self, outputs) -> BoolCircuit:

@@ -45,7 +45,6 @@ class EvalTranscript:
     """Instrumentation: per-AND-gate count of rows passing the row check."""
 
     row_matches: list = field(default_factory=list)
-    labels_seen: int = 0
 
 
 def garble(circuit: BoolCircuit, seed: int):
@@ -116,6 +115,4 @@ def evaluate(gc: GarbledCircuit, input_labels: dict, transcript: EvalTranscript 
             if m & LABEL_MASK:
                 raise GcEvaluationFault(f"row check failed at AND gate {gid}")
             labels[g.out] = m >> LABEL_BITS
-    if transcript is not None:
-        transcript.labels_seen += len(input_labels)
     return [(labels[w] & 1) ^ p for w, p in zip(circ.outputs, gc.output_points)]

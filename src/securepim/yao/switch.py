@@ -19,8 +19,6 @@ from .ot import IdealOT
 class SwitchStats:
     evaluator_labels_transferred: int
     host_labels_stored: int
-    ciphertexts: int
-    table_bytes: int
 
 
 @lru_cache(maxsize=None)
@@ -49,8 +47,6 @@ def prepare_switch(r_word: int, c_word: int, seed: int,
     stats = SwitchStats(
         evaluator_labels_transferred=ot.released,
         host_labels_stored=2 * len(circ.evaluator_inputs),
-        ciphertexts=gc.ciphertext_count,
-        table_bytes=gc.table_bytes,
     )
     return gc, input_labels, ot, stats
 

@@ -2,11 +2,14 @@
 offline/online ledger separation, and the arithmetic-to-Yao activation.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from securepim import mac, ring
-from securepim.errors import ConfigError, VerificationError
+from securepim.errors import ConfigError, GcEvaluationFault, VerificationError
 from securepim.host import (
     SCHEMES,
     EmbeddingOp,
@@ -16,6 +19,7 @@ from securepim.host import (
     Session,
 )
 from securepim.pimsim import TamperSpec
+from securepim.workloads import run_workload
 
 
 def session(scheme, verify=False, variant="A", seed=0):
@@ -250,6 +254,36 @@ class TestLedgers:
         with pytest.raises(VerificationError) as exc_info:
             op.apply(np.arange(1, 5, dtype=np.uint32))
         assert exc_info.value.session is sess
+
+    def test_gc_fault_carries_session(self):
+        sess = session("pim_runtime", variant="A2Y")
+        sess.device.arm_tamper(TamperSpec("gc_table"))
+        with pytest.raises(GcEvaluationFault) as exc_info:
+            sess.a2y_activation(np.asarray([2048], dtype=np.uint32))
+        assert exc_info.value.session is sess
+
+    @pytest.mark.parametrize("workload, variant, target, error", [
+        ("mlp", "A", "device_result", VerificationError),
+        ("dlrm", "A", "channel_d2h", VerificationError),
+        ("logreg", "A2Y", "gc_table", GcEvaluationFault),
+    ])
+    def test_aborted_session_freed_without_gc(self, workload, variant,
+                                               target, error):
+        """An abort leaves no reference cycle that keeps its session (device
+        buffers, shares, tag stores) alive until the cyclic collector runs."""
+        cfg = SchemeConfig("pim_runtime", verify=True, variant=variant)
+        ref = None
+        gc.collect()
+        gc.disable()
+        try:
+            try:
+                run_workload(workload, cfg, 0, tamper=TamperSpec(target))
+            except error as exc:
+                ref = weakref.ref(exc.session)
+            assert ref is not None
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_reshare_counter(self):
         sess = session("pim_runtime")

@@ -2,6 +2,8 @@
 kernels, tamper hooks, taint checking, and partition correctness.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -216,5 +218,5 @@ class TestCostDeterminism:
             dev = fresh_device()
             dev.load("W", np.eye(8, dtype=np.uint32))
             dev.gemv("W", np.arange(8, dtype=np.uint32))
-            reports.append(dev.report.as_dict())
+            reports.append(dataclasses.asdict(dev.report))
         assert reports[0] == reports[1]

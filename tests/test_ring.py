@@ -44,7 +44,6 @@ def test_sub_is_add_of_complement(a, b):
 def test_ring_ops_match_bigint_oracle(a, b):
     assert ring.add(a, b) == (a + b) % (1 << 32)
     assert ring.sub(a, b) == (a - b) % (1 << 32)
-    assert ring.mul(a, b) == (a * b) % (1 << 32)
 
 
 class TestFixedPoint:

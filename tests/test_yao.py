@@ -68,6 +68,9 @@ class TestSigmoidCircuit:
         (ring.fx_encode(-1.0), 0),
         (ring.fx_encode(0.25), ring.fx_encode(0.75)),
         (ring.fx_encode(-3.0), 0),
+        (1 << 31, 0),                   # x - 1/2 wraps to positive here
+        ((1 << 31) + ring.HALF - 1, 0),
+        ((1 << 31) - 1, ring.ONE),      # x + 1/2 wraps to negative here
     ])
     def test_piecewise_anchors(self, x, expect):
         bits = SIG.eval_plain([], word_to_bits(x, 32))

@@ -137,11 +137,7 @@ def _run_scenario(sc) -> int:
     except (VerificationError, GcEvaluationFault) as exc:
         aborted = {"reason": type(exc).__name__, "detail": str(exc)}
         sess = exc.session
-    if sess is None and aborted is not None:
-        report = {"schema_version": SCHEMA_VERSION, "scenario": scenario_echo,
-                  "digest": None, "aborted": aborted}
-    else:
-        report = build_report(scenario_echo, words, sess, aborted)
+    report = build_report(scenario_echo, words, sess, aborted)
     campaign = sc.get("campaign")
     if campaign:
         report["campaign"] = run_campaign(Campaign(**campaign))

@@ -17,9 +17,8 @@ import numpy as np
 from . import kernels, mac, ring, sharing
 from .crypto import KeyStore, OtpContext
 from .errors import ConfigError, GcEvaluationFault, VerificationError
-from .pimsim import CostReport, DeviceTopology, PimDevice
+from .pimsim import CostReport, PimDevice
 from .yao.circuit import bits_to_word
-from .yao.garble import EvalTranscript
 from .yao.switch import prepare_switch
 
 SCHEMES = ("cpu_insecure", "cpu_secure", "pim_insecure", "pim_enc_dec",
@@ -53,16 +52,15 @@ def derive_key_hex(seed: int) -> str:
 class Session:
     """One run: keystore, device instance, cost ledgers, version allocator."""
 
-    def __init__(self, cfg: SchemeConfig, seed: int, key_hex: str = None,
-                 topology: DeviceTopology = None):
+    def __init__(self, cfg: SchemeConfig, seed: int):
         self.cfg = cfg
         self.seed = seed
         self.ks = KeyStore()
         self.key_id = "k0"
-        self.ks.register(self.key_id, key_hex or derive_key_hex(seed))
+        self.ks.register(self.key_id, derive_key_hex(seed))
         self.offline = CostReport()
         self.online = CostReport()
-        self.device = PimDevice(topology, self.online, seed=seed,
+        self.device = PimDevice(report=self.online, seed=seed,
                                 secure_mode=cfg.scheme in SHARE_SCHEMES)
         self._version = 0
         self._gc_seed = 0
@@ -73,16 +71,15 @@ class Session:
         self.a2y_scalars = 0
         self.a2y_labels_transferred = 0
         self.a2y_labels_stored = 0
-        self.a2y_transcripts = []
         self._mac_ctx = self.alloc_ctx()
         self.s = self.ks.derive_mac_secret(self._mac_ctx, mac.Q,
                                            on_prf=self._off_prf)
 
     # -- bookkeeping --------------------------------------------------------
 
-    def alloc_ctx(self, base_index: int = 0) -> OtpContext:
+    def alloc_ctx(self) -> OtpContext:
         self._version += 1
-        return OtpContext(self.key_id, self._version, base_index)
+        return OtpContext(self.key_id, self._version)
 
     def _on_prf(self, n):
         self.online.host_prf_calls += n
@@ -155,9 +152,8 @@ class Session:
             r = int(self.ks.otp_words(ctx, 1, on_prf=self._on_prf)[0])
             c = (word - r) & ring.MASK
             gcirc, labels, _ot, stats = prepare_switch(r, c, self.next_gc_seed())
-            transcript = EvalTranscript()
             try:
-                bits = self.device.evaluate_garbled(gcirc, labels, transcript)
+                bits = self.device.evaluate_garbled(gcirc, labels)
             except GcEvaluationFault as exc:
                 exc.session = self
                 raise
@@ -165,7 +161,6 @@ class Session:
             self.a2y_scalars += 1
             self.a2y_labels_transferred += stats.evaluator_labels_transferred
             self.a2y_labels_stored += stats.host_labels_stored
-            self.a2y_transcripts.append(transcript)
         self.record_leak("a2y_activation_revealed_to_device")
         return out.reshape(p.shape)
 

@@ -13,11 +13,7 @@ import numpy as np
 
 from . import kernels
 from .errors import CapacityError, DimensionError, TaintViolation
-from .yao.garble import EvalTranscript, evaluate as gc_evaluate
-
-ROW_SPLIT = "row-split"
-COL_SPLIT = "col-split"
-REPLICATE = "replicate"
+from .yao.garble import evaluate as gc_evaluate
 
 TAMPER_TARGETS = ("resident_share", "channel_h2d", "channel_d2h",
                   "device_result", "gc_table")
@@ -59,7 +55,6 @@ class TamperSpec:
 @dataclass
 class _Resident:
     data: np.ndarray
-    placement: str
     secret_plaintext: bool
 
 
@@ -126,21 +121,17 @@ class PimDevice:
 
     # -- residency ----------------------------------------------------------
 
-    def load(self, name: str, array: np.ndarray, placement: str = ROW_SPLIT,
+    def load(self, name: str, array: np.ndarray,
              secret_plaintext: bool = False) -> str:
+        """Make ``array`` resident, its rows split evenly over the DPUs."""
         array = np.ascontiguousarray(array, dtype=np.uint32)
-        per_dpu = array.nbytes if placement == REPLICATE \
-            else -(-array.nbytes // self.topology.dpu_count)
-        used = sum(
-            r.data.nbytes if r.placement == REPLICATE
-            else -(-r.data.nbytes // self.topology.dpu_count)
-            for r in self._resident.values()
-        )
+        dpus = self.topology.dpu_count
+        per_dpu = -(-array.nbytes // dpus)
+        used = sum(-(-r.data.nbytes // dpus) for r in self._resident.values())
         if used + per_dpu > self.topology.mram_bytes_per_dpu:
             raise CapacityError(f"{name}: {per_dpu} B/DPU over budget")
-        data = self._h2d(array, secret_plaintext,
-                         replicate=placement == REPLICATE)
-        self._resident[name] = _Resident(data.copy(), placement, secret_plaintext)
+        data = self._h2d(array, secret_plaintext)
+        self._resident[name] = _Resident(data.copy(), secret_plaintext)
         return name
 
     def store(self, name: str, array: np.ndarray) -> None:
@@ -233,7 +224,7 @@ class PimDevice:
     def _count_device_prf(self, n):
         self.report.device_prf_calls += n
 
-    def evaluate_garbled(self, gc, input_labels, transcript: EvalTranscript = None):
+    def evaluate_garbled(self, gc, input_labels):
         """Evaluate a garbled circuit device-side; tables count as transfer."""
         self.report.gc_ciphertexts += gc.ciphertext_count
         self.report.gc_bytes += gc.table_bytes
@@ -257,7 +248,6 @@ class PimDevice:
                 )
                 return new
 
-        bits = gc_evaluate(gc, input_labels, transcript=transcript,
-                           row_tamper=row_tamper)
+        bits = gc_evaluate(gc, input_labels, row_tamper=row_tamper)
         self.report.bytes_d2h += max(1, len(bits) // 8)
         return bits

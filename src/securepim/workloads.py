@@ -7,6 +7,8 @@ All schemes share the same arithmetic and truncation points, so a workload's
 result words are bit-identical across schemes for a fixed seed.
 """
 
+from functools import partial
+
 import numpy as np
 
 from . import ring
@@ -37,33 +39,20 @@ def _raw(rng, lo, hi, shape=None):
     return (vals & ring.MASK).astype(np.uint32)
 
 
-def _session(cfg: SchemeConfig, seed: int, tamper=None) -> Session:
-    sess = Session(cfg, seed)
-    if tamper is not None:
-        sess.device.arm_tamper(tamper)
-    return sess
-
-
-def run_mlp(cfg: SchemeConfig, seed: int, params=None, tamper=None):
-    p = {**MLP_DEFAULTS, **(params or {})}
+def run_mlp(cfg: SchemeConfig, sess: Session, rng, p):
     depth, dim = p["depth"], p["dim"]
-    rng = np.random.default_rng(seed)
     # growth factor dim * |w|max <= 1/2 keeps activations and raw sums bounded
     weights = [_raw(rng, -1 / 32, 1 / 32, (dim, dim)) for _ in range(depth)]
     x = _raw(rng, -1, 1, dim)
-    sess = _session(cfg, seed, tamper)
     layers = [PublicMatrixOp(sess, W, uses=1, step=f"layer{i}")
               for i, W in enumerate(weights)]
     for i, layer in enumerate(layers):
         y_raw = layer.apply(x, reshare=i > 0 and cfg.scheme in SHARE_SCHEMES)
         x = ring.relu_array(ring.trunc_array(y_raw))
-    return x, sess
+    return x
 
 
-def run_dlrm(cfg: SchemeConfig, seed: int, params=None, tamper=None):
-    p = {**DLRM_DEFAULTS, **(params or {})}
-    rng = np.random.default_rng(seed)
-    sess = _session(cfg, seed, tamper)
+def run_dlrm(cfg: SchemeConfig, sess: Session, rng, p):
     outs = []
     for t in range(p["tables"]):
         table = _raw(rng, -1, 1, (p["rows"], p["cols"]))
@@ -71,11 +60,10 @@ def run_dlrm(cfg: SchemeConfig, seed: int, params=None, tamper=None):
         weights = rng.integers(1, 4, size=ids.size).astype(np.uint32)
         op = EmbeddingOp(sess, table, step=f"table{t}")
         outs.append(op.lookup(ids, weights, p["batch"], p["pf"]))
-    return np.concatenate([o.ravel() for o in outs]), sess
+    return np.concatenate([o.ravel() for o in outs])
 
 
-def _regression(cfg: SchemeConfig, seed: int, p, logistic: bool, tamper=None):
-    rng = np.random.default_rng(seed)
+def _regression(cfg: SchemeConfig, sess: Session, rng, p, logistic: bool):
     n, d = p["samples"], p["features"]
     X = _raw(rng, -0.25, 0.25, (n, d))
     if logistic:
@@ -83,7 +71,6 @@ def _regression(cfg: SchemeConfig, seed: int, p, logistic: bool, tamper=None):
     else:
         y = _raw(rng, -1, 1, n)
     lr_raw = ring.fx_encode_nearest(p["lr"])
-    sess = _session(cfg, seed, tamper)
     op = PrivateMatrixOp(sess, X, step="iter")
     w = np.zeros(d, dtype=np.uint32)
     for _ in range(p["iterations"]):
@@ -99,34 +86,21 @@ def _regression(cfg: SchemeConfig, seed: int, p, logistic: bool, tamper=None):
         sess.record_leak("regression_error_vector_revealed")
         g = ring.trunc_array(op.matvec_t(e))
         w = w - ring.fx_mul_trunc_array(g, lr_raw)
-    return w, sess
+    return w
 
 
-def run_linreg(cfg: SchemeConfig, seed: int, params=None, tamper=None):
-    return _regression(cfg, seed, {**LINREG_DEFAULTS, **(params or {})},
-                       logistic=False, tamper=tamper)
-
-
-def run_logreg(cfg: SchemeConfig, seed: int, params=None, tamper=None):
-    return _regression(cfg, seed, {**LOGREG_DEFAULTS, **(params or {})},
-                       logistic=True, tamper=tamper)
-
-
-def run_gemm(cfg: SchemeConfig, seed: int, params=None, tamper=None):
+def run_gemm(cfg: SchemeConfig, sess: Session, rng, p):
     """GEMM of a private A with a public B, one GEMV per column of B."""
-    p = {**GEMM_DEFAULTS, **(params or {})}
     n = p["n"]
-    rng = np.random.default_rng(seed)
     A = _raw(rng, -1, 1, (n, n))
     B = _raw(rng, -1, 1, (n, n))
     cols = [np.ascontiguousarray(B[:, j]) for j in range(n)]
-    sess = _session(cfg, seed, tamper)
     op = PrivateMatrixOp(sess, A, step="gemm", tag_rows=False,
                          precompute=[("rows", c) for c in cols])
     out = np.stack(
         [ring.trunc_array(op.matvec(c, step_suffix=f"col{j}"))
          for j, c in enumerate(cols)], axis=1)
-    return out.ravel(), sess
+    return out.ravel()
 
 
 def unroll_conv_input(img: np.ndarray, k: int, stride: int) -> np.ndarray:
@@ -139,26 +113,22 @@ def unroll_conv_input(img: np.ndarray, k: int, stride: int) -> np.ndarray:
     return np.stack(rows)
 
 
-def run_conv(cfg: SchemeConfig, seed: int, params=None, tamper=None):
+def run_conv(cfg: SchemeConfig, sess: Session, rng, p):
     """Convolution lowered to a GEMV over the unrolled (private) input."""
-    p = {**CONV_DEFAULTS, **(params or {})}
-    rng = np.random.default_rng(seed)
     img = _raw(rng, -1, 1, (p["size"], p["size"]))
     kern = _raw(rng, -1, 1, (p["kernel"], p["kernel"]))
     U = unroll_conv_input(img, p["kernel"], p["stride"])
     kvec = kern.ravel()
-    sess = _session(cfg, seed, tamper)
     op = PrivateMatrixOp(sess, U, step="conv", tag_rows=False,
                          precompute=[("rows", kvec)])
-    out = ring.trunc_array(op.matvec(kvec))
-    return out, sess
+    return ring.trunc_array(op.matvec(kvec))
 
 
 WORKLOADS = {
     "mlp": (run_mlp, MLP_DEFAULTS),
     "dlrm": (run_dlrm, DLRM_DEFAULTS),
-    "linreg": (run_linreg, LINREG_DEFAULTS),
-    "logreg": (run_logreg, LOGREG_DEFAULTS),
+    "linreg": (partial(_regression, logistic=False), LINREG_DEFAULTS),
+    "logreg": (partial(_regression, logistic=True), LOGREG_DEFAULTS),
     "gemm": (run_gemm, GEMM_DEFAULTS),
     "conv": (run_conv, CONV_DEFAULTS),
 }
@@ -168,11 +138,19 @@ TRAINING_WORKLOADS = frozenset({"linreg", "logreg"})
 
 def run_workload(name: str, cfg: SchemeConfig, seed: int, params=None,
                  tamper=None):
+    """The one setup path: merge the workload's defaults with ``params``,
+    seed the input generator, build the session, arm ``tamper`` on its device
+    and run the body ``(cfg, sess, rng, p) -> words``; returns (words, sess)."""
     if name not in WORKLOADS:
         raise ConfigError(f"unknown workload {name!r}")
     if name in TRAINING_WORKLOADS and cfg.scheme == "pim_precompute":
         raise ConfigError(
             "pim_precompute requires static public operands; "
             f"rejected for training workload {name!r}")
-    fn, _ = WORKLOADS[name]
-    return fn(cfg, seed, params, tamper=tamper)
+    body, defaults = WORKLOADS[name]
+    p = {**defaults, **(params or {})}
+    rng = np.random.default_rng(seed)
+    sess = Session(cfg, seed)
+    if tamper is not None:
+        sess.device.arm_tamper(tamper)
+    return body(cfg, sess, rng, p), sess

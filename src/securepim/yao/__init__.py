@@ -1,32 +1,1 @@
 """Garbled-circuit subsystem: circuits, garbling, ideal OT, and switching."""
-
-from .circuit import (
-    BoolCircuit,
-    CircuitBuilder,
-    bits_to_word,
-    build_a2y_circuit,
-    build_add_mod_circuit,
-    build_sigmoid_circuit,
-    word_to_bits,
-)
-from .garble import EvalTranscript, GarbledCircuit, evaluate, garble
-from .ot import IdealOT
-from .switch import SwitchStats, a2y_sigmoid, prepare_switch
-
-__all__ = [
-    "BoolCircuit",
-    "CircuitBuilder",
-    "EvalTranscript",
-    "GarbledCircuit",
-    "IdealOT",
-    "SwitchStats",
-    "a2y_sigmoid",
-    "bits_to_word",
-    "build_a2y_circuit",
-    "build_add_mod_circuit",
-    "build_sigmoid_circuit",
-    "evaluate",
-    "garble",
-    "prepare_switch",
-    "word_to_bits",
-]

@@ -239,12 +239,6 @@ class TestA2YActivation:
         assert sess.a2y_labels_transferred == 3 * 32
         assert sess.a2y_labels_stored == 3 * 64
 
-    def test_transcript_one_row_match(self):
-        sess = session("pim_runtime", variant="A2Y")
-        sess.a2y_activation(np.asarray([2048], dtype=np.uint32))
-        (t,) = sess.a2y_transcripts
-        assert all(m == 1 for m in t.row_matches)
-
 
 class TestLedgers:
     def test_verification_error_carries_session(self):

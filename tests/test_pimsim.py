@@ -13,8 +13,6 @@ from securepim import kernels
 from securepim.crypto import KeyStore
 from securepim.errors import CapacityError, DimensionError, TaintViolation
 from securepim.pimsim import (
-    COL_SPLIT,
-    REPLICATE,
     CostReport,
     DeviceTopology,
     PimDevice,
@@ -35,17 +33,6 @@ class TestLoadAccounting:
         dev.load("W", np.zeros((8, 8), dtype=np.uint32))
         assert dev.report.bytes_h2d == 8 * 8 * 4
         assert all(p.shape == (2, 8) for p in dev.row_partition("W"))
-
-    def test_replicate_bytes(self):
-        dev = fresh_device()
-        dev.load("v", np.zeros(8, dtype=np.uint32), placement=REPLICATE)
-        assert dev.report.bytes_h2d == 8 * 4 * 4
-
-    def test_col_split_placement(self):
-        dev = fresh_device(dpus=2)
-        dev.load("T", np.zeros((3, 8), dtype=np.uint32), placement=COL_SPLIT)
-        # 3x8 table over 2 DPUs: 48 B/DPU, within a 4 MiB budget
-        assert dev.report.bytes_h2d == 3 * 8 * 4
 
     def test_capacity_enforced(self):
         dev = PimDevice(DeviceTopology(dpu_count=1, mram_bytes_per_dpu=64),

@@ -9,9 +9,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ring
-from .errors import GcEvaluationFault, VerificationError
+from .errors import ConfigError, GcEvaluationFault, VerificationError
 from .host import PublicMatrixOp, SchemeConfig, Session
-from .pimsim import TamperSpec
+from .pimsim import MUTATIONS, TAMPER_TARGETS, TamperSpec
 from .workloads import run_workload
 
 
@@ -24,6 +24,19 @@ class Campaign:
     workload: str = "gemv16"
     scheme: str = "pim_runtime"
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for key in ("trials", "seed"):
+            val = getattr(self, key)
+            if isinstance(val, bool) or not isinstance(val, int) or val < 0:
+                raise ConfigError(f"campaign {key} must be an integer >= 0, "
+                                  f"got {val!r}")
+        if not (isinstance(self.targets, (list, tuple)) and self.targets
+                and all(t in TAMPER_TARGETS for t in self.targets)):
+            raise ConfigError(f"campaign targets must be a non-empty list of "
+                              f"{TAMPER_TARGETS}, got {self.targets!r}")
+        if self.mutation not in MUTATIONS:
+            raise ConfigError(f"unknown mutation {self.mutation!r}")
 
 
 def _run_gemv16(cfg: SchemeConfig, seed: int, device_tamper=None):

@@ -36,13 +36,17 @@ def result_digest(words: np.ndarray) -> str:
 
 def parse_tamper(text: str) -> TamperSpec:
     """``target[:mutation[:position]]``, e.g. ``device_result:bit_flip:3``."""
+    if not isinstance(text, str):
+        raise ConfigError(f"tamper must be a string, got {text!r}")
     parts = text.split(":")
     kwargs = {"target": parts[0]}
     if len(parts) > 1 and parts[1]:
         kwargs["mutation"] = parts[1]
-    if len(parts) > 2 and parts[2] != "random":
-        kwargs["position"] = int(parts[2])
     try:
+        if len(parts) > 3:
+            raise ValueError(f"tamper spec {text!r} has more than 3 parts")
+        if len(parts) > 2 and parts[2] != "random":
+            kwargs["position"] = int(parts[2])
         return TamperSpec(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -109,18 +113,29 @@ def _load_config(path):
     return scenarios
 
 
+def _campaign(spec) -> Campaign:
+    try:
+        return Campaign(**spec)
+    except TypeError as exc:
+        raise ConfigError(f"campaign: {exc}") from None
+
+
 def _run_scenario(sc) -> int:
+    """Run one scenario; malformed fields raise ConfigError before it runs
+    (run_workload checks the workload, seed and params)."""
     workload = sc.get("workload")
     scheme = sc.get("scheme")
-    if workload not in WORKLOADS:
-        raise ConfigError(f"unknown workload {workload!r}")
-    cfg = SchemeConfig(scheme=scheme, verify=bool(sc.get("verify")),
+    verify = sc.get("verify")
+    if verify is not None and not isinstance(verify, bool):
+        raise ConfigError(f"verify must be true or false, got {verify!r}")
+    cfg = SchemeConfig(scheme=scheme, verify=bool(verify),
                        variant=sc.get("variant") or "A")
-    seed = int(sc.get("seed") or 0)
-    params = sc.get("params") or None
+    seed = 0 if sc.get("seed") is None else sc["seed"]
+    params = sc.get("params")
     tamper = sc.get("tamper")
-    if isinstance(tamper, str):
-        tamper = parse_tamper(tamper)
+    spec = None if tamper is None else parse_tamper(tamper)
+    campaign = sc.get("campaign")
+    campaign = _campaign(campaign) if campaign else None
     scenario_echo = {
         "workload": workload,
         "scheme": scheme,
@@ -128,19 +143,18 @@ def _run_scenario(sc) -> int:
         "verify": cfg.verify,
         "seed": seed,
         "params": params or {},
-        "tamper": sc.get("tamper") if isinstance(sc.get("tamper"), str) else None,
+        "tamper": tamper,
     }
     aborted = None
     words = None
     try:
-        words, sess = run_workload(workload, cfg, seed, params, tamper=tamper)
+        words, sess = run_workload(workload, cfg, seed, params, tamper=spec)
     except (VerificationError, GcEvaluationFault) as exc:
         aborted = {"reason": type(exc).__name__, "detail": str(exc)}
         sess = exc.session
     report = build_report(scenario_echo, words, sess, aborted)
-    campaign = sc.get("campaign")
     if campaign:
-        report["campaign"] = run_campaign(Campaign(**campaign))
+        report["campaign"] = run_campaign(campaign)
     _emit(report, sc.get("out"))
     return EXIT_OK if aborted is None else EXIT_ABORT
 

@@ -7,6 +7,7 @@ All schemes share the same arithmetic and truncation points, so a workload's
 result words are bit-identical across schemes for a fixed seed.
 """
 
+import numbers
 from functools import partial
 
 import numpy as np
@@ -134,23 +135,63 @@ WORKLOADS = {
 }
 
 TRAINING_WORKLOADS = frozenset({"linreg", "logreg"})
+# integer params that may be 0; every other integer param must be >= 1
+MAY_BE_ZERO = frozenset({"depth", "iterations"})
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _encodable(v) -> bool:
+    """A real number (not a bool) that Q12 can encode."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    try:
+        ring.fx_encode_nearest(v)
+    except (ValueError, OverflowError, TypeError):
+        return False
+    return True
+
+
+def _merged_params(name: str, params) -> dict:
+    """The workload's defaults overridden by ``params``, checked."""
+    defaults = WORKLOADS[name][1]
+    params = {} if params is None else params
+    if not isinstance(params, dict) or not set(params) <= set(defaults):
+        raise ConfigError(f"{name} params must be an object with keys among "
+                          f"{sorted(defaults)}, got {params!r}")
+    p = {**defaults, **params}
+    for key, val in p.items():
+        least = 0 if key in MAY_BE_ZERO else 1
+        if key == "lr" and not _encodable(val):
+            raise ConfigError(f"{name} lr must be a number Q12 can encode, "
+                              f"got {val!r}")
+        if key != "lr" and not (_is_int(val) and val >= least):
+            raise ConfigError(f"{name} {key} must be an integer >= {least}, "
+                              f"got {val!r}")
+    if name == "conv" and p["kernel"] > p["size"]:
+        raise ConfigError("conv kernel must not exceed size")
+    return p
 
 
 def run_workload(name: str, cfg: SchemeConfig, seed: int, params=None,
                  tamper=None):
-    """The one setup path: merge the workload's defaults with ``params``,
-    seed the input generator, build the session, arm ``tamper`` on its device
-    and run the body ``(cfg, sess, rng, p) -> words``; returns (words, sess)."""
-    if name not in WORKLOADS:
+    """The one setup path: check the input, merge the workload's defaults with
+    ``params``, seed the input generator, build the session, arm ``tamper`` on
+    its device and run the body ``(cfg, sess, rng, p) -> words``; returns
+    (words, sess).  Malformed input raises ConfigError."""
+    if not isinstance(name, str) or name not in WORKLOADS:
         raise ConfigError(f"unknown workload {name!r}")
+    if not (_is_int(seed) and seed >= 0):
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+    p = _merged_params(name, params)
     if name in TRAINING_WORKLOADS and cfg.scheme == "pim_precompute":
         raise ConfigError(
             "pim_precompute requires static public operands; "
             f"rejected for training workload {name!r}")
-    body, defaults = WORKLOADS[name]
-    p = {**defaults, **(params or {})}
     rng = np.random.default_rng(seed)
     sess = Session(cfg, seed)
     if tamper is not None:
         sess.device.arm_tamper(tamper)
-    return body(cfg, sess, rng, p), sess
+    return WORKLOADS[name][0](cfg, sess, rng, p), sess

@@ -57,6 +57,46 @@ class TestExitCodes:
              "params": {"dim": 2048, "depth": 2}}))
         assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("bad", [
+        {"params": {"dim": "x"}},
+        {"params": {"depth": 2.5}},
+        {"params": {"dim": True}},
+        {"params": {"dimm": 8}},
+        {"params": [8]},
+        {"workload": "dlrm", "params": {"rows": 0}},
+        {"workload": "dlrm", "params": {"pf": 0}},
+        {"workload": "gemm", "params": {"n": 0}},
+        {"workload": "conv", "params": {"stride": 0}},
+        {"workload": "conv", "params": {"kernel": 9}},
+        {"workload": "linreg", "params": {"lr": "a"}},
+        {"workload": "linreg", "params": {"lr": 1e9}},
+        {"workload": "linreg", "params": {"lr": float("nan")}},
+        {"workload": ["mlp"]},
+        {"seed": "abc"},
+        {"tamper": 5},
+        {"verify": "no"},
+        {"campaign": {"bogus": 1}},
+        {"campaign": {"trials": 1, "targets": ["bogus"]}},
+        ["--seed", "-1"],
+        ["--tamper", "device_result:bit_flip:x"],
+    ], ids=repr)
+    def test_malformed_input_is_config_error(self, tmp_path, capsys, bad):
+        """Config fields (dict) or flags (list): exit 3 with one error line,
+        before any report is written."""
+        if isinstance(bad, dict):
+            cfg_path = tmp_path / "bad.json"
+            cfg_path.write_text(json.dumps(
+                {"workload": "mlp", "scheme": "cpu_insecure", **bad}))
+            argv = ["run", "--config", str(cfg_path)]
+        else:
+            argv = ["run", "--workload", "mlp", "--scheme", "cpu_insecure",
+                    *bad]
+        assert main(argv) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert out == ""
+
     def test_unknown_scheme_is_config_error(self, tmp_path):
         code, _ = run_cli(tmp_path, "run", "--workload", "mlp",
                           "--scheme", "warp")

@@ -45,6 +45,13 @@ class SchemeConfig:
             raise ConfigError(f"unknown variant {self.variant!r}")
 
 
+def _next_precomputed(pre: list):
+    """Pop the next entry sealed offline for pim_precompute."""
+    if not pre:
+        raise ConfigError("pim_precompute: no precomputed resCPU left")
+    return pre.pop(0)
+
+
 def derive_key_hex(seed: int) -> str:
     return hashlib.sha256(b"securepim-key:" + str(seed).encode()).hexdigest()[:32]
 
@@ -212,7 +219,8 @@ class PublicMatrixOp:
             y = s.device.gemv_enc(self.handle, sealed, s.ks, ctx_in, ctx_out)
             y = s.ks.open(ctx_out, y, on_prf=s._on_prf)
         else:
-            pre = self._pre[self._use] if scheme == "pim_precompute" else None
+            pre = _next_precomputed(self._pre) \
+                if scheme == "pim_precompute" else None
             ctx = pre[0] if pre else s.alloc_ctx()
             sv = sharing.split(x, ctx, s.ks, on_prf=s._on_prf)
             y = s.device.gemv(self.handle, sv.cipher)
@@ -292,7 +300,7 @@ class _PrivateOperand:
         if scheme not in SHARE_SCHEMES:
             return res_pim
         if self._pre is not None:
-            pre_key, res_sealed = self._pre.pop(0)
+            pre_key, res_sealed = _next_precomputed(self._pre)
             if pre_key != key:
                 raise ConfigError("precomputed direction mismatch")
             return res_pim + s.ks.open(*res_sealed, on_prf=s._on_prf)

@@ -83,6 +83,12 @@ class TestPublicMatrixOp:
         op = PublicMatrixOp(sess, self.W, uses=1)
         assert op.apply(self.x).tolist() == [3, 7]
 
+    def test_precompute_exhausted_is_config_error(self):
+        op = PublicMatrixOp(session("pim_precompute"), self.W, uses=1)
+        op.apply(self.x)
+        with pytest.raises(ConfigError, match="no precomputed resCPU left"):
+            op.apply(self.x)
+
 
 class TestPrivateMatrixOp:
     X = np.asarray([[1, 2], [3, 4]], dtype=np.uint32)
@@ -108,6 +114,14 @@ class TestPrivateMatrixOp:
                              tag_rows=False)
         assert op.matvec(w).tolist() == [3, 7]
         assert sess.online.host_mac_ops == 0
+
+    def test_precompute_exhausted_is_config_error(self):
+        w = np.asarray([1, 1], dtype=np.uint32)
+        op = PrivateMatrixOp(session("pim_precompute"), self.X,
+                             precompute=[("rows", w)], tag_rows=False)
+        op.matvec(w)
+        with pytest.raises(ConfigError, match="no precomputed resCPU left"):
+            op.matvec(w)
 
     def test_share_mode_compensation_vs_plaintext(self):
         rng = np.random.default_rng(1)

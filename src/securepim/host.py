@@ -246,7 +246,8 @@ class _PrivateOperand:
         (plain, sealed or as the share C = M - R).  pim_precompute seals
         resCPU = host_fn(R, *args) offline for each ``(key, host_fn, args)``
         in ``precompute``; without static operands it materializes R in
-        trusted memory instead, so the online phase needs no PRF calls."""
+        trusted memory instead, so the online phase needs no PRF calls.
+        Placement is offline work: its PRF calls go to the offline ledger."""
         s = self.sess
         scheme = s.cfg.scheme
         self.shape = M.shape
@@ -267,10 +268,10 @@ class _PrivateOperand:
                                            on_prf=s._off_prf)
                     self._pre.append(
                         (key, s.seal_precomputed(host_fn(r, *args), M.size)))
-            data = sharing.split(M, self.ctx, s.ks, on_prf=s._on_prf).cipher
+            data = sharing.split(M, self.ctx, s.ks, on_prf=s._off_prf).cipher
         elif scheme in SEALED_SCHEMES:
             self.ctx = s.alloc_ctx()
-            data = s.ks.seal(self.ctx, M, on_prf=s._on_prf)
+            data = s.ks.seal(self.ctx, M, on_prf=s._off_prf)
         if scheme in DEVICE_SCHEMES:
             self.handle = s.device.load(s._next_name(prefix), data,
                                         secret_plaintext=data is M)

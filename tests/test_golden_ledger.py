@@ -4,9 +4,12 @@
 the result digest, every field of the offline and online ``CostReport``,
 the verification and leak events, the tamper log and the A2Y and reshare
 counters (or, for a rejected configuration, the error type).  The values
-were recorded from the code before the scheme dispatch in ``host`` was
+were first recorded from the code before the scheme dispatch in ``host`` was
 factored into one placement and one merge path, so any change to where an
-operand lives or how results merge that moves a counter fails here.  The
+operand lives or how results merge that moves a counter fails here.  They
+were re-recorded once since, when the PRF calls of placing a private matrix
+(share split or at-rest seal) moved from the online to the offline ledger;
+that moved only ``host_prf_calls`` and kept each case's two-phase sum.  The
 shapes are small to keep the sweep fast; the acceptance suite covers the
 default ones.
 """

@@ -8,6 +8,7 @@ device memory budget).
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -18,7 +19,7 @@ from .adversary import Campaign, run_campaign
 from .errors import (CapacityError, ConfigError, GcEvaluationFault,
                      SecurePimError, VerificationError)
 from .host import SchemeConfig
-from .pimsim import TamperSpec
+from .pimsim import CostReport, TamperSpec
 from .workloads import WORKLOADS, run_workload
 
 SCHEMA_VERSION = 1
@@ -57,20 +58,14 @@ def build_report(scenario: dict, words, sess, aborted=None) -> dict:
         "schema_version": SCHEMA_VERSION,
         "scenario": scenario,
         "digest": result_digest(words) if words is not None else None,
-        "offline": {
-            "host_mac_ops": sess.offline.host_mac_ops,
-            "host_prf_calls": sess.offline.host_prf_calls,
+        "offline": dataclasses.asdict(sess.offline),
+        "online": dataclasses.asdict(sess.online),
+        "a2y": {
+            "scalars": sess.a2y_scalars,
+            "labels_transferred": sess.a2y_labels_transferred,
+            "labels_stored": sess.a2y_labels_stored,
         },
-        "online": {
-            "bytes_h2d": sess.online.bytes_h2d,
-            "bytes_d2h": sess.online.bytes_d2h,
-            "device_mac_ops": sess.online.device_mac_ops,
-            "host_mac_ops": sess.online.host_mac_ops,
-            "host_prf_calls": sess.online.host_prf_calls,
-            "device_prf_calls": sess.online.device_prf_calls,
-            "gc_bytes": sess.online.gc_bytes,
-            "verify_ops": sess.online.verify_ops,
-        },
+        "reshare_events": sess.reshare_events,
         "verification": sess.verification_events,
         "leaks": sess.leaks,
         "tampers": sess.device.tamper_log,
@@ -159,10 +154,6 @@ def _run_scenario(sc) -> int:
     return EXIT_OK if aborted is None else EXIT_ABORT
 
 
-_RATIO_KEYS = ("host_mac_ops", "host_prf_calls", "device_mac_ops",
-               "bytes_h2d", "bytes_d2h", "verify_ops")
-
-
 def compare_reports(a: dict, b: dict) -> dict:
     for key in ("workload", "seed", "params"):
         if a["scenario"].get(key) != b["scenario"].get(key):
@@ -172,7 +163,7 @@ def compare_reports(a: dict, b: dict) -> dict:
         diff["digest"] = [a["digest"], b["digest"]]
     ratios = {}
     for phase in ("offline", "online"):
-        for key in _RATIO_KEYS:
+        for key in (f.name for f in dataclasses.fields(CostReport)):
             va = a.get(phase, {}).get(key)
             vb = b.get(phase, {}).get(key)
             if va is None or vb is None:

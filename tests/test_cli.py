@@ -108,10 +108,16 @@ class TestReportSchema:
         _, rep = run_cli(tmp_path, "run", "--workload", "gemm",
                          "--scheme", "pim_runtime", "--verify")
         assert rep["schema_version"] == 1
-        assert set(rep["offline"]) == {"host_mac_ops", "host_prf_calls"}
-        assert set(rep["online"]) == {
-            "bytes_h2d", "bytes_d2h", "device_mac_ops", "host_mac_ops",
-            "host_prf_calls", "device_prf_calls", "gc_bytes", "verify_ops"}
+        assert set(rep) == {
+            "schema_version", "scenario", "digest", "offline", "online",
+            "a2y", "reshare_events", "verification", "leaks", "tampers"}
+        ledger = {"bytes_h2d", "bytes_d2h", "device_mac_ops", "host_mac_ops",
+                  "host_prf_calls", "device_prf_calls", "gc_ciphertexts",
+                  "gc_bytes", "verify_ops"}
+        assert set(rep["offline"]) == ledger
+        assert set(rep["online"]) == ledger
+        assert set(rep["a2y"]) == {"scalars", "labels_transferred",
+                                   "labels_stored"}
         assert len(rep["digest"]) == 64
 
     def test_leaks_reported(self, tmp_path):
@@ -157,6 +163,14 @@ class TestCompare:
         summary = compare_reports(a, a)
         assert summary["diff"] == {}
         assert summary["digest_equal"]
+
+    def test_ratios_cover_every_ledger_field(self, tmp_path):
+        a = self.report(tmp_path, "pim_runtime")
+        ratios = compare_reports(a, a)["ratios"]
+        assert set(ratios) == {f"{phase}.{key}"
+                               for phase in ("offline", "online")
+                               for key in a[phase]}
+        assert len(ratios) == 18
 
     def test_mismatched_scenarios_rejected(self, tmp_path):
         a = self.report(tmp_path, "pim_runtime", seed="1")

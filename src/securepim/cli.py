@@ -81,11 +81,14 @@ def render(report: dict) -> str:
 
 def _emit(report: dict, out_path):
     text = render(report)
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write report: {exc}") from None
 
 
 def cmd_run(args) -> int:
@@ -123,6 +126,9 @@ def _run_scenario(sc) -> int:
     verify = sc.get("verify")
     if verify is not None and not isinstance(verify, bool):
         raise ConfigError(f"verify must be true or false, got {verify!r}")
+    out = sc.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"out must be a path, got {out!r}")
     cfg = SchemeConfig(scheme=scheme, verify=bool(verify),
                        variant=sc.get("variant") or "A")
     seed = 0 if sc.get("seed") is None else sc["seed"]
@@ -150,7 +156,7 @@ def _run_scenario(sc) -> int:
     report = build_report(scenario_echo, words, sess, aborted)
     if campaign:
         report["campaign"] = run_campaign(campaign)
-    _emit(report, sc.get("out"))
+    _emit(report, out)
     return EXIT_OK if aborted is None else EXIT_ABORT
 
 

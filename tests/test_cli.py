@@ -77,12 +77,18 @@ class TestExitCodes:
         {"verify": "no"},
         {"campaign": {"bogus": 1}},
         {"campaign": {"trials": 1, "targets": ["bogus"]}},
+        {"campaign": {"trials": "3", "targets": ["device_result"]}},
+        {"out": 5},
+        {"out": "no-such-dir/report.json"},
         ["--seed", "-1"],
         ["--tamper", "device_result:bit_flip:x"],
+        ["--tamper", "device_result:bit_flip:1:2"],
     ], ids=repr)
-    def test_malformed_input_is_config_error(self, tmp_path, capsys, bad):
+    def test_malformed_input_is_config_error(self, tmp_path, capsys,
+                                             monkeypatch, bad):
         """Config fields (dict) or flags (list): exit 3 with one error line,
-        before any report is written."""
+        and no report written."""
+        monkeypatch.chdir(tmp_path)
         if isinstance(bad, dict):
             cfg_path = tmp_path / "bad.json"
             cfg_path.write_text(json.dumps(

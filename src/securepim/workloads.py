@@ -135,7 +135,8 @@ WORKLOADS = {
 }
 
 TRAINING_WORKLOADS = frozenset({"linreg", "logreg"})
-# integer params that may be 0; every other integer param must be >= 1
+# a zero-layer MLP and zero training iterations are well defined; every
+# other integer param must be >= 1
 MAY_BE_ZERO = frozenset({"depth", "iterations"})
 
 
@@ -163,13 +164,13 @@ def _merged_params(name: str, params) -> dict:
                           f"{sorted(defaults)}, got {params!r}")
     p = {**defaults, **params}
     for key, val in p.items():
-        least = 0 if key in MAY_BE_ZERO else 1
-        if key == "lr" and not _encodable(val):
-            raise ConfigError(f"{name} lr must be a number Q12 can encode, "
-                              f"got {val!r}")
-        if key != "lr" and not (_is_int(val) and val >= least):
-            raise ConfigError(f"{name} {key} must be an integer >= {least}, "
-                              f"got {val!r}")
+        if key == "lr":
+            ok, want = _encodable(val), "a number Q12 can encode"
+        else:
+            least = 0 if key in MAY_BE_ZERO else 1
+            ok, want = _is_int(val) and val >= least, f"an integer >= {least}"
+        if not ok:
+            raise ConfigError(f"{name} {key} must be {want}, got {val!r}")
     if name == "conv" and p["kernel"] > p["size"]:
         raise ConfigError("conv kernel must not exceed size")
     return p

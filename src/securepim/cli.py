@@ -99,12 +99,16 @@ def cmd_run(args) -> int:
     return code
 
 
-def _load_config(path):
+def _read_json(path, what: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from None
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from None
+
+
+def _load_config(path):
+    data = _read_json(path, "config")
     scenarios = data if isinstance(data, list) else [data]
     if not all(isinstance(sc, dict) for sc in scenarios):
         raise ConfigError("config must hold a scenario object or a list of them")
@@ -161,6 +165,10 @@ def _run_scenario(sc) -> int:
 
 
 def compare_reports(a: dict, b: dict) -> dict:
+    for rep in (a, b):
+        if not (isinstance(rep, dict) and isinstance(rep.get("scenario"), dict)
+                and "digest" in rep):
+            raise ConfigError("not a securepim report")
     for key in ("workload", "seed", "params"):
         if a["scenario"].get(key) != b["scenario"].get(key):
             raise ConfigError(f"scenario mismatch on {key!r}")
@@ -182,11 +190,8 @@ def compare_reports(a: dict, b: dict) -> dict:
 
 
 def cmd_compare(args) -> int:
-    with open(args.report_a, encoding="utf-8") as fh:
-        a = json.load(fh)
-    with open(args.report_b, encoding="utf-8") as fh:
-        b = json.load(fh)
-    summary = compare_reports(a, b)
+    summary = compare_reports(_read_json(args.report_a, "report"),
+                              _read_json(args.report_b, "report"))
     sys.stdout.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return EXIT_OK
 

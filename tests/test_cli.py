@@ -178,6 +178,16 @@ class TestCompare:
                                for key in a[phase]}
         assert len(ratios) == 18
 
+    @pytest.mark.parametrize("text", [None, "{bad", "{}", "[1]"])
+    def test_unreadable_report_is_config_error(self, tmp_path, capsys, text):
+        a = self.report(tmp_path, "pim_runtime")
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps(a))
+        if text is not None:
+            bad.write_text(text)
+        assert main(["compare", str(good), str(bad)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_mismatched_scenarios_rejected(self, tmp_path):
         a = self.report(tmp_path, "pim_runtime", seed="1")
         b = self.report(tmp_path, "pim_runtime", seed="2")

@@ -37,15 +37,14 @@ def result_digest(words: np.ndarray) -> str:
 
 def parse_tamper(text: str) -> TamperSpec:
     """``target[:mutation[:position]]``, e.g. ``device_result:bit_flip:3``."""
-    if not isinstance(text, str):
-        raise ConfigError(f"tamper must be a string, got {text!r}")
+    if not isinstance(text, str) or text.count(":") > 2:
+        raise ConfigError(
+            f"tamper must be a string target[:mutation[:position]], got {text!r}")
     parts = text.split(":")
     kwargs = {"target": parts[0]}
     if len(parts) > 1 and parts[1]:
         kwargs["mutation"] = parts[1]
     try:
-        if len(parts) > 3:
-            raise ValueError(f"tamper spec {text!r} has more than 3 parts")
         if len(parts) > 2 and parts[2] != "random":
             kwargs["position"] = int(parts[2])
         return TamperSpec(**kwargs)

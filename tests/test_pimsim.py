@@ -34,6 +34,12 @@ class TestLoadAccounting:
         assert dev.report.bytes_h2d == 8 * 8 * 4
         assert all(p.shape == (2, 8) for p in dev.row_partition("W"))
 
+    def test_broadcast_sends_a_copy_per_dpu(self):
+        dev = fresh_device()
+        dev.load("W", np.zeros((8, 8), dtype=np.uint32))
+        dev.gemv("W", np.zeros(8, dtype=np.uint32))
+        assert dev.report.bytes_h2d == 8 * 8 * 4 + 4 * (8 * 4)
+
     def test_capacity_enforced(self):
         dev = PimDevice(DeviceTopology(dpu_count=1, mram_bytes_per_dpu=64),
                         CostReport())

@@ -7,9 +7,8 @@ counters (or, for a rejected configuration, the error type).  The values
 were first recorded from the code before the scheme dispatch in ``host`` was
 factored into one placement and one merge path, so any change to where an
 operand lives or how results merge that moves a counter fails here.  They
-were re-recorded once since, when the PRF calls of placing a private matrix
-(share split or at-rest seal) moved from the online to the offline ledger;
-that moved only ``host_prf_calls`` and kept each case's two-phase sum.  The
+were re-recorded once, when placement PRF calls moved to the offline ledger
+(only ``host_prf_calls`` moved, each case's two-phase sum held).  The
 shapes are small to keep the sweep fast; the acceptance suite covers the
 default ones.
 """

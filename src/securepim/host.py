@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, mac, ring, sharing
+from . import kernels, mac, sharing
 from .crypto import KeyStore, OtpContext
 from .errors import ConfigError, GcEvaluationFault, VerificationError
 from .pimsim import CostReport, PimDevice
@@ -150,26 +150,29 @@ class Session:
     # -- nonlinear offload --------------------------------------------------
 
     def a2y_activation(self, p: np.ndarray) -> np.ndarray:
-        """Per-scalar switch to Yao: device evaluates the clamp, learns the
-        activation value (declared leak), host stores both labels per C bit."""
-        out = np.empty(p.size, dtype=np.uint32)
-        for i, word in enumerate(int(v) for v in p.ravel()):
+        """Switch the vector to Yao in one batch: the device evaluates the
+        clamp per scalar, learns the activation values (declared leak), host
+        stores both labels per C bit."""
+        words = p.ravel()
+        r = np.empty(words.size, dtype=np.uint32)
+        seeds = []
+        for i in range(words.size):
             ctx = self.alloc_ctx()
             self.ks.consume(ctx)
-            r = int(self.ks.otp_words(ctx, 1, on_prf=self._on_prf)[0])
-            c = (word - r) & ring.MASK
-            gcirc, labels, _ot, stats = prepare_switch(r, c, self.next_gc_seed())
-            try:
-                bits = self.device.evaluate_garbled(gcirc, labels)
-            except GcEvaluationFault as exc:
-                exc.session = self
-                raise
-            out[i] = bits_to_word(bits)
-            self.a2y_scalars += 1
-            self.a2y_labels_transferred += stats.evaluator_labels_transferred
-            self.a2y_labels_stored += stats.host_labels_stored
+            r[i] = self.ks.otp_words(ctx, 1, on_prf=self._on_prf)[0]
+            seeds.append(self.next_gc_seed())
+        c = words.astype(np.uint32) - r
+        gcirc, labels, _ot, stats = prepare_switch(r, c, seeds)
+        try:
+            bits = self.device.evaluate_garbled(gcirc, labels)
+        except GcEvaluationFault as exc:
+            exc.session = self
+            raise
+        self.a2y_scalars += words.size
+        self.a2y_labels_transferred += stats.evaluator_labels_transferred
+        self.a2y_labels_stored += stats.host_labels_stored
         self.record_leak("a2y_activation_revealed_to_device")
-        return out.reshape(p.shape)
+        return bits_to_word(bits.T.astype(np.uint32)).reshape(p.shape)
 
 
 class PublicMatrixOp:

@@ -225,29 +225,31 @@ class PimDevice:
         self.report.device_prf_calls += n
 
     def evaluate_garbled(self, gc, input_labels):
-        """Evaluate a garbled circuit device-side; tables count as transfer."""
+        """Evaluate a batch of garbled circuits device-side; tables and input
+        labels count as transfer, and each copy's output bits come back."""
         self.report.gc_ciphertexts += gc.ciphertext_count
         self.report.gc_bytes += gc.table_bytes
-        self.report.bytes_h2d += gc.table_bytes + 16 * len(input_labels)
-        spec = self._pending("gc_table")
+        self.report.bytes_h2d += gc.table_bytes + input_labels.nbytes
+        spec = self._pending("gc_table") if gc.batch else None
         row_tamper = None
         if spec is not None:
             fired = []
 
-            def row_tamper(gid, ridx, row):
+            def row_tamper(gid, ridx, rows):
                 if fired:
-                    return row
+                    return rows
                 fired.append(gid)
-                bit = int(self._rng.integers(0, 256)) if spec.mutation == "bit_flip" \
-                    else None
-                new = row ^ (1 << bit) if bit is not None \
-                    else int.from_bytes(self._rng.bytes(32), "little")
+                if spec.mutation == "bit_flip":
+                    bit = int(self._rng.integers(0, 256))
+                    rows[0, bit // 64] ^= np.uint64(1 << bit % 64)
+                else:
+                    rows[0] = np.frombuffer(self._rng.bytes(32), dtype="<u8")
                 self.tamper_log.append(
                     {"target": "gc_table", "mutation": spec.mutation,
-                     "index": gid * 4 + ridx}
+                     "index": gid * 4 + int(ridx[0])}
                 )
-                return new
+                return rows
 
         bits = gc_evaluate(gc, input_labels, row_tamper=row_tamper)
-        self.report.bytes_d2h += max(1, len(bits) // 8)
+        self.report.bytes_d2h += gc.batch * max(1, bits.shape[1] // 8)
         return bits

@@ -1,99 +1,182 @@
-"""Garbling and evaluation: free XOR, point-and-permute, 4-row AND tables.
+"""Garbling and evaluation of a batch of N independent copies of one circuit:
+free XOR, point-and-permute, 4-row AND tables, a fixed-key-AES row hash.
 
-Labels are 128-bit ints; label(1) = label(0) ^ delta with lsb(delta) = 1, so
-a label's low bit doubles as its point bit.  An AND row masks the output
-label with a 256-bit keyed hash of the two input labels; the low 128 bits
-of a decrypted row must be zero, which is the integrity check that turns
-table corruption into an evaluation fault.
+Each copy has its own seed, delta and labels.  A label is a 128-bit value
+held as a uint64 (lo, hi) pair; label(1) = label(0) ^ delta with
+lsb(delta) = 1, so a label's low bit doubles as its point bit.  An AND row
+masks the output label with a 256-bit hash of the two input labels, one
+fixed-key AES block per 128-bit half (Bellare, Hoang, Keelveedhi and
+Rogaway, S&P 2013): H(a, b, T) = pi(K) ^ K with K = 2a ^ 4b ^ T, doubling
+in GF(2^128) and T = 2 * gate id + half.  The low 128 bits of a decrypted
+row must be zero, which is the integrity check that turns table corruption
+into an evaluation fault.
+
+An int seed garbles a batch of one in the scalar form: labels are 128-bit
+ints keyed by wire, and evaluation returns a list of output bits.
 """
 
-import hashlib
 import random
 from dataclasses import dataclass, field
+
+import numpy as np
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from .circuit import AND, NOT, XOR, BoolCircuit
 from ..errors import GcEvaluationFault
 
-LABEL_BITS = 128
-LABEL_MASK = (1 << LABEL_BITS) - 1
+LABEL_BYTES = 16
+ROW_BYTES = 32
+# pi: AES-128 under a fixed public key; ECB keeps no state between calls
+_PI = Cipher(algorithms.AES(bytes(range(16))), modes.ECB()).encryptor()
+_HALVES = np.array([0, 1], dtype=np.uint64)
+_LSB = np.array([1, 0], dtype=np.uint64)
+_FOLD = np.array([0, 0x87, 0x87 << 1, 0x87 ^ 0x87 << 1], dtype=np.uint64)
+# row r of a table holds the inputs whose point bits are (r >> 1, r & 1)
+_ROW_A = np.array([0, 0, 1, 1], dtype=np.uint64)[:, None]
+_ROW_B = np.array([0, 1, 0, 1], dtype=np.uint64)[:, None]
 
 
-def _hash_row(a: int, b: int, gate_id: int) -> int:
-    h = hashlib.sha256(
-        a.to_bytes(16, "little") + b.to_bytes(16, "little") + gate_id.to_bytes(8, "little")
-    ).digest()
-    return int.from_bytes(h, "little")
+def _key(a, b):
+    """K = 2a ^ 4b in GF(2^128) mod x^128 + x^7 + x^2 + x + 1, on (..., 2)
+    labels.  The bits shifted out of hi fold back into lo as their carryless
+    product with 0x87, and doubling is linear, so both reductions are one."""
+    carry = (a >> 63) ^ (b >> 62)
+    carry[..., 1] = _FOLD[carry[..., 1]]
+    return (a << 1) ^ (b << 2) ^ carry[..., ::-1]
+
+
+def _tweaks(gids):
+    """T = 2 * gate id + half per row-hash block: (..., half, word) uint64."""
+    gids = np.asarray(gids, dtype=np.uint64)
+    tweaks = np.zeros(gids.shape + (2, 2), dtype=np.uint64)
+    tweaks[..., 0] = gids[..., None] * 2 + _HALVES
+    return tweaks
+
+
+def _hash(keys):
+    """pi(K) ^ K for every 128-bit block of a (..., 2) uint64 array."""
+    pi = np.frombuffer(_PI.update(keys.tobytes()), dtype=np.uint64)
+    return pi.reshape(keys.shape) ^ keys
+
+
+def _mask(bits):
+    """All-ones words where ``bits`` is 1, as a trailing label axis."""
+    return (np.uint64(0) - bits)[..., None]
+
+
+def _to_int(label) -> int:
+    return int(label[0]) | int(label[1]) << 64
+
+
+def _from_int(label: int):
+    return [label & 0xFFFFFFFFFFFFFFFF, label >> 64]
 
 
 @dataclass
 class GarbledCircuit:
+    """What the evaluator receives: N garbled copies of ``circuit``."""
+
     circuit: BoolCircuit
-    tables: list            # per gate: list of 4 row ints, or None for XOR/NOT
-    output_points: list     # point bit of each output wire's zero-label
+    tables: np.ndarray          # (AND gates, 4 rows, 2 halves, N, 2 words) uint64
+    output_points: np.ndarray   # (N, outputs) point bit of each output zero-label
+    ciphertext_count: int       # 4 rows per AND gate per copy
+    table_bytes: int
 
     @property
-    def ciphertext_count(self) -> int:
-        return sum(4 for t in self.tables if t is not None)
-
-    @property
-    def table_bytes(self) -> int:
-        return self.ciphertext_count * 32
+    def batch(self) -> int:
+        return self.output_points.shape[0]
 
 
 @dataclass
 class EvalTranscript:
-    """Instrumentation: per-AND-gate count of rows passing the row check."""
+    """Instrumentation: per AND gate, per copy, the rows passing the row check."""
 
     row_matches: list = field(default_factory=list)
 
 
-def garble(circuit: BoolCircuit, seed: int):
-    """Returns (GarbledCircuit, {input wire: (label0, label1)}); deterministic."""
-    rng = random.Random(seed)
-    delta = rng.getrandbits(LABEL_BITS) | 1
-    zero = {}
-    for w in circuit.garbler_inputs + circuit.evaluator_inputs:
-        zero[w] = rng.getrandbits(LABEL_BITS)
-    tables = []
-    for gid, g in enumerate(circuit.gates):
+def garble(circuit: BoolCircuit, seed):
+    """Garble one copy of ``circuit`` per seed; deterministic.
+
+    Returns (GarbledCircuit, pairs).  For a sequence of N seeds ``pairs`` is
+    a (inputs, 2, N, 2) uint64 array: ``pairs[i, v]`` holds the labels of
+    value v on input i, garbler inputs first.  For an int seed it maps each
+    input wire to its (label0, label1) ints.
+    """
+    scalar = np.ndim(seed) == 0
+    seeds = [seed] if scalar else seed
+    n = len(seeds)
+    inputs = circuit.garbler_inputs + circuit.evaluator_inputs
+    ands = [(gid, g) for gid, g in enumerate(circuit.gates) if g.op == AND]
+    # randbytes(16 k) is the stream of k getrandbits(128) calls: delta,
+    # input zero-labels, then AND output zero-labels in gate order
+    draws = 1 + len(inputs) + len(ands)
+    rand = np.frombuffer(
+        b"".join(random.Random(int(s)).randbytes(LABEL_BYTES * draws) for s in seeds),
+        dtype=np.uint64).reshape(n, draws, 2).swapaxes(0, 1)
+    delta = rand[0] | _LSB
+    zero = [None] * circuit.n_wires
+    for w, label in zip(inputs, rand[1:]):
+        zero[w] = label
+    out0 = iter(rand[1 + len(inputs):])
+    for g in circuit.gates:
         if g.op == XOR:
             zero[g.out] = zero[g.a] ^ zero[g.b]
-            tables.append(None)
         elif g.op == NOT:
             zero[g.out] = zero[g.a] ^ delta
-            tables.append(None)
         else:
-            out0 = rng.getrandbits(LABEL_BITS)
-            rows = [0, 0, 0, 0]
-            for va in (0, 1):
-                for vb in (0, 1):
-                    la = zero[g.a] ^ (delta if va else 0)
-                    lb = zero[g.b] ^ (delta if vb else 0)
-                    lo = out0 ^ (delta if va & vb else 0)
-                    rows[((la & 1) << 1) | (lb & 1)] = _hash_row(la, lb, gid) ^ (lo << LABEL_BITS)
-            zero[g.out] = out0
-            tables.append(rows)
-    gc = GarbledCircuit(
-        circuit=circuit,
-        tables=tables,
-        output_points=[zero[w] & 1 for w in circuit.outputs],
-    )
-    pairs = {
-        w: (zero[w], zero[w] ^ delta)
-        for w in circuit.garbler_inputs + circuit.evaluator_inputs
-    }
+            zero[g.out] = next(out0)
+    shape = (len(ands), n, 2)
+    za = np.array([zero[g.a] for _, g in ands], dtype=np.uint64).reshape(shape)
+    zb = np.array([zero[g.b] for _, g in ands], dtype=np.uint64).reshape(shape)
+    pa = za[..., 0] & 1
+    pb = zb[..., 0] & 1
+    # K = 2a ^ 4b is linear: row r's key is the key of the point-0 labels
+    # plus (r >> 1) 2 delta ^ (r & 1) 4 delta
+    none = np.zeros_like(delta)
+    steps = np.stack([none, _key(none, delta), _key(delta, none), _key(delta, delta)])
+    key0 = _key(za ^ (delta & _mask(pa)), zb ^ (delta & _mask(pb)))
+    tweaks = _tweaks([gid for gid, _ in ands])
+    keys = (key0[:, None] ^ tweaks[:, :, None])[:, None] ^ steps[:, None]
+    tables = _hash(keys)
+    va = pa[:, None] ^ _ROW_A             # (AND gates, 4 rows, N) input values
+    vb = pb[:, None] ^ _ROW_B
+    zo = rand[1 + len(inputs):].reshape(shape)
+    tables[:, :, 1] ^= zo[:, None] ^ (delta & _mask(va & vb))
+    output_points = np.array([zero[w][:, 0] & 1 for w in circuit.outputs],
+                             dtype=np.uint8).reshape(len(circuit.outputs), n).T
+    count = 4 * len(ands) * n
+    gc = GarbledCircuit(circuit, tables, output_points, count, count * ROW_BYTES)
+    pairs = np.stack([rand[1:1 + len(inputs)], rand[1:1 + len(inputs)] ^ delta], axis=1)
+    if scalar:
+        pairs = {w: (_to_int(p[0, 0]), _to_int(p[1, 0])) for w, p in zip(inputs, pairs)}
     return gc, pairs
 
 
-def evaluate(gc: GarbledCircuit, input_labels: dict, transcript: EvalTranscript = None,
+def evaluate(gc: GarbledCircuit, input_labels, transcript: EvalTranscript = None,
              row_tamper=None):
-    """Walk the gate list on labels; returns plain output bits.
+    """Walk the gate list on all N copies at once; returns (N, outputs)
+    plain bits, or a list of bits for scalar-form ``input_labels``.
 
-    ``row_tamper(gate_id, row_index, row) -> row`` lets the simulator mutate
-    the ciphertext actually being decrypted (tamper-at-access semantics).
+    ``input_labels`` is an (inputs, N, 2) uint64 array ordered like
+    ``garble``'s pairs, or a {wire: int} dict for a batch of one.  Every
+    copy's row check runs at every AND gate; the first failing gate raises.
+    ``row_tamper(gate_id, row_indices, rows) -> rows`` lets the simulator
+    mutate the ciphertexts actually being decrypted: ``rows[k]`` holds the
+    four words, low first, of copy k's row at table index ``row_indices[k]``
+    (tamper-at-access semantics).
     """
     circ = gc.circuit
-    labels = dict(input_labels)
+    inputs = circ.garbler_inputs + circ.evaluator_inputs
+    scalar = isinstance(input_labels, dict)
+    if scalar:
+        input_labels = np.array([[_from_int(input_labels[w])] for w in inputs],
+                                dtype=np.uint64).reshape(-1, 1, 2)
+    labels = [None] * circ.n_wires
+    for w, label in zip(inputs, input_labels):
+        labels[w] = label
+    copies = np.arange(gc.batch)
+    tables = zip(gc.tables, _tweaks([gid for gid, g in enumerate(circ.gates)
+                                     if g.op == AND]))
     for gid, g in enumerate(circ.gates):
         if g.op == XOR:
             labels[g.out] = labels[g.a] ^ labels[g.b]
@@ -102,17 +185,19 @@ def evaluate(gc: GarbledCircuit, input_labels: dict, transcript: EvalTranscript 
         else:
             la = labels[g.a]
             lb = labels[g.b]
-            r = ((la & 1) << 1) | (lb & 1)
-            h = _hash_row(la, lb, gid)
+            r = ((la[:, 0] & 1) << 1) | (lb[:, 0] & 1)
+            table, tweak = next(tables)
+            h = _hash(_key(la, lb)[:, None] ^ tweak).reshape(-1, 4)
             if transcript is not None:
-                transcript.row_matches.append(
-                    sum(1 for row in gc.tables[gid] if (row ^ h) & LABEL_MASK == 0)
-                )
-            row = gc.tables[gid][r]
+                ok = ((table[:, 0] ^ h[:, :2]) == 0).all(axis=-1)
+                transcript.row_matches.extend(ok.sum(axis=0).tolist())
+            rows = table[r, :, copies].reshape(-1, 4)
             if row_tamper is not None:
-                row = row_tamper(gid, r, row)
-            m = row ^ h
-            if m & LABEL_MASK:
+                rows = row_tamper(gid, r, rows)
+            m = rows ^ h
+            if (m[:, 0] | m[:, 1]).any():
                 raise GcEvaluationFault(f"row check failed at AND gate {gid}")
-            labels[g.out] = m >> LABEL_BITS
-    return [(labels[w] & 1) ^ p for w, p in zip(circ.outputs, gc.output_points)]
+            labels[g.out] = m[:, 2:]
+    bits = np.array([labels[w][:, 0] & 1 for w in circ.outputs],
+                    dtype=np.uint8).reshape(len(circ.outputs), -1).T ^ gc.output_points
+    return bits[0].tolist() if scalar else bits

@@ -1,17 +1,20 @@
 """Arithmetic-to-Yao switching for the clamped-sigmoid activation.
 
-The host garbles the composed add-then-clamp circuit, hardwires its own R
-bits as garbler inputs (the trusted side needs no OT for itself), and the
-evaluator fetches labels for its C bits through the ideal OT.  The output
-decodes to a plain activation word on the device side.
+The host garbles one composed add-then-clamp circuit per scalar, hardwires
+its own R bits as garbler inputs (the trusted side needs no OT for itself),
+and the evaluator fetches labels for its C bits through the ideal OT, one
+transfer for the whole vector.  The output decodes to plain activation
+words on the device side.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .. import ring
 from .circuit import bits_to_word, build_a2y_circuit, word_to_bits
-from .garble import EvalTranscript, garble
+from .garble import EvalTranscript, _to_int, evaluate, garble
 from .ot import IdealOT
 
 
@@ -26,27 +29,35 @@ def a2y_circuit(word_bits: int = ring.WORD_BITS, frac_bits: int = ring.FRAC_BITS
     return build_a2y_circuit(word_bits, frac_bits)
 
 
-def prepare_switch(r_word: int, c_word: int, seed: int,
+def prepare_switch(r_word, c_word, seed,
                    word_bits: int = ring.WORD_BITS, frac_bits: int = ring.FRAC_BITS):
-    """Garble one scalar switch; returns (gc, evaluator labels, ot, stats).
+    """Garble one switch per scalar; returns (gc, input labels, ot, stats).
 
-    The host stores both labels of every evaluator input wire until the OT
-    runs, which is the 2x-input-size memory cost of switching.
+    ``r_word``, ``c_word`` and ``seed`` are equal-length sequences, and the
+    input labels an array for ``evaluate``; with ints they are one scalar
+    and the labels a {wire: int} dict.  The host stores both labels of
+    every evaluator input wire until the OT runs, which is the
+    2x-input-size memory cost of switching.
     """
     circ = a2y_circuit(word_bits, frac_bits)
-    gc, pairs = garble(circ, seed)
-    garbler_labels = {
-        w: pairs[w][bit]
-        for w, bit in zip(circ.garbler_inputs, word_to_bits(r_word, word_bits))
-    }
-    evaluator_pairs = [pairs[w] for w in circ.evaluator_inputs]
+    scalar = np.ndim(seed) == 0
+    gc, pairs = garble(circ, [seed] if scalar else seed)
+    copies = np.arange(gc.batch)
+    r_bits = np.array(word_to_bits(np.asarray(r_word, dtype=np.uint32), word_bits),
+                      dtype=np.intp).reshape(word_bits, gc.batch)
+    c_bits = np.array(word_to_bits(np.asarray(c_word, dtype=np.uint32), word_bits),
+                      dtype=np.intp).reshape(-1)
+    garbler = pairs[np.arange(word_bits)[:, None], r_bits, copies]
+    evaluator_pairs = pairs[word_bits:].swapaxes(1, 2).reshape(-1, 2, 2)
     ot = IdealOT()
-    labels = ot.transfer(evaluator_pairs, word_to_bits(c_word, word_bits))
-    input_labels = dict(garbler_labels)
-    input_labels.update(zip(circ.evaluator_inputs, labels))
+    labels = ot.transfer(evaluator_pairs, c_bits).reshape(word_bits, -1, 2)
+    input_labels = np.concatenate([garbler, labels])
+    if scalar:
+        inputs = circ.garbler_inputs + circ.evaluator_inputs
+        input_labels = {w: _to_int(label[0]) for w, label in zip(inputs, input_labels)}
     stats = SwitchStats(
         evaluator_labels_transferred=ot.released,
-        host_labels_stored=2 * len(circ.evaluator_inputs),
+        host_labels_stored=2 * len(circ.evaluator_inputs) * gc.batch,
     )
     return gc, input_labels, ot, stats
 
@@ -54,7 +65,5 @@ def prepare_switch(r_word: int, c_word: int, seed: int,
 def a2y_sigmoid(r_word: int, c_word: int, seed: int,
                 transcript: EvalTranscript = None) -> int:
     """Host-side reference path: switch, evaluate locally, decode the word."""
-    from .garble import evaluate
-
     gc, input_labels, _ot, _stats = prepare_switch(r_word, c_word, seed)
     return bits_to_word(evaluate(gc, input_labels, transcript=transcript))

@@ -7,6 +7,7 @@ the adder, and the piecewise clamp for the activation.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,12 +108,12 @@ class TestGarbling:
         assert circ.and_count == 0
         assert gc.ciphertext_count == 0
         # free XOR also means evaluation is label XOR, no tables at all
-        assert all(t is None for t in gc.tables)
+        assert gc.tables.size == 0
 
     def test_deterministic(self):
         g1, p1 = garble(SIG, seed=99)
         g2, p2 = garble(SIG, seed=99)
-        assert g1.tables == g2.tables
+        assert np.array_equal(g1.tables, g2.tables)
         assert p1 == p2
 
     def test_free_xor_label_algebra(self):
@@ -142,7 +143,7 @@ class TestIdealOT:
     def test_choice_selects_label(self):
         ot = IdealOT()
         pairs = [(10, 11), (20, 21), (30, 31)]
-        assert ot.transfer(pairs, [0, 1, 0]) == [10, 21, 30]
+        assert ot.transfer(pairs, [0, 1, 0]).tolist() == [10, 21, 30]
 
     def test_released_equals_input_count(self):
         ot = IdealOT()
@@ -183,11 +184,11 @@ class TestTamperFault:
         gc, labels, _ot, _stats = prepare_switch(42, 43, seed=9)
         hits = []
 
-        def flip(gid, ridx, row):
+        def flip(gid, ridx, rows):
             if not hits:
                 hits.append(gid)
-                return row ^ (1 << 64)
-            return row
+                rows[0, 1] ^= np.uint64(1)  # bit 64 of the 256-bit row
+            return rows
 
         with pytest.raises(GcEvaluationFault):
             evaluate(gc, labels, row_tamper=flip)
@@ -195,8 +196,6 @@ class TestTamperFault:
 
     def test_corrupting_table_directly(self):
         gc, labels, _ot, _stats = prepare_switch(42, 43, seed=10)
-        gid = next(i for i, t in enumerate(gc.tables) if t is not None)
-        for ridx in range(4):
-            gc.tables[gid][ridx] ^= 1 << 13
+        gc.tables[0, :, 0, 0, 0] ^= np.uint64(1 << 13)  # all 4 rows, first AND
         with pytest.raises(GcEvaluationFault):
             evaluate(gc, labels)

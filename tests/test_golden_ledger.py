@@ -8,7 +8,12 @@ were first recorded from the code before the scheme dispatch in ``host`` was
 factored into one placement and one merge path, so any change to where an
 operand lives or how results merge that moves a counter fails here.  They
 were re-recorded once, when placement PRF calls moved to the offline ledger
-(only ``host_prf_calls`` moved, each case's two-phase sum held).  The
+(only ``host_prf_calls`` moved, each case's two-phase sum held), and the
+``gc_table`` case once more when the A2Y switch began sending a whole
+activation vector before the device evaluates any of it: its aborted run
+now charges all 8 scalars' OTP words, tables and labels (online
+``host_prf_calls``, ``gc_ciphertexts``, ``gc_bytes`` and ``bytes_h2d``;
+every other case and the tamper log stayed as they were).  The
 shapes are small to keep the sweep fast; the acceptance suite covers the
 default ones.
 """

@@ -27,7 +27,8 @@ from ..errors import GcEvaluationFault
 LABEL_BYTES = 16
 ROW_BYTES = 32
 # pi: AES-128 under a fixed public key; ECB keeps no state between calls
-_PI = Cipher(algorithms.AES(bytes(range(16))), modes.ECB()).encryptor()
+ROW_HASH_KEY = bytes(range(16))
+_PI = Cipher(algorithms.AES(ROW_HASH_KEY), modes.ECB()).encryptor()
 _HALVES = np.array([0, 1], dtype=np.uint64)
 _LSB = np.array([1, 0], dtype=np.uint64)
 _FOLD = np.array([0, 0x87, 0x87 << 1, 0x87 ^ 0x87 << 1], dtype=np.uint64)

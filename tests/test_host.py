@@ -7,6 +7,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from securepim import mac, ring
 from securepim.errors import ConfigError, GcEvaluationFault, VerificationError
@@ -237,6 +239,10 @@ class TestEmbeddingOp:
         assert "dlrm_indices_in_clear" in sess.leaks
 
 
+# -2^31, -2^31 + 1/2 - 2^-12 and 2^31 - 1: where x - 1/2 or x + 1/2 wraps
+WRAP_ANCHORS = [1 << 31, (1 << 31) + ring.HALF - 1, (1 << 31) - 1]
+
+
 class TestA2YActivation:
     def test_matches_host_clamp(self):
         xs = np.asarray([ring.fx_encode(v) for v in
@@ -245,6 +251,20 @@ class TestA2YActivation:
         got = sess.a2y_activation(xs)
         assert np.array_equal(got, ring.clamp_unit_array(xs))
         assert "a2y_activation_revealed_to_device" in sess.leaks
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([0, 1, 33]).flatmap(lambda n: st.lists(
+               st.one_of(st.sampled_from(WRAP_ANCHORS),
+                         st.integers(0, (1 << 32) - 1)),
+               min_size=n, max_size=n)),
+           st.integers(0, 1 << 16))
+    @example(WRAP_ANCHORS * 11, 0)
+    def test_batch_equals_clamp_oracle(self, xs, seed):
+        sess = session("pim_runtime", variant="A2Y", seed=seed)
+        got = sess.a2y_activation(np.asarray(xs, dtype=np.uint32))
+        assert got.tolist() == [
+            min(max(ring.to_signed(x) + ring.HALF, 0), ring.ONE) for x in xs]
+        assert sess.a2y_scalars == len(xs)
 
     def test_label_accounting_per_scalar(self):
         sess = session("pim_runtime", variant="A2Y")

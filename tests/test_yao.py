@@ -1,14 +1,17 @@
 """Garbled circuits: builder correctness, free XOR, one-label discipline,
-tamper faults, and the arithmetic-to-Yao switch.
+tamper faults, batches, and the arithmetic-to-Yao switch.
 
 Oracles: BoolCircuit.eval_plain for garbling, big-int ring arithmetic for
-the adder, and the piecewise clamp for the activation.
+the adder, the piecewise clamp for the activation, a big-int GF(2^128)
+fixed-key-AES row hash for the tables, and per-seed scalar garbling for
+batches.
 """
 
 import random
 
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +25,7 @@ from securepim.yao.circuit import (
     build_sigmoid_circuit,
     word_to_bits,
 )
-from securepim.yao.garble import EvalTranscript, evaluate, garble
+from securepim.yao.garble import ROW_HASH_KEY, EvalTranscript, evaluate, garble
 from securepim.yao.ot import IdealOT
 from securepim.yao.switch import a2y_sigmoid, prepare_switch
 
@@ -199,3 +202,87 @@ class TestTamperFault:
         gc.tables[0, :, 0, 0, 0] ^= np.uint64(1 << 13)  # all 4 rows, first AND
         with pytest.raises(GcEvaluationFault):
             evaluate(gc, labels)
+
+
+def label_int(words) -> int:
+    return int(words[0]) | int(words[1]) << 64
+
+
+def bigint_double(x: int) -> int:
+    """x * 2 in GF(2^128) mod x^128 + x^7 + x^2 + x + 1."""
+    x <<= 1
+    return x ^ (1 << 128 | 0x87) if x >> 128 else x
+
+
+def bigint_row_hash(a: int, b: int, tweak: int) -> int:
+    """pi(K) ^ K with K = 2a ^ 4b ^ T, pi AES-128 under the public key."""
+    k = bigint_double(a) ^ bigint_double(bigint_double(b)) ^ tweak
+    pi = Cipher(algorithms.AES(ROW_HASH_KEY), modes.ECB()).encryptor()
+    return int.from_bytes(pi.update(k.to_bytes(16, "little")), "little") ^ k
+
+
+class TestBatch:
+    def test_first_and_gate_matches_bigint_reference(self):
+        """Labels come from the getrandbits(128) stream (delta, inputs, AND
+        outputs); rows sit at their point bits, masked by the row hash."""
+        seed = 11
+        gc, pairs = garble(ADD, seed)
+        rng = random.Random(seed)
+        delta = rng.getrandbits(128) | 1
+        inputs = ADD.garbler_inputs + ADD.evaluator_inputs
+        zero = {w: rng.getrandbits(128) for w in inputs}
+        assert pairs == {w: (z, z ^ delta) for w, z in zero.items()}
+        gid, gate = next((i, g) for i, g in enumerate(ADD.gates) if g.op == "AND")
+        out0 = rng.getrandbits(128)
+        for va in (0, 1):
+            for vb in (0, 1):
+                la = zero[gate.a] ^ (delta if va else 0)
+                lb = zero[gate.b] ^ (delta if vb else 0)
+                r = (la & 1) << 1 | (lb & 1)
+                low, high = gc.tables[0, r, :, 0]
+                assert label_int(low) == bigint_row_hash(la, lb, 2 * gid)
+                assert label_int(high) == (bigint_row_hash(la, lb, 2 * gid + 1)
+                                           ^ out0 ^ (delta if va & vb else 0))
+
+    def test_batch_equals_per_seed_scalar_garbling(self):
+        seeds = [3, 1 << 40, 7, 0, 3]
+        gc, pairs = garble(A2Y, seeds)
+        inputs = A2Y.garbler_inputs + A2Y.evaluator_inputs
+        assert gc.batch == len(seeds)
+        assert gc.ciphertext_count == 4 * A2Y.and_count * len(seeds)
+        assert gc.table_bytes == 32 * gc.ciphertext_count
+        for k, seed in enumerate(seeds):
+            one, one_pairs = garble(A2Y, seed)
+            assert {w: (label_int(pairs[i, 0, k]), label_int(pairs[i, 1, k]))
+                    for i, w in enumerate(inputs)} == one_pairs
+            assert np.array_equal(gc.tables[:, :, :, k], one.tables[:, :, :, 0])
+            assert np.array_equal(gc.output_points[k], one.output_points[0])
+
+    @pytest.mark.parametrize("k", [0, 16, 32])
+    def test_row_check_covers_every_copy(self, k):
+        """One corrupted row of copy k at a later AND gate faults the batch."""
+        rng = random.Random(k)
+        xs = [rng.getrandbits(32) for _ in range(33)]
+        rs = [rng.getrandbits(32) for _ in range(33)]
+        cs = [ring.sub(x, r) for x, r in zip(xs, rs)]
+        gc, labels, _ot, _stats = prepare_switch(rs, cs, list(range(33)))
+        j = 5
+        gid = [i for i, g in enumerate(A2Y.gates) if g.op == "AND"][j]
+        decrypted = {}
+
+        def record(g, ridx, rows):
+            decrypted[g] = ridx.copy()
+            return rows
+
+        honest = evaluate(gc, labels, row_tamper=record)
+        assert [bits_to_word(b) for b in honest.tolist()] == \
+            [clamp_oracle(x) for x in xs]
+        gc.tables[j, decrypted[gid][k], 0, k, 0] ^= np.uint64(1)
+        with pytest.raises(GcEvaluationFault, match=f"AND gate {gid}$"):
+            evaluate(gc, labels)
+
+    def test_transcript_counts_one_match_per_gate_and_copy(self):
+        gc, labels, _ot, _stats = prepare_switch([1, 2, 3], [4, 5, 6], [7, 8, 9])
+        transcript = EvalTranscript()
+        evaluate(gc, labels, transcript=transcript)
+        assert transcript.row_matches == [1] * (3 * A2Y.and_count)

@@ -12,7 +12,7 @@ from . import ring
 from .errors import ConfigError, GcEvaluationFault, VerificationError
 from .host import PublicMatrixOp, SchemeConfig, Session
 from .pimsim import MUTATIONS, TAMPER_TARGETS, TamperSpec
-from .workloads import run_workload
+from .workloads import WORKLOADS, merged_params, run_workload
 
 
 @dataclass
@@ -37,6 +37,14 @@ class Campaign:
                               f"{TAMPER_TARGETS}, got {self.targets!r}")
         if self.mutation not in MUTATIONS:
             raise ConfigError(f"unknown mutation {self.mutation!r}")
+        if self.workload == "gemv16":
+            if self.params:
+                raise ConfigError(f"campaign workload gemv16 takes no params, "
+                                  f"got {self.params!r}")
+        elif isinstance(self.workload, str) and self.workload in WORKLOADS:
+            merged_params(self.workload, self.params or None)
+        else:
+            raise ConfigError(f"unknown campaign workload {self.workload!r}")
 
 
 def _run_gemv16(cfg: SchemeConfig, seed: int, device_tamper=None):

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import ring
 from .errors import ConfigError
+from .pimsim import DeviceTopology
 from .host import (
     DEVICE_SCHEMES,
     SHARE_SCHEMES,
@@ -125,13 +126,27 @@ def run_conv(cfg: SchemeConfig, sess: Session, rng, p):
     return ring.trunc_array(op.matvec(kvec))
 
 
+def _conv_operands(p):
+    per_side = (p["size"] - p["kernel"]) // p["stride"] + 1
+    return [(1, per_side ** 2 * p["kernel"] ** 2)], [p["size"] ** 2]
+
+
+# name -> (body, defaults, operands): ``operands(p)`` gives, from the params
+# alone, the matrices the body places as (count, words) and the word counts
+# of the other arrays it draws or sends
 WORKLOADS = {
-    "mlp": (run_mlp, MLP_DEFAULTS),
-    "dlrm": (run_dlrm, DLRM_DEFAULTS),
-    "linreg": (partial(_regression, logistic=False), LINREG_DEFAULTS),
-    "logreg": (partial(_regression, logistic=True), LOGREG_DEFAULTS),
-    "gemm": (run_gemm, GEMM_DEFAULTS),
-    "conv": (run_conv, CONV_DEFAULTS),
+    "mlp": (run_mlp, MLP_DEFAULTS,
+            lambda p: ([(p["depth"], p["dim"] ** 2)], [p["dim"]])),
+    "dlrm": (run_dlrm, DLRM_DEFAULTS,
+             lambda p: ([(p["tables"], p["rows"] * p["cols"])],
+                        [p["batch"] * p["pf"], p["batch"] * p["cols"]])),
+    "linreg": (partial(_regression, logistic=False), LINREG_DEFAULTS,
+               lambda p: ([(1, p["samples"] * p["features"])], [p["samples"]])),
+    "logreg": (partial(_regression, logistic=True), LOGREG_DEFAULTS,
+               lambda p: ([(1, p["samples"] * p["features"])], [p["samples"]])),
+    "gemm": (run_gemm, GEMM_DEFAULTS,
+             lambda p: ([(1, p["n"] ** 2)], [p["n"] ** 2])),
+    "conv": (run_conv, CONV_DEFAULTS, _conv_operands),
 }
 
 TRAINING_WORKLOADS = frozenset({"linreg", "logreg"})
@@ -155,8 +170,27 @@ def _encodable(v) -> bool:
     return True
 
 
-def _merged_params(name: str, params) -> dict:
-    """The workload's defaults overridden by ``params``, checked."""
+def _check_budget(name: str, p: dict) -> None:
+    """Operands that could not fit the simulated device are rejected on every
+    scheme, before any input is drawn: the placed matrices together, each
+    split by rows over the DPUs as ``PimDevice.load`` splits it, and every
+    other array on its own under the same split."""
+    topo = DeviceTopology()
+    matrices, others = WORKLOADS[name][2](p)
+
+    def per_dpu(words):
+        return -(-4 * words // topo.dpu_count)
+
+    need = max([sum(n * per_dpu(words) for n, words in matrices),
+                *map(per_dpu, others)])
+    if need > topo.mram_bytes_per_dpu:
+        raise ConfigError(f"{name} operands need {need} B per DPU, over the "
+                          f"{topo.mram_bytes_per_dpu} B device budget")
+
+
+def merged_params(name: str, params) -> dict:
+    """The workload's defaults overridden by ``params``, checked and bounded
+    by the device budget."""
     defaults = WORKLOADS[name][1]
     params = {} if params is None else params
     if not isinstance(params, dict) or not set(params) <= set(defaults):
@@ -173,6 +207,7 @@ def _merged_params(name: str, params) -> dict:
             raise ConfigError(f"{name} {key} must be {want}, got {val!r}")
     if name == "conv" and p["kernel"] > p["size"]:
         raise ConfigError("conv kernel must not exceed size")
+    _check_budget(name, p)
     return p
 
 
@@ -186,7 +221,7 @@ def run_workload(name: str, cfg: SchemeConfig, seed: int, params=None,
         raise ConfigError(f"unknown workload {name!r}")
     if not (_is_int(seed) and seed >= 0):
         raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
-    p = _merged_params(name, params)
+    p = merged_params(name, params)
     if name in TRAINING_WORKLOADS and cfg.scheme == "pim_precompute":
         raise ConfigError(
             "pim_precompute requires static public operands; "

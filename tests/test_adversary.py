@@ -5,6 +5,7 @@ completeness at small scale; full-rate suites live in the acceptance tests.
 import pytest
 
 from securepim.adversary import Campaign, clean_run_suite, run_campaign
+from securepim.errors import ConfigError
 from securepim.pimsim import TAMPER_TARGETS
 
 
@@ -47,3 +48,22 @@ class TestCompleteness:
                               ["pim_runtime", "pim_precompute"],
                               seeds=range(5))
         assert rep == {"runs": 20, "false_positives": 0}
+
+
+class TestCampaignParams:
+    @pytest.mark.parametrize("kwargs", [
+        {"params": {"dimm": 1}},                        # gemv16 takes none
+        {"params": {"dim": 4}},
+        {"workload": "mlp", "params": {"dimm": 1}},
+        {"workload": "mlp", "params": {"dim": 0}},
+        {"workload": "mlp", "params": {"dim": 1 << 20}},
+        {"workload": "fft"},
+    ], ids=repr)
+    def test_bad_params_rejected_before_any_trial(self, kwargs):
+        with pytest.raises(ConfigError):
+            Campaign(trials=2, targets=["device_result"], **kwargs)
+
+    def test_params_reach_real_workloads(self):
+        camp = Campaign(trials=1, targets=["device_result"], workload="mlp",
+                        params={"dim": 4, "depth": 2})
+        assert run_campaign(camp)["detected"] == 1

@@ -63,6 +63,7 @@ class TestExitCodes:
         {"params": {"dim": True}},
         {"params": {"dimm": 8}},
         {"params": [8]},
+        {"params": {"dim": 1000000, "depth": 1}},
         {"workload": "dlrm", "params": {"rows": 0}},
         {"workload": "dlrm", "params": {"pf": 0}},
         {"workload": "gemm", "params": {"n": 0}},

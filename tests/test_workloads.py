@@ -10,7 +10,7 @@ import pytest
 
 from securepim import ring
 from securepim.errors import ConfigError
-from securepim.host import PrivateMatrixOp, SchemeConfig, Session
+from securepim.host import SCHEMES, PrivateMatrixOp, SchemeConfig, Session
 from securepim.workloads import (
     LOGREG_DEFAULTS,
     WORKLOADS,
@@ -203,6 +203,34 @@ class TestDispatch:
     def test_unknown_workload(self):
         with pytest.raises(ConfigError):
             run_workload("fft", SchemeConfig("cpu_insecure"), 0)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("name, params", [
+        ("mlp", {"dim": 1000000, "depth": 1}),
+        ("mlp", {"dim": 2048, "depth": 2}),      # 8 MiB per DPU, twice the budget
+        ("mlp", {"dim": 1 << 23, "depth": 0}),   # no matrix: the input alone
+        ("dlrm", {"tables": 1 << 40}),
+        ("dlrm", {"batch": 1 << 30}),
+        ("linreg", {"samples": 1 << 40}),
+        ("gemm", {"n": 1 << 20}),
+        ("conv", {"size": 1 << 20, "kernel": 1, "stride": 1 << 20}),
+    ])
+    def test_over_budget_rejected_on_every_scheme(self, scheme, name, params,
+                                                  monkeypatch):
+        """Rejected before any input is drawn, whatever the scheme."""
+        def no_draw(seed):
+            raise AssertionError("inputs drawn before the budget check")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ConfigError, match="device budget"):
+            run_workload(name, SchemeConfig(scheme), 0, params)
+
+    def test_budget_matches_device_load(self):
+        """The largest MLP layer the device holds is accepted: 2048 x 2048
+        words fill exactly 4 MiB on each of the 4 DPUs."""
+        words, sess = run_workload("mlp", SchemeConfig("pim_insecure"), 0,
+                                   {"dim": 2048, "depth": 1})
+        assert words.size == 2048
 
     @pytest.mark.parametrize("name", ["linreg", "logreg"])
     def test_precompute_rejected_for_training(self, name):

@@ -37,13 +37,19 @@ _ROW_A = np.array([0, 0, 1, 1], dtype=np.uint64)[:, None]
 _ROW_B = np.array([0, 1, 0, 1], dtype=np.uint64)[:, None]
 
 
+# Work on (..., 2) label arrays goes word by word wherever the other operand
+# differs per word: broadcasting it across the trailing (lo, hi) axis would
+# make numpy's inner loop two elements long.
+
 def _key(a, b):
     """K = 2a ^ 4b in GF(2^128) mod x^128 + x^7 + x^2 + x + 1, on (..., 2)
     labels.  The bits shifted out of hi fold back into lo as their carryless
     product with 0x87, and doubling is linear, so both reductions are one."""
+    key = (a << 1) ^ (b << 2)
     carry = (a >> 63) ^ (b >> 62)
-    carry[..., 1] = _FOLD[carry[..., 1]]
-    return (a << 1) ^ (b << 2) ^ carry[..., ::-1]
+    key[..., 0] ^= _FOLD[carry[..., 1]]
+    key[..., 1] ^= carry[..., 0]
+    return key
 
 
 def _tweaks(gids):
@@ -60,9 +66,11 @@ def _hash(keys):
     return pi.reshape(keys.shape) ^ keys
 
 
-def _mask(bits):
-    """All-ones words where ``bits`` is 1, as a trailing label axis."""
-    return (np.uint64(0) - bits)[..., None]
+def _xor_delta(labels, bits, delta):
+    """labels ^= delta where ``bits`` is 1, in place."""
+    mask = np.uint64(0) - bits
+    labels[..., 0] ^= delta[..., 0] & mask
+    labels[..., 1] ^= delta[..., 1] & mask
 
 
 def _to_int(label) -> int:
@@ -78,7 +86,7 @@ class GarbledCircuit:
     """What the evaluator receives: N garbled copies of ``circuit``."""
 
     circuit: BoolCircuit
-    tables: np.ndarray          # (AND gates, 4 rows, 2 halves, N, 2 words) uint64
+    tables: np.ndarray          # (AND gates, 4 rows, N, 4 words, low first) uint64
     output_points: np.ndarray   # (N, outputs) point bit of each output zero-label
     ciphertext_count: int       # 4 rows per AND gate per copy
     table_bytes: int
@@ -131,18 +139,20 @@ def garble(circuit: BoolCircuit, seed):
     zb = np.array([zero[g.b] for _, g in ands], dtype=np.uint64).reshape(shape)
     pa = za[..., 0] & 1
     pb = zb[..., 0] & 1
+    _xor_delta(za, pa, delta)             # now the labels with point bit 0
+    _xor_delta(zb, pb, delta)
     # K = 2a ^ 4b is linear: row r's key is the key of the point-0 labels
     # plus (r >> 1) 2 delta ^ (r & 1) 4 delta
     none = np.zeros_like(delta)
     steps = np.stack([none, _key(none, delta), _key(delta, none), _key(delta, delta)])
-    key0 = _key(za ^ (delta & _mask(pa)), zb ^ (delta & _mask(pb)))
-    tweaks = _tweaks([gid for gid, _ in ands])
-    keys = (key0[:, None] ^ tweaks[:, :, None])[:, None] ^ steps[:, None]
-    tables = _hash(keys)
-    va = pa[:, None] ^ _ROW_A             # (AND gates, 4 rows, N) input values
-    vb = pb[:, None] ^ _ROW_B
-    zo = rand[1 + len(inputs):].reshape(shape)
-    tables[:, :, 1] ^= zo[:, None] ^ (delta & _mask(va & vb))
+    keys = np.repeat((_key(za, zb)[:, None] ^ steps)[..., None, :], 2, axis=-2)
+    tweaks = _tweaks([gid for gid, _ in ands])[:, None, None, :, 0]
+    keys[..., 0, 0] ^= tweaks[..., 0]
+    keys[..., 1, 0] ^= tweaks[..., 1]
+    tables = _hash(keys).reshape(len(ands), 4, n, 4)
+    out = tables[..., 2:]                 # the masked output labels
+    out ^= rand[1 + len(inputs):].reshape(shape)[:, None]
+    _xor_delta(out, (pa[:, None] ^ _ROW_A) & (pb[:, None] ^ _ROW_B), delta)
     output_points = np.array([zero[w][:, 0] & 1 for w in circuit.outputs],
                              dtype=np.uint8).reshape(len(circuit.outputs), n).T
     count = 4 * len(ands) * n
@@ -190,13 +200,13 @@ def evaluate(gc: GarbledCircuit, input_labels, transcript: EvalTranscript = None
             table, tweak = next(tables)
             h = _hash(_key(la, lb)[:, None] ^ tweak).reshape(-1, 4)
             if transcript is not None:
-                ok = ((table[:, 0] ^ h[:, :2]) == 0).all(axis=-1)
+                ok = ((table[..., :2] ^ h[:, :2]) == 0).all(axis=-1)
                 transcript.row_matches.extend(ok.sum(axis=0).tolist())
-            rows = table[r, :, copies].reshape(-1, 4)
+            rows = table[r, copies]
             if row_tamper is not None:
                 rows = row_tamper(gid, r, rows)
             m = rows ^ h
-            if (m[:, 0] | m[:, 1]).any():
+            if m[:, :2].any():
                 raise GcEvaluationFault(f"row check failed at AND gate {gid}")
             labels[g.out] = m[:, 2:]
     bits = np.array([labels[w][:, 0] & 1 for w in circ.outputs],

@@ -199,7 +199,7 @@ class TestTamperFault:
 
     def test_corrupting_table_directly(self):
         gc, labels, _ot, _stats = prepare_switch(42, 43, seed=10)
-        gc.tables[0, :, 0, 0, 0] ^= np.uint64(1 << 13)  # all 4 rows, first AND
+        gc.tables[0, :, 0, 0] ^= np.uint64(1 << 13)  # all 4 rows, first AND
         with pytest.raises(GcEvaluationFault):
             evaluate(gc, labels)
 
@@ -239,9 +239,9 @@ class TestBatch:
                 la = zero[gate.a] ^ (delta if va else 0)
                 lb = zero[gate.b] ^ (delta if vb else 0)
                 r = (la & 1) << 1 | (lb & 1)
-                low, high = gc.tables[0, r, :, 0]
-                assert label_int(low) == bigint_row_hash(la, lb, 2 * gid)
-                assert label_int(high) == (bigint_row_hash(la, lb, 2 * gid + 1)
+                row = gc.tables[0, r, 0]
+                assert label_int(row[:2]) == bigint_row_hash(la, lb, 2 * gid)
+                assert label_int(row[2:]) == (bigint_row_hash(la, lb, 2 * gid + 1)
                                            ^ out0 ^ (delta if va & vb else 0))
 
     def test_batch_equals_per_seed_scalar_garbling(self):
@@ -255,7 +255,7 @@ class TestBatch:
             one, one_pairs = garble(A2Y, seed)
             assert {w: (label_int(pairs[i, 0, k]), label_int(pairs[i, 1, k]))
                     for i, w in enumerate(inputs)} == one_pairs
-            assert np.array_equal(gc.tables[:, :, :, k], one.tables[:, :, :, 0])
+            assert np.array_equal(gc.tables[:, :, k], one.tables[:, :, 0])
             assert np.array_equal(gc.output_points[k], one.output_points[0])
 
     @pytest.mark.parametrize("k", [0, 16, 32])
@@ -277,7 +277,7 @@ class TestBatch:
         honest = evaluate(gc, labels, row_tamper=record)
         assert [bits_to_word(b) for b in honest.tolist()] == \
             [clamp_oracle(x) for x in xs]
-        gc.tables[j, decrypted[gid][k], 0, k, 0] ^= np.uint64(1)
+        gc.tables[j, decrypted[gid][k], k, 0] ^= np.uint64(1)
         with pytest.raises(GcEvaluationFault, match=f"AND gate {gid}$"):
             evaluate(gc, labels)
 

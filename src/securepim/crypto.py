@@ -44,7 +44,8 @@ class KeyStore:
         key = bytes.fromhex(key_hex)
         if len(key) != 16:
             raise ValueError("key must be 16 bytes of hex")
-        self._ciphers[key_id] = Cipher(algorithms.AES(key), modes.ECB())
+        # one ECB context per key: ECB keeps no state between updates
+        self._ciphers[key_id] = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
 
     def _cipher(self, key_id):
         try:
@@ -63,8 +64,7 @@ class KeyStore:
         counters = np.empty((nblocks, 2), dtype="<u8")
         counters[:, 0] = np.uint64(version & 0xFFFFFFFF) | (np.uint64(stream_id) << np.uint64(32))
         counters[:, 1] = np.arange(first_block, first_block + nblocks, dtype=np.uint64)
-        enc = self._cipher(key_id).encryptor()
-        out = enc.update(counters.tobytes()) + enc.finalize()
+        out = self._cipher(key_id).update(counters.tobytes())
         if on_prf is not None:
             on_prf(nblocks)
         return out

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import ring
 from .errors import ConfigError
-from .pimsim import DeviceTopology
 from .host import (
     DEVICE_SCHEMES,
     SHARE_SCHEMES,
@@ -24,6 +23,7 @@ from .host import (
     SchemeConfig,
     Session,
 )
+from .pimsim import DeviceTopology
 
 MLP_DEFAULTS = {"depth": 10, "dim": 16}
 DLRM_DEFAULTS = {"tables": 4, "rows": 32, "cols": 8, "batch": 8, "pf": 4}

@@ -119,9 +119,9 @@ def garble(circuit: BoolCircuit, seed):
     # randbytes(16 k) is the stream of k getrandbits(128) calls: delta,
     # input zero-labels, then AND output zero-labels in gate order
     draws = 1 + len(inputs) + len(ands)
-    rand = np.frombuffer(
+    rand = np.ascontiguousarray(np.frombuffer(
         b"".join(random.Random(int(s)).randbytes(LABEL_BYTES * draws) for s in seeds),
-        dtype=np.uint64).reshape(n, draws, 2).swapaxes(0, 1)
+        dtype=np.uint64).reshape(n, draws, 2).swapaxes(0, 1))
     delta = rand[0] | _LSB
     zero = [None] * circuit.n_wires
     for w, label in zip(inputs, rand[1:]):
@@ -151,7 +151,9 @@ def garble(circuit: BoolCircuit, seed):
     keys[..., 1, 0] ^= tweaks[..., 1]
     tables = _hash(keys).reshape(len(ands), 4, n, 4)
     out = tables[..., 2:]                 # the masked output labels
-    out ^= rand[1 + len(inputs):].reshape(shape)[:, None]
+    zo = rand[1 + len(inputs):, None]
+    out[..., 0] ^= zo[..., 0]
+    out[..., 1] ^= zo[..., 1]
     _xor_delta(out, (pa[:, None] ^ _ROW_A) & (pb[:, None] ^ _ROW_B), delta)
     output_points = np.array([zero[w][:, 0] & 1 for w in circuit.outputs],
                              dtype=np.uint8).reshape(len(circuit.outputs), n).T
@@ -208,7 +210,7 @@ def evaluate(gc: GarbledCircuit, input_labels, transcript: EvalTranscript = None
             m = rows ^ h
             if m[:, :2].any():
                 raise GcEvaluationFault(f"row check failed at AND gate {gid}")
-            labels[g.out] = m[:, 2:]
+            labels[g.out] = np.ascontiguousarray(m[:, 2:])
     bits = np.array([labels[w][:, 0] & 1 for w in circ.outputs],
                     dtype=np.uint8).reshape(len(circ.outputs), -1).T ^ gc.output_points
     return bits[0].tolist() if scalar else bits

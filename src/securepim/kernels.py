@@ -1,20 +1,19 @@
 """Hot numeric kernels, vectorized in numpy.
 
-Ring kernels work on uint32 arrays mod 2^32.  MAC kernels work on uint64
-residues mod the Mersenne prime q = 2^61 - 1 and rely on every intermediate
-fitting 64 bits (see the limb bounds in ``_mul61``).
+Ring kernels work on uint32 arrays mod 2^32.  MAC kernels fold ring words
+into residues mod the Mersenne prime q = 2^61 - 1.
 
-The MAC tag of a column is a Horner polynomial,
-``tag_j = sum_i M[i,j] * s^(m-i) mod q``.  Instead of folding one row at a
-time, it is computed as one ``mulmod61`` of the operand by the power vector
-``[s^m, ..., s^1]`` followed by an exact sum mod q.  The sum adds the low
-and high 32-bit halves of the products (each < 2^62) separately, so neither
-partial sum can wrap uint64 while a fold has fewer than 2^32 terms, then
-recombines them as ``hi * 2^32 + lo mod q``.  The result is the same residue
-Horner's rule gives, bit for bit.
+A MAC operand is the signed int64 lift of ring words (``mac.lift``), so
+every value v has |v| <= 2^31.  The tag of a column is a Horner polynomial,
+``tag_j = sum_i M[i,j] * s^(m-i) mod q``.  It is folded against the power
+vector ``[s^m, ..., s^1]`` (cached per secret ``s``) split into four 16-bit
+limbs: one int64 product ``limbs @ M`` whose terms are each below 2^47, so a
+block of up to 2^16 terms sums exactly.  Limb sum k, reduced mod q, weighs
+2^(16k), which mod q is a 61-bit rotate.  ``dot_tags`` splits the tag
+residues instead.  The result is the residue Horner's rule gives, bit for bit.
 """
 
-import math
+import functools
 
 import numpy as np
 
@@ -22,7 +21,9 @@ MASK32 = np.uint64(0xFFFFFFFF)
 Q61 = (1 << 61) - 1
 _M61 = np.uint64(Q61)
 _M29 = np.uint64((1 << 29) - 1)
-_BLOCK_TERMS = 1 << 14  # products folded per block; bounds uint64 temporaries
+_LIMB_SHIFTS = np.arange(0, 64, 16, dtype=np.uint64)
+_ROTATE_BACK = np.uint64(61) - _LIMB_SHIFTS
+_EXACT_TERMS = 1 << 16  # 2^16 terms below 2^47 sum exactly in int64
 
 
 def gemv(W: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -55,8 +56,8 @@ def _mod61(x):
     return x - np.where(x >= _M61, _M61, np.uint64(0))
 
 
-def _mul61(a, b):
-    """A uint64 < 2^61 + 8 congruent to a * b mod q, for a, b < 2^62."""
+def mulmod61(a, b):
+    """Vectorized (a * b) mod 2^61-1 for uint64 residues < 2^62."""
     a0 = a & MASK32
     a1 = a >> np.uint64(32)
     b0 = b & MASK32
@@ -65,53 +66,51 @@ def _mul61(a, b):
     mid = _fold61(a1 * b0 + a0 * b1)
     acc += (mid >> np.uint64(29)) + ((mid & _M29) << np.uint64(32))
     acc += (a1 * b1) << np.uint64(3)  # 2^64 = 8 mod q
-    return _fold61(acc)
+    return _mod61(_fold61(acc))
 
 
-def mulmod61(a, b):
-    """Vectorized (a * b) mod 2^61-1 for uint64 residues < 2^62."""
-    return _mod61(_mul61(a, b))
+def _limbs16(p: np.ndarray) -> np.ndarray:
+    """Residues (k,) as their 16-bit limbs, int64 (4, k), low limb first."""
+    limbs = np.ascontiguousarray(p, dtype="<u8").view("<u2").reshape(-1, 4)
+    return limbs.T.astype(np.int64, order="C")
 
 
-def _dot61(a, b):
-    """sum_i a[i] * b[i] mod q along axis 0, exactly; a, b < 2^62.
+def _limb_sums(v: np.ndarray, limbs: np.ndarray) -> np.ndarray:
+    """``limbs @ v`` mod q along axis 0, as int64 residues, limb axis first.
 
-    ``b`` broadcasts against ``a`` (a column of powers against a matrix).
-    Rows are folded in blocks of about ``_BLOCK_TERMS`` products.
+    ``v`` is signed int64 with |v| <= 2^31, (m,) or (m, n).  Each product
+    is below 2^47, so a block of up to ``_EXACT_TERMS`` terms sums exactly
+    in int64; longer folds are reduced block by block.
     """
-    step = max(1, _BLOCK_TERMS // max(math.prod(a.shape[1:]), 1))
-    lo = np.zeros(a.shape[1:], dtype=np.uint64)
-    hi = np.zeros(a.shape[1:], dtype=np.uint64)
-    for start in range(0, a.shape[0], step):
-        prods = _mul61(a[start:start + step], b[start:start + step])
-        lo += (prods & MASK32).sum(axis=0, dtype=np.uint64)
-        hi += (prods >> np.uint64(32)).sum(axis=0, dtype=np.uint64)
-    # hi * 2^32 = (hi >> 29) * 2^61 + (hi mod 2^29) * 2^32, and 2^61 = 1 mod q
-    hi_shifted = ((hi & _M29) << np.uint64(32)) + (hi >> np.uint64(29))
-    return _mod61(hi_shifted + _mod61(lo))
+    sums = [np.einsum("km,m...->k...", limbs[:, i:i + _EXACT_TERMS],
+                      v[i:i + _EXACT_TERMS]) % Q61
+            for i in range(0, max(v.shape[0], 1), _EXACT_TERMS)]
+    return functools.reduce(lambda a, b: (a + b) % Q61, sums)
+
+
+def _recombine(sums: np.ndarray) -> int:
+    """sum_k sums[k] * 2^(16k) mod q for the four limb sums of one fold."""
+    return sum(int(a) << 16 * k for k, a in enumerate(sums.tolist())) % Q61
 
 
 class _PowerCache:
-    """Single-slot cache of ``[s^k, ..., s^2, s^1]`` for the last ``s``.
+    """Single-slot cache of ``[s^k, ..., s^1]`` and its limbs, for the last ``s``.
 
     The MAC secret is fixed per session, so a run builds its vector once and
     grows it by doubling; any shorter fold reads a suffix of it.
     """
 
     def __init__(self):
-        self.s = None
-        self.desc = np.zeros(0, dtype=np.uint64)
+        self.s = self.desc = self.limbs = None
 
-    def powers(self, s: int, m: int) -> np.ndarray:
-        """``[s^m, ..., s^1]`` as uint64 residues."""
-        if s != self.s:
-            self.s = s
-            self.desc = np.array([s], dtype=np.uint64)
-        desc = self.desc
-        while desc.size < m:  # [s^2k .. s^(k+1)] = [s^k .. s^1] * s^k
-            desc = np.concatenate((mulmod61(desc, desc[0]), desc))
-        self.desc = desc
-        return desc[desc.size - m:]
+    def powers_limbs(self, s: int, m: int) -> np.ndarray:
+        """``_limbs16([s^m, ..., s^1])``."""
+        if s != self.s or self.desc.size < m:
+            desc = self.desc if s == self.s else np.array([s], dtype=np.uint64)
+            while desc.size < m:  # [s^2k .. s^(k+1)] = [s^k .. s^1] * s^k
+                desc = np.concatenate((mulmod61(desc, desc[0]), desc))
+            self.s, self.desc, self.limbs = s, desc, _limbs16(desc)
+        return self.limbs[:, self.desc.size - m:]
 
 
 _POWERS = _PowerCache()
@@ -119,15 +118,17 @@ _POWERS = _PowerCache()
 
 def tag_columns(m_lifted: np.ndarray, s: int) -> np.ndarray:
     """Per-column Horner polynomial: tag_j = sum_i M[i,j] * s^(m-i) mod q."""
-    p = _POWERS.powers(s, m_lifted.shape[0])
-    return _dot61(m_lifted, p[:, None])
+    limbs = _POWERS.powers_limbs(s, m_lifted.shape[0])
+    r = _limb_sums(m_lifted, limbs).T.astype(np.uint64)
+    r = ((r << _LIMB_SHIFTS) & _M61) | (r >> _ROTATE_BACK)  # r * 2^(16k) mod q
+    return _mod61(r.sum(axis=-1, dtype=np.uint64))
 
 
 def poly_hash(v_lifted: np.ndarray, s: int) -> int:
     """The one-column case of ``tag_columns``."""
-    return int(_dot61(v_lifted, _POWERS.powers(s, v_lifted.shape[0])))
+    return _recombine(_limb_sums(v_lifted, _POWERS.powers_limbs(s, v_lifted.shape[0])))
 
 
 def dot_tags(tags: np.ndarray, x_lifted: np.ndarray) -> int:
     """sum_j tags[j] * x[j] mod q."""
-    return int(_dot61(tags, x_lifted))
+    return _recombine(_limb_sums(x_lifted, _limbs16(tags)))

@@ -3,14 +3,13 @@
 Per-column tags Tag_j = sum_i M[i,j] * s^(m-i) mod q commute with GEMV:
 running the kernel over the tags (FTag_e) must equal hashing the merged
 result (FTag_r).  Ring words enter the mod-q domain through a signed lift
-to (-2^31, 2^31), so the identity holds whenever the true integer result
+to [-2^31, 2^31), so the identity holds whenever the true integer result
 fits a signed word; desk-scale workloads are sized to guarantee that.
 
-For q = 2^61 - 1 the tags and hashes come from ``kernels``: each residue is
-one vectorized product of the lifted operand with the power vector
-``[s^m, ..., s^1]`` (cached per secret ``s``) and an exact sum mod q, which
-stays exact for folds of fewer than 2^32 terms.  Other moduli use the
-big-int Horner loop below.
+For q = 2^61 - 1 the tags and hashes come from ``kernels``, which take the
+lift as signed int64 (``lift``) and fold it against 16-bit limbs of the
+cached powers ``[s^m, ..., s^1]`` or of the tags, exactly per block of 2^16
+terms.  Other moduli use the big-int Horner loop below.
 """
 
 from dataclasses import dataclass
@@ -37,10 +36,9 @@ class TagVector:
     q: int = Q
 
 
-def lift(words, q: int = Q) -> np.ndarray:
-    """Signed lift of ring words into [0, q)."""
-    s = ring.to_signed_array(np.ascontiguousarray(words, dtype=np.uint32))
-    return (s % q).astype(np.uint64)
+def lift(words) -> np.ndarray:
+    """Signed lift of ring words: int64 in [-2^31, 2^31)."""
+    return ring.to_signed_array(words)
 
 
 def _lift_int(w: int, q: int) -> int:
@@ -55,7 +53,7 @@ def gen_tags(matrix: np.ndarray, s: int, q: int = Q, axis: str = AXIS_COLUMNS) -
         raise DimensionError("tags are defined over 2-D operands")
     data = m if axis == AXIS_COLUMNS else m.T
     if q == Q:
-        res = kernels.tag_columns(np.ascontiguousarray(lift(data)), s)
+        res = kernels.tag_columns(lift(data), s)
     else:
         res = np.array(
             [_poly_hash_generic(col, s, q) for col in data.T], dtype=np.uint64

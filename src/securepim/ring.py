@@ -73,7 +73,7 @@ def trunc(w: int) -> int:
 # numpy vector helpers; arrays are uint32 unless stated otherwise.
 
 def to_signed_array(a: np.ndarray) -> np.ndarray:
-    return a.astype(np.uint32).view(np.int32).astype(np.int64)
+    return np.asarray(a, dtype=np.uint32).view(np.int32).astype(np.int64)
 
 
 def from_signed_array(v: np.ndarray) -> np.ndarray:

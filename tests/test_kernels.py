@@ -1,6 +1,10 @@
 """Hot kernels against big-int oracles, including the edges of the
-power-vector MAC fold: block boundaries, all-(q-1) operands, extreme
-secrets, empty operands and reuse of the cached power vector.
+signed-limb MAC fold: the 2^16-term exact block, the most negative ring
+word against all-(q-1) tags, extreme secrets, empty operands and the
+cached power limbs across secrets and lengths.
+
+MAC operands are what the callers pass: ``mac.lift`` of uint32 ring words
+(signed int64); tags are residues in [0, q).
 """
 
 import importlib.util
@@ -16,7 +20,8 @@ from securepim import kernels, mac, ring
 
 from conftest import rand_words
 
-BLOCK = kernels._BLOCK_TERMS
+EDGE = 1 << 16  # terms per exact int64 block: 2^31 * 2^16 * 2^16 < 2^63
+MIN_WORD = 1 << 31  # lifts to -2^31
 
 
 def horner(col, s):
@@ -30,8 +35,16 @@ def horner_columns(lifted, s):
     return [horner(lifted[:, j], s) for j in range(lifted.shape[1])]
 
 
+def dot(tags, lifted):
+    return sum(int(t) * int(v) for t, v in zip(tags, lifted)) % mac.Q
+
+
 def rand_residues(rng, shape):
     return np.asarray(rng.integers(0, mac.Q, size=shape), dtype=np.uint64)
+
+
+def rand_lifted(rng, shape):
+    return mac.lift(rand_words(rng, shape))
 
 
 @settings(max_examples=40, deadline=None)
@@ -82,53 +95,63 @@ def test_mulmod61_matches_bigint(seed):
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_tag_kernels_match_bigint(seed):
     rng = np.random.default_rng(seed)
-    lifted = rand_residues(rng, (9, 6))
+    lifted = rand_lifted(rng, (9, 6))
     s = int(rng.integers(1, mac.Q))
     expect = horner_columns(lifted, s)
     assert kernels.tag_columns(lifted, s).tolist() == expect
-    v = np.ascontiguousarray(lifted[:, 0])
-    assert kernels.poly_hash(v, s) == expect[0]
+    assert kernels.poly_hash(lifted[:, 0], s) == expect[0]
 
 
 def test_dot_tags_no_overflow_at_width_64():
     rng = np.random.default_rng(0)
     tags = rand_residues(rng, 64)
-    x = rand_residues(rng, 64)
-    expect = sum(int(t) * int(v) for t, v in zip(tags, x)) % mac.Q
-    assert kernels.dot_tags(tags, x) == expect
+    x = rand_lifted(rng, 64)
+    assert kernels.dot_tags(tags, x) == dot(tags, x)
 
 
-@pytest.mark.parametrize("m", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 4096])
+@pytest.mark.parametrize("m", [1, 2, 4096, (1 << 14) - 1, 1 << 14, (1 << 14) + 1,
+                               EDGE - 1, EDGE, EDGE + 1])
 def test_fold_lengths_across_block_edges(m):
     rng = np.random.default_rng(m)
     s = int(rng.integers(1, mac.Q))
-    v = rand_residues(rng, m)
+    v = rand_lifted(rng, m)
     assert kernels.poly_hash(v, s) == horner(v, s)
-    w = rand_residues(rng, m)
-    assert kernels.dot_tags(v, w) == \
-        sum(int(a) * int(b) for a, b in zip(v, w)) % mac.Q
-    # three columns move the row block edge to BLOCK // 3
-    rows = min(m, BLOCK // 3 + 1)
-    M = rand_residues(rng, (rows, 3))
+    tags = rand_residues(rng, m)
+    assert kernels.dot_tags(tags, v) == dot(tags, v)
+    M = rand_lifted(rng, (m, 3))
     assert kernels.tag_columns(M, s).tolist() == horner_columns(M, s)
 
 
 @pytest.mark.parametrize("s", [1, mac.Q - 1, 0x1234_5678_9ABC_DEF])
 def test_all_max_residues_and_extreme_secrets(s):
-    full = np.full((4096, 2), mac.Q - 1, dtype=np.uint64)
-    expect = horner(full[:, 0], s)
-    assert kernels.tag_columns(full, s).tolist() == [expect, expect]
-    col = np.ascontiguousarray(full[:, 0])
-    assert kernels.poly_hash(col, s) == expect
-    assert kernels.dot_tags(col, col) == (4096 * (mac.Q - 1) ** 2) % mac.Q
+    # the extreme ring words: -2^31 and 2^31 - 1 after the lift
+    full = mac.lift(np.array([[MIN_WORD, MIN_WORD - 1]] * 4096, dtype=np.uint32))
+    expect = horner_columns(full, s)
+    assert kernels.tag_columns(full, s).tolist() == expect
+    assert kernels.poly_hash(full[:, 0], s) == expect[0]
+    tags = np.full(4096, mac.Q - 1, dtype=np.uint64)
+    assert kernels.dot_tags(tags, full[:, 0]) == (4096 * (mac.Q - 1) * -(1 << 31)) % mac.Q
+    assert kernels.dot_tags(tags, full[:, 1]) == dot(tags, full[:, 1])
+
+
+@pytest.mark.parametrize("m", [EDGE, EDGE + 1])
+def test_worst_case_fold_at_exact_block_edge(m):
+    """Every term at the bound: -2^31 against all-(q-1) tags and s = q-1."""
+    v = mac.lift(np.full(m, MIN_WORD, dtype=np.uint32))
+    tags = np.full(m, mac.Q - 1, dtype=np.uint64)
+    assert kernels.dot_tags(tags, v) == (m * (mac.Q - 1) * -(1 << 31)) % mac.Q
+    expect = horner(v, mac.Q - 1)
+    assert kernels.poly_hash(v, mac.Q - 1) == expect
+    M = np.repeat(v[:, None], 2, axis=1)
+    assert kernels.tag_columns(M, mac.Q - 1).tolist() == [expect, expect]
 
 
 def test_zero_row_operands():
-    empty = np.zeros((0, 5), dtype=np.uint64)
+    empty = np.zeros((0, 5), dtype=np.int64)
     assert kernels.tag_columns(empty, 7).tolist() == [0] * 5
-    assert kernels.poly_hash(np.zeros(0, dtype=np.uint64), 7) == 0
+    assert kernels.poly_hash(np.zeros(0, dtype=np.int64), 7) == 0
     assert kernels.dot_tags(np.zeros(0, dtype=np.uint64),
-                            np.zeros(0, dtype=np.uint64)) == 0
+                            np.zeros(0, dtype=np.int64)) == 0
     assert mac.gen_tags(np.zeros((0, 5), dtype=np.uint32), 7).residues.tolist() \
         == [0] * 5
     assert mac.hash_result(np.zeros(0, dtype=np.uint32), 7) == 0
@@ -138,11 +161,22 @@ def test_power_cache_reuse():
     rng = np.random.default_rng(3)
     s1, s2 = 0x0DEF_ACED_BEEF_123, 0x0123_4567_89AB_CDE
     for s, m in [(s1, 3), (s1, 100), (s1, 5), (s1, 100), (s2, 50), (s1, 7)]:
-        M = rand_residues(rng, (m, 2))
+        M = rand_lifted(rng, (m, 2))
         assert kernels.tag_columns(M, s).tolist() == horner_columns(M, s)
-        v = np.ascontiguousarray(M[:, 1])
-        assert kernels.poly_hash(v, s) == horner(v, s)
+        assert kernels.poly_hash(M[:, 1], s) == horner(M[:, 1], s)
         assert kernels._POWERS.s == s and kernels._POWERS.desc.size >= m
+
+
+def test_limb_cache_follows_the_secret():
+    """Cached limbs belong to the current secret even when the length repeats."""
+    rng = np.random.default_rng(5)
+    s1, s2 = 0x0DEF_ACED_BEEF_123, 3
+    steps = [(s1, 1), (s2, 1), (s1, 1), (s1, 64), (s2, 64), (s1, 64),
+             (s1, 300), (s2, 300), (s2, 2), (s1, 2), (s2, 1)]
+    for s, m in steps:
+        M = rand_lifted(rng, (m, 3))
+        assert kernels.tag_columns(M, s).tolist() == horner_columns(M, s), (s, m)
+        assert kernels.poly_hash(M[:, 0], s) == horner(M[:, 0], s), (s, m)
 
 
 def test_benchmark_script_smoke(tmp_path, capsys):
@@ -154,5 +188,6 @@ def test_benchmark_script_smoke(tmp_path, capsys):
     assert bench.main(["--size", "16", "--repeat", "1", "--json", str(out)]) == 0
     assert "tag_columns" in capsys.readouterr().out
     rows = json.loads(out.read_text())["kernels"]
-    assert set(rows) == {"gemv", "gemv_t", "tag_columns", "poly_hash", "dot_tags"}
+    assert set(rows) == {"gemv", "gemv_t", "tag_columns", "poly_hash", "dot_tags",
+                         "gen_tags"}
     assert all(r["numpy_ms"] > 0 and r["python_ms"] > 0 for r in rows.values())

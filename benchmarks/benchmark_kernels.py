@@ -6,8 +6,8 @@ loop that computes the same result with unbounded integers (Horner's rule
 for the MAC tag and hash), on the same operands, so the vectorization gain
 stays visible.  MAC operands are the signed lift of random ring words, as
 the callers pass them; the ``gen_tags`` row times ``mac.gen_tags`` on the
-raw words, lift included.  The references run once per repetition like the kernels;
-both columns report the best of ``--repeat`` runs.
+raw words, lift included.  The references run once per repetition like the
+kernels; both columns report the best of ``--repeat`` runs.
 
 Usage:
     python benchmarks/benchmark_kernels.py [--size 512] [--repeat 20]

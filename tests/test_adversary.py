@@ -33,6 +33,20 @@ class TestDetection:
         rep = run_campaign(camp)
         assert all(t["kind"] == "verify_fail" for t in rep["log"])
 
+    def test_bit_flip_outcomes_pinned(self):
+        # pins the surface and RNG draw each trial hits.  Trials 95 and 190
+        # flip bit 30 of a resident matrix word whose broadcast share word
+        # is divisible by 4; 2^30 * 4k = 0 mod 2^32 leaves the result
+        # unchanged, so these flips are benign, not missed
+        camp = Campaign(trials=200, targets=list(TAMPER_TARGETS), seed=5,
+                        mutation="bit_flip")
+        rep = run_campaign(camp)
+        assert rep["by_target"] == {
+            t: {"trials": 40, "detected": 38 if t == "resident_share" else 40}
+            for t in TAMPER_TARGETS}
+        assert [i for i, t in enumerate(rep["log"]) if not t["detected"]] \
+            == [95, 190]
+
     @pytest.mark.parametrize("workload", ["mlp", "linreg"])
     def test_campaigns_over_real_workloads(self, workload):
         camp = Campaign(trials=6, targets=["device_result", "channel_d2h"],

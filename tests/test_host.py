@@ -91,6 +91,22 @@ class TestPublicMatrixOp:
         with pytest.raises(ConfigError, match="no precomputed resCPU left"):
             op.apply(self.x)
 
+    @pytest.mark.parametrize("scheme", ["pim_runtime", "pim_enc_dec"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tampered_online_broadcast_detected(self, scheme, seed):
+        # armed after placement, so channel_h2d hits the per-call broadcast
+        # of the vector share (or its sealed form), not the matrix load
+        rng = np.random.default_rng(seed)
+        W = (rng.integers(-128, 129, (16, 16)) & ring.MASK).astype(np.uint32)
+        x = (rng.integers(-4096, 4097, 16) & ring.MASK).astype(np.uint32)
+        sess = session(scheme, verify=True, seed=seed)
+        op = PublicMatrixOp(sess, W, uses=1)
+        sess.device.arm_tamper(TamperSpec("channel_h2d", "word_randomize"))
+        with pytest.raises(VerificationError):
+            op.apply(x)
+        assert [t["target"] for t in sess.device.tamper_log] == ["channel_h2d"]
+        assert sess.device.tamper_log[0]["index"] < x.size
+
 
 class TestPrivateMatrixOp:
     X = np.asarray([[1, 2], [3, 4]], dtype=np.uint32)

@@ -1,18 +1,23 @@
 """Fault-injection campaigns over the simulator's tamper hooks.
 
-Each trial runs a verified workload with exactly one armed tamper and
-records whether a MAC mismatch or a garbled-table fault surfaced it.
+Each trial, tampered or clean, is one verified ``run_workload`` call
+classified by the check that stopped it: a MAC mismatch (``verify_fail``), a
+garbled-table fault (``gc_fault``) or none (undetected, which includes a
+benign flip that leaves the result unchanged).  The default workload
+``gemv16`` is data: linear targets run a one-layer 16x16 ``mlp``, and
+``gc_table`` one ``logreg`` step that switches a single scalar to Yao.
 """
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import ring
 from .errors import ConfigError, GcEvaluationFault, VerificationError
-from .host import PublicMatrixOp, SchemeConfig, Session
+from .host import DEVICE_SCHEMES, SchemeConfig
 from .pimsim import MUTATIONS, TAMPER_TARGETS, TamperSpec
-from .workloads import WORKLOADS, merged_params, run_workload
+from .workloads import WORKLOADS, check_scheme, merged_params, run_workload
+
+GEMV16 = {"linear": ("mlp", {"depth": 1, "dim": 16}),
+          "gc_table": ("logreg", {"samples": 1, "features": 1,
+                                  "iterations": 1})}
 
 
 @dataclass
@@ -26,6 +31,7 @@ class Campaign:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        """Reject bad fields and tampers that cannot fire before any trial."""
         for key in ("trials", "seed"):
             val = getattr(self, key)
             if isinstance(val, bool) or not isinstance(val, int) or val < 0:
@@ -37,6 +43,10 @@ class Campaign:
                               f"{TAMPER_TARGETS}, got {self.targets!r}")
         if self.mutation not in MUTATIONS:
             raise ConfigError(f"unknown mutation {self.mutation!r}")
+        SchemeConfig(self.scheme)  # an unknown scheme is a ConfigError
+        if self.scheme not in DEVICE_SCHEMES:
+            raise ConfigError(f"campaign scheme must be one of "
+                              f"{sorted(DEVICE_SCHEMES)}, got {self.scheme!r}")
         if self.workload == "gemv16":
             if self.params:
                 raise ConfigError(f"campaign workload gemv16 takes no params, "
@@ -45,30 +55,31 @@ class Campaign:
             merged_params(self.workload, self.params or None)
         else:
             raise ConfigError(f"unknown campaign workload {self.workload!r}")
+        for target in self.targets:
+            name, _params = self.body(target)
+            if target == "gc_table" and name != "logreg":
+                raise ConfigError(f"gc_table needs a workload that garbles "
+                                  f"(logreg or gemv16), got {name!r}")
+            check_scheme(name, self.scheme)
+
+    def body(self, target: str):
+        """The (workload, params) that a trial on ``target`` runs."""
+        if self.workload != "gemv16":
+            return self.workload, self.params or None
+        return GEMV16["gc_table" if target == "gc_table" else "linear"]
 
 
-def _run_gemv16(cfg: SchemeConfig, seed: int, device_tamper=None):
-    """Minimal verified GEMV target: public 16x16 matrix, private vector."""
-    rng = np.random.default_rng(seed)
-    W = ((rng.integers(-128, 129, (16, 16))) & ring.MASK).astype(np.uint32)
-    x = ((rng.integers(-4096, 4097, 16)) & ring.MASK).astype(np.uint32)
-    sess = Session(cfg, seed)
-    op = PublicMatrixOp(sess, W, uses=1, step="gemv16")
-    if device_tamper is not None:
-        sess.device.arm_tamper(device_tamper)
-    op.apply(x)
-    return sess
-
-
-def _run_once(campaign: Campaign, seed: int, spec):
-    cfg = SchemeConfig(scheme=campaign.scheme, verify=True,
-                       variant="A2Y" if spec is not None
-                       and spec.target == "gc_table" else "A")
-    if campaign.workload == "gemv16":
-        return _run_gemv16(cfg, seed, device_tamper=spec)
-    _result, sess = run_workload(campaign.workload, cfg, seed,
-                                 campaign.params or None, tamper=spec)
-    return sess
+def _trial(name: str, cfg: SchemeConfig, seed: int, params=None, spec=None):
+    """One verified run: the kind of check that stopped it, or None."""
+    try:
+        _words, sess = run_workload(name, cfg, seed, params, tamper=spec)
+    except VerificationError:
+        return "verify_fail"
+    except GcEvaluationFault:
+        return "gc_fault"
+    if spec is not None and not sess.device.tamper_log:
+        raise ConfigError(f"tamper on {spec.target!r} never fired in {name}")
+    return None
 
 
 def run_campaign(campaign: Campaign) -> dict:
@@ -77,57 +88,23 @@ def run_campaign(campaign: Campaign) -> dict:
     trials = []
     for i in range(campaign.trials):
         target = campaign.targets[i % len(campaign.targets)]
-        seed = campaign.seed * 1_000_003 + i
-        spec = TamperSpec(target=target, mutation=campaign.mutation)
-        detected = False
-        kind = None
-        if campaign.workload == "gemv16" and target == "gc_table":
-            detected, kind = _gc_trial(seed)
-        else:
-            try:
-                sess = _run_once(campaign, seed, spec)
-                if sess.device._armed:
-                    raise RuntimeError(f"tamper on {target!r} never fired")
-            except VerificationError:
-                detected, kind = True, "verify_fail"
-            except GcEvaluationFault:
-                detected, kind = True, "gc_fault"
+        name, params = campaign.body(target)
+        cfg = SchemeConfig(campaign.scheme, verify=True,
+                           variant="A2Y" if target == "gc_table" else "A")
+        kind = _trial(name, cfg, campaign.seed * 1_000_003 + i, params,
+                      TamperSpec(target=target, mutation=campaign.mutation))
         by_target[target]["trials"] += 1
-        by_target[target]["detected"] += int(detected)
-        trials.append({"target": target, "detected": detected, "kind": kind})
-    return {
-        "trials": len(trials),
-        "detected": sum(t["detected"] for t in trials),
-        "by_target": by_target,
-        "log": trials,
-    }
-
-
-def _gc_trial(seed: int):
-    """One corrupted garbled-table evaluation on the device."""
-    cfg = SchemeConfig(scheme="pim_runtime", verify=True, variant="A2Y")
-    sess = Session(cfg, seed)
-    sess.device.arm_tamper(TamperSpec(target="gc_table"))
-    rng = np.random.default_rng(seed)
-    p = (rng.integers(-4096, 4097, 1) & ring.MASK).astype(np.uint32)
-    try:
-        sess.a2y_activation(p)
-    except GcEvaluationFault:
-        return True, "gc_fault"
-    return False, None
+        by_target[target]["detected"] += int(kind is not None)
+        trials.append({"target": target, "detected": kind is not None,
+                       "kind": kind})
+    return {"trials": len(trials),
+            "detected": sum(t["detected"] for t in trials),
+            "by_target": by_target, "log": trials}
 
 
 def clean_run_suite(workloads, schemes, seeds) -> dict:
     """Completeness half: verified clean runs must never trip a check."""
-    failures = 0
-    runs = 0
-    for name in workloads:
-        for scheme in schemes:
-            for seed in seeds:
-                cfg = SchemeConfig(scheme=scheme, verify=True)
-                try:
-                    run_workload(name, cfg, seed)
-                except VerificationError:
-                    failures += 1
-                runs += 1
-    return {"runs": runs, "false_positives": failures}
+    kinds = [_trial(name, SchemeConfig(scheme, verify=True), seed)
+             for name in workloads for scheme in schemes for seed in seeds]
+    return {"runs": len(kinds),
+            "false_positives": sum(k is not None for k in kinds)}

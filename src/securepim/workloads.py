@@ -211,6 +211,14 @@ def merged_params(name: str, params) -> dict:
     return p
 
 
+def check_scheme(name: str, scheme: str) -> None:
+    """pim_precompute needs static public operands, so it refuses training."""
+    if name in TRAINING_WORKLOADS and scheme == "pim_precompute":
+        raise ConfigError(
+            "pim_precompute requires static public operands; "
+            f"rejected for training workload {name!r}")
+
+
 def run_workload(name: str, cfg: SchemeConfig, seed: int, params=None,
                  tamper=None):
     """The one setup path: check the input, merge the workload's defaults with
@@ -222,10 +230,7 @@ def run_workload(name: str, cfg: SchemeConfig, seed: int, params=None,
     if not (_is_int(seed) and seed >= 0):
         raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     p = merged_params(name, params)
-    if name in TRAINING_WORKLOADS and cfg.scheme == "pim_precompute":
-        raise ConfigError(
-            "pim_precompute requires static public operands; "
-            f"rejected for training workload {name!r}")
+    check_scheme(name, cfg.scheme)
     rng = np.random.default_rng(seed)
     sess = Session(cfg, seed)
     if tamper is not None:

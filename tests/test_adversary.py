@@ -72,10 +72,30 @@ class TestCampaignParams:
         {"workload": "mlp", "params": {"dim": 0}},
         {"workload": "mlp", "params": {"dim": 1 << 20}},
         {"workload": "fft"},
+        {"scheme": "warp"},
+        {"scheme": "cpu_insecure"},                     # no device to tamper
+        {"scheme": "cpu_secure", "targets": ["gc_table"]},
+        {"workload": "mlp", "targets": ["gc_table"]},   # never garbles
+        {"workload": "gemm", "targets": ["gc_table"]},
+        {"scheme": "pim_precompute", "targets": ["gc_table"]},
+        {"scheme": "pim_precompute", "workload": "linreg"},
+        {"scheme": "pim_precompute", "workload": "logreg",
+         "targets": ["gc_table"]},
     ], ids=repr)
     def test_bad_params_rejected_before_any_trial(self, kwargs):
         with pytest.raises(ConfigError):
-            Campaign(trials=2, targets=["device_result"], **kwargs)
+            Campaign(**{"trials": 2, "targets": ["device_result"], **kwargs})
+
+    @pytest.mark.parametrize("kwargs", [
+        {"workload": "mlp", "params": {"depth": 0}},
+        {"workload": "logreg", "params": {"iterations": 0},
+         "targets": ["gc_table"]},
+    ], ids=repr)
+    def test_tamper_that_never_fires_is_config_error(self, kwargs):
+        camp = Campaign(**{"trials": 1, "targets": ["device_result"],
+                           **kwargs})
+        with pytest.raises(ConfigError, match="never fired"):
+            run_campaign(camp)
 
     def test_params_reach_real_workloads(self):
         camp = Campaign(trials=1, targets=["device_result"], workload="mlp",

@@ -79,6 +79,24 @@ class TestExitCodes:
         {"campaign": {"bogus": 1}},
         {"campaign": {"trials": 1, "targets": ["bogus"]}},
         {"campaign": {"trials": "3", "targets": ["device_result"]}},
+        # campaigns whose tamper cannot fire; zero trials shows the check
+        # runs before any trial
+        {"campaign": {"trials": 0, "targets": ["device_result"],
+                      "scheme": "warp"}},
+        {"campaign": {"trials": 1, "targets": ["device_result"],
+                      "scheme": "cpu_insecure"}},
+        {"campaign": {"trials": 1, "targets": ["gc_table"],
+                      "scheme": "cpu_insecure"}},
+        {"campaign": {"trials": 1, "targets": ["gc_table"],
+                      "workload": "mlp"}},
+        {"campaign": {"trials": 1, "targets": ["gc_table"],
+                      "scheme": "pim_precompute"}},
+        {"campaign": {"trials": 0, "targets": ["device_result"],
+                      "workload": "linreg", "scheme": "pim_precompute"}},
+        {"campaign": {"trials": 1, "targets": ["device_result"],
+                      "workload": "mlp", "params": {"depth": 0}}},
+        {"campaign": {"trials": 1, "targets": ["gc_table"],
+                      "workload": "logreg", "params": {"iterations": 0}}},
         {"out": 5},
         {"out": "no-such-dir/report.json"},
         ["--seed", "-1"],

@@ -56,7 +56,7 @@ class Campaign:
         else:
             raise ConfigError(f"unknown campaign workload {self.workload!r}")
         for target in self.targets:
-            name, _params = self.body(target)
+            name = self.body(target)[0]
             if target == "gc_table" and name != "logreg":
                 raise ConfigError(f"gc_table needs a workload that garbles "
                                   f"(logreg or gemv16), got {name!r}")
@@ -93,10 +93,10 @@ def run_campaign(campaign: Campaign) -> dict:
                            variant="A2Y" if target == "gc_table" else "A")
         kind = _trial(name, cfg, campaign.seed * 1_000_003 + i, params,
                       TamperSpec(target=target, mutation=campaign.mutation))
+        detected = kind is not None
         by_target[target]["trials"] += 1
-        by_target[target]["detected"] += int(kind is not None)
-        trials.append({"target": target, "detected": kind is not None,
-                       "kind": kind})
+        by_target[target]["detected"] += int(detected)
+        trials.append({"target": target, "detected": detected, "kind": kind})
     return {"trials": len(trials),
             "detected": sum(t["detected"] for t in trials),
             "by_target": by_target, "log": trials}

@@ -132,14 +132,15 @@ def _run_scenario(sc) -> int:
     out = sc.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError(f"out must be a path, got {out!r}")
+    variant = sc.get("variant")
     cfg = SchemeConfig(scheme=scheme, verify=bool(verify),
-                       variant=sc.get("variant") or "A")
+                       variant="A" if variant is None else variant)
     seed = 0 if sc.get("seed") is None else sc["seed"]
     params = sc.get("params")
     tamper = sc.get("tamper")
     spec = None if tamper is None else parse_tamper(tamper)
     campaign = sc.get("campaign")
-    campaign = _campaign(campaign) if campaign else None
+    campaign = None if campaign is None else _campaign(campaign)
     scenario_echo = {
         "workload": workload,
         "scheme": scheme,
@@ -157,7 +158,7 @@ def _run_scenario(sc) -> int:
         aborted = {"reason": type(exc).__name__, "detail": str(exc)}
         sess = exc.session
     report = build_report(scenario_echo, words, sess, aborted)
-    if campaign:
+    if campaign is not None:
         report["campaign"] = run_campaign(campaign)
     _emit(report, out)
     return EXIT_OK if aborted is None else EXIT_ABORT

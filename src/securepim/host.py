@@ -3,9 +3,11 @@
 The six schemes differ in where a private operand lives (host or device;
 plain, sealed or additively shared) and in how the device's result merges
 with the host's part, never in arithmetic, so every scheme produces
-bit-identical ring results for the same inputs.  Fixed-point truncation
-happens only on merged (reconstructed) values, which is what keeps that
-equivalence exact.
+bit-identical ring results for the same inputs.  All three ops share one
+protect, placement and merge path (``_PrivateOperand``): a private matrix is
+protected and placed once, offline; the private vector of a public-matrix
+layer is protected on each call.  Fixed-point truncation happens only on
+merged (reconstructed) values, which is what keeps that equivalence exact.
 """
 
 import functools
@@ -139,13 +141,11 @@ class Session:
 
     def seal_tag_store(self, tags: mac.TagVector):
         ctx = self.alloc_ctx()
-        sealed = mac.seal_tags(tags, ctx, self.ks, on_prf=self._off_prf)
-        return {"sealed": sealed, "ctx": ctx, "axis": tags.axis,
-                "length": tags.length}
+        return ctx, mac.seal_tags(tags, ctx, self.ks, on_prf=self._off_prf)
 
     def open_tag_store(self, store) -> mac.TagVector:
-        return mac.open_tags(store["sealed"], store["axis"], store["length"],
-                             store["ctx"], self.ks, on_prf=self._on_prf)
+        ctx, sealed = store
+        return mac.open_tags(sealed, ctx, self.ks, on_prf=self._on_prf)
 
     # -- nonlinear offload --------------------------------------------------
 
@@ -175,11 +175,87 @@ class Session:
         return bits_to_word(bits.T.astype(np.uint32)).reshape(p.shape)
 
 
-class PublicMatrixOp:
+class _PrivateOperand:
+    """A private operand held where the scheme keeps it: the one placement
+    and merge path of every op.  A private matrix is placed once, offline;
+    PublicMatrixOp holds its private vector afresh on every call."""
+
+    def _protect(self, M: np.ndarray, on_prf, ctx=None,
+                 reshare: bool = False) -> np.ndarray:
+        """M as the scheme keeps it outside trusted memory: plain, sealed
+        under a fresh context, or the share C = M - R under ``ctx`` (fresh
+        if None; a ``reshare`` is counted).  PRF calls go to ``on_prf``."""
+        s = self.sess
+        scheme = s.cfg.scheme
+        self.shape = M.shape
+        self.ctx = None
+        if scheme in SHARE_SCHEMES:
+            self.ctx = s.alloc_ctx() if ctx is None else ctx
+            s.reshare_events += reshare
+            return sharing.split(M, self.ctx, s.ks, on_prf=on_prf).cipher
+        if scheme in SEALED_SCHEMES:
+            self.ctx = s.alloc_ctx()
+            return s.ks.seal(self.ctx, M, on_prf=on_prf)
+        return M
+
+    def _place(self, M: np.ndarray, prefix: str, precompute=None) -> None:
+        """Protect M offline and hold it on the host or load it on the
+        device.  pim_precompute seals resCPU = host_fn(R, *args) offline for
+        each ``(key, host_fn, args)`` in ``precompute``; without static
+        operands it keeps R = M - C in trusted memory instead, so the online
+        phase needs no PRF calls."""
+        s = self.sess
+        data = self._protect(M, s._off_prf)
+        self._r = self._pre = None
+        if s.cfg.scheme == "pim_precompute" and precompute is None:
+            self._r = M - data
+        elif s.cfg.scheme == "pim_precompute":
+            self._pre = []
+            for key, host_fn, args in precompute:
+                r = sharing.host_share(self.ctx, M.shape, s.ks,
+                                       on_prf=s._off_prf)
+                self._pre.append(
+                    (key, s.seal_precomputed(host_fn(r, *args), M.size)))
+        self._held = s.device.load(s._next_name(prefix), data,
+                                   secret_plaintext=data is M) \
+            if s.cfg.scheme in DEVICE_SCHEMES else data
+
+    def _merge(self, host_fn, device_fn, sealed_fn, args: tuple, cost: int,
+               res_sealed=None) -> np.ndarray:
+        """Merge one linear kernel of the held operand M with public
+        ``args``: host only (``host_fn(M, *args)``, ``cost`` host MACs),
+        device only (``device_fn(held, *args)``), sealed device
+        (``sealed_fn(held, *args, ks, ctx, ctx_out)``), or the device share
+        plus the runtime R-kernel or the opened ``res_sealed`` resCPU."""
+        s = self.sess
+        scheme = s.cfg.scheme
+        if scheme not in DEVICE_SCHEMES:
+            M = self._held
+            if scheme in SEALED_SCHEMES:
+                M = s.ks.open(self.ctx, M, on_prf=s._on_prf)
+            s.online.host_mac_ops += cost
+            return host_fn(M, *args)
+        if scheme in SEALED_SCHEMES:
+            ctx_out = s.alloc_ctx()
+            y = sealed_fn(self._held, *args, s.ks, self.ctx, ctx_out)
+            return s.ks.open(ctx_out, y, on_prf=s._on_prf)
+        res_pim = device_fn(self._held, *args)
+        if scheme not in SHARE_SCHEMES:
+            return res_pim
+        if res_sealed is not None:
+            return res_pim + s.ks.open(*res_sealed, on_prf=s._on_prf)
+        r = self._r if self._r is not None else sharing.host_share(
+            self.ctx, self.shape, s.ks, on_prf=s._on_prf)
+        s.online.host_mac_ops += cost
+        return res_pim + host_fn(r, *args)
+
+
+class PublicMatrixOp(_PrivateOperand):
     """Linear layer with a public matrix applied to a private vector.
 
     pim_precompute requires the number of applications up front so resCPU
-    for every use can be computed and sealed in the offline phase.
+    for every use can be computed and sealed in the offline phase, each
+    under the context that use shares its vector with.
     """
 
     def __init__(self, session: Session, W: np.ndarray, uses: int = 1,
@@ -188,6 +264,7 @@ class PublicMatrixOp:
         self.W = np.ascontiguousarray(W, dtype=np.uint32)
         self.step = step
         self._use = 0
+        self._r = self._pre = None
         s = session
         self.tag_store = s.tag_store(self.W)
         if s.cfg.scheme in DEVICE_SCHEMES:
@@ -202,116 +279,21 @@ class PublicMatrixOp:
                 self._pre.append((ctx, s.seal_precomputed(res_cpu, self.W.size)))
 
     def apply(self, x: np.ndarray, reshare: bool = False) -> np.ndarray:
-        """Merged raw GEMV result (pre-truncation), verified if configured."""
+        """Merged raw GEMV result (pre-truncation), verified if configured;
+        ``reshare`` counts the share of x as a refresh."""
         s = self.sess
         x = np.ascontiguousarray(x, dtype=np.uint32)
-        scheme = s.cfg.scheme
-        if scheme not in DEVICE_SCHEMES:
-            if scheme in SEALED_SCHEMES:  # x is sealed at rest until used
-                ctx = s.alloc_ctx()
-                stored = s.ks.seal(ctx, x, on_prf=s._on_prf)
-                x = s.ks.open(ctx, stored, on_prf=s._on_prf)
-            y = kernels.gemv(self.W, x)
-            s.online.host_mac_ops += self.W.size
-        elif scheme == "pim_insecure":
-            y = s.device.gemv(self.handle, x)
-        elif scheme == "pim_enc_dec":
-            ctx_in = s.alloc_ctx()
-            ctx_out = s.alloc_ctx()
-            sealed = s.ks.seal(ctx_in, x, on_prf=s._on_prf)
-            y = s.device.gemv_enc(self.handle, sealed, s.ks, ctx_in, ctx_out)
-            y = s.ks.open(ctx_out, y, on_prf=s._on_prf)
-        else:
-            pre = _next_precomputed(self._pre) \
-                if scheme == "pim_precompute" else None
-            ctx = pre[0] if pre else s.alloc_ctx()
-            sv = sharing.split(x, ctx, s.ks, on_prf=s._on_prf)
-            y = s.device.gemv(self.handle, sv.cipher)
-            if pre:
-                y = y + s.ks.open(*pre[1], on_prf=s._on_prf)
-            else:  # pim_runtime: R-kernel on the fly, parallel to the device
-                r = sharing.host_share(ctx, x.shape, s.ks, on_prf=s._on_prf)
-                y = y + kernels.gemv(self.W, r)
-                s.online.host_mac_ops += self.W.size
-            if reshare:
-                s.reshare_events += 1
+        ctx, res_sealed = (_next_precomputed(self._pre)
+                           if self._pre is not None else (None, None))
+        self._held = self._protect(x, s._on_prf, ctx, reshare)
+        dev = s.device
+        y = self._merge(lambda v: kernels.gemv(self.W, v),
+                        lambda v: dev.gemv(self.handle, v),
+                        lambda v, *keys: dev.gemv_enc(self.handle, v, *keys),
+                        (), self.W.size, res_sealed)
         self._use += 1
         s.verify_gemv(f"{self.step}:{self._use - 1}", self.tag_store, x, y)
         return y
-
-
-class _PrivateOperand:
-    """A private matrix held where the scheme keeps it: the one placement
-    and merge path of PrivateMatrixOp and EmbeddingOp."""
-
-    def _place(self, M: np.ndarray, prefix: str, precompute=None) -> None:
-        """Put M on the host (plain or sealed at rest) or on the device
-        (plain, sealed or as the share C = M - R).  pim_precompute seals
-        resCPU = host_fn(R, *args) offline for each ``(key, host_fn, args)``
-        in ``precompute``; without static operands it materializes R in
-        trusted memory instead, so the online phase needs no PRF calls.
-        Placement is offline work: its PRF calls go to the offline ledger."""
-        s = self.sess
-        scheme = s.cfg.scheme
-        self.shape = M.shape
-        self.ctx = self._r = self._pre = None
-        data = M
-        if scheme == "pim_precompute" and precompute is None:
-            self.ctx = s.alloc_ctx()
-            self._r = sharing.host_share(self.ctx, M.shape, s.ks,
-                                         on_prf=s._off_prf)
-            s.ks.consume(self.ctx)
-            data = M - self._r
-        elif scheme in SHARE_SCHEMES:
-            self.ctx = s.alloc_ctx()
-            if scheme == "pim_precompute":
-                self._pre = []
-                for key, host_fn, args in precompute:
-                    r = sharing.host_share(self.ctx, M.shape, s.ks,
-                                           on_prf=s._off_prf)
-                    self._pre.append(
-                        (key, s.seal_precomputed(host_fn(r, *args), M.size)))
-            data = sharing.split(M, self.ctx, s.ks, on_prf=s._off_prf).cipher
-        elif scheme in SEALED_SCHEMES:
-            self.ctx = s.alloc_ctx()
-            data = s.ks.seal(self.ctx, M, on_prf=s._off_prf)
-        if scheme in DEVICE_SCHEMES:
-            self.handle = s.device.load(s._next_name(prefix), data,
-                                        secret_plaintext=data is M)
-        else:
-            self._at_rest = data
-
-    def _merge(self, host_fn, device_fn, sealed_fn, args: tuple, cost: int,
-               key=None) -> np.ndarray:
-        """Merge one linear kernel of the placed M with public ``args``: host
-        only (``host_fn(M, *args)``, ``cost`` host MACs), device only
-        (``device_fn(handle, *args)``), sealed device (``sealed_fn(handle,
-        *args, ks, ctx, ctx_out)``), or the device share plus the runtime
-        R-kernel or the sealed resCPU precomputed under ``key``."""
-        s = self.sess
-        scheme = s.cfg.scheme
-        if scheme not in DEVICE_SCHEMES:
-            M = self._at_rest
-            if scheme in SEALED_SCHEMES:
-                M = s.ks.open(self.ctx, M, on_prf=s._on_prf)
-            s.online.host_mac_ops += cost
-            return host_fn(M, *args)
-        if scheme in SEALED_SCHEMES:
-            ctx_out = s.alloc_ctx()
-            y = sealed_fn(self.handle, *args, s.ks, self.ctx, ctx_out)
-            return s.ks.open(ctx_out, y, on_prf=s._on_prf)
-        res_pim = device_fn(self.handle, *args)
-        if scheme not in SHARE_SCHEMES:
-            return res_pim
-        if self._pre is not None:
-            pre_key, res_sealed = _next_precomputed(self._pre)
-            if pre_key != key:
-                raise ConfigError("precomputed direction mismatch")
-            return res_pim + s.ks.open(*res_sealed, on_prf=s._on_prf)
-        r = self._r if self._r is not None else sharing.host_share(
-            self.ctx, self.shape, s.ks, on_prf=s._on_prf)
-        s.online.host_mac_ops += cost
-        return res_pim + host_fn(r, *args)
 
 
 class PrivateMatrixOp(_PrivateOperand):
@@ -349,21 +331,27 @@ class PrivateMatrixOp(_PrivateOperand):
         return (kernels.gemv_t, dev.matvec_cols,
                 functools.partial(dev.matvec_enc, transpose=True))
 
+    def _product(self, direction: str, vec, store, step: str) -> np.ndarray:
+        """X @ vec ("rows") or X.T @ vec, merged with the resCPU precomputed
+        for ``direction`` if any, and verified against ``store``."""
+        vec = np.ascontiguousarray(vec, dtype=np.uint32)
+        res_sealed = None
+        if self._pre is not None:
+            key, res_sealed = _next_precomputed(self._pre)
+            if key != direction:
+                raise ConfigError("precomputed direction mismatch")
+        y = self._merge(*self._kernels(direction), (vec,), self.X.size,
+                        res_sealed)
+        self.sess.verify_gemv(f"{self.step}:{step}", store, vec, y)
+        return y
+
     def matvec(self, w: np.ndarray, step_suffix: str = "dot") -> np.ndarray:
         """X @ w, merged; verified against the column tags."""
-        w = np.ascontiguousarray(w, dtype=np.uint32)
-        y = self._merge(*self._kernels("rows"), (w,), self.X.size, key="rows")
-        self.sess.verify_gemv(f"{self.step}:{step_suffix}",
-                              self.col_tag_store, w, y)
-        return y
+        return self._product("rows", w, self.col_tag_store, step_suffix)
 
     def matvec_t(self, e: np.ndarray, step_suffix: str = "grad") -> np.ndarray:
         """X.T @ e, merged; verified against the row tags."""
-        e = np.ascontiguousarray(e, dtype=np.uint32)
-        g = self._merge(*self._kernels("cols"), (e,), self.X.size, key="cols")
-        self.sess.verify_gemv(f"{self.step}:{step_suffix}",
-                              self.row_tag_store, e, g)
-        return g
+        return self._product("cols", e, self.row_tag_store, step_suffix)
 
 
 class EmbeddingOp(_PrivateOperand):

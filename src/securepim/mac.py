@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, ring
-from .crypto import KeyStore, OtpContext, STREAM_SEAL
+from .crypto import KeyStore, OtpContext
 from .errors import DimensionError
 
 Q = (1 << 61) - 1  # Mersenne prime: fast reduction, miss probability m/q
@@ -28,11 +28,9 @@ AXIS_ROWS = "rows"
 
 @dataclass(frozen=True)
 class TagVector:
-    """One residue per column (or per row); length is the polynomial degree."""
+    """One residue per column (or per row) of the tagged matrix."""
 
     residues: np.ndarray     # uint64, < q
-    axis: str
-    length: int              # number of terms folded into each residue
     q: int = Q
 
 
@@ -58,7 +56,7 @@ def gen_tags(matrix: np.ndarray, s: int, q: int = Q, axis: str = AXIS_COLUMNS) -
         res = np.array(
             [_poly_hash_generic(col, s, q) for col in data.T], dtype=np.uint64
         )
-    return TagVector(residues=res, axis=axis, length=data.shape[0], q=q)
+    return TagVector(residues=res, q=q)
 
 
 def _poly_hash_generic(words, s: int, q: int) -> int:
@@ -102,8 +100,8 @@ def seal_tags(tags: TagVector, ctx: OtpContext, ks: KeyStore, on_prf=None) -> np
     return ks.seal(ctx, words, on_prf=on_prf)
 
 
-def open_tags(sealed: np.ndarray, axis: str, length: int, ctx: OtpContext,
-              ks: KeyStore, on_prf=None, q: int = Q) -> TagVector:
+def open_tags(sealed: np.ndarray, ctx: OtpContext, ks: KeyStore, on_prf=None,
+              q: int = Q) -> TagVector:
     words = ks.open(ctx, np.ascontiguousarray(sealed, dtype=np.uint32), on_prf=on_prf)
     residues = np.ascontiguousarray(words, dtype="<u4").view("<u8").astype(np.uint64)
-    return TagVector(residues=residues, axis=axis, length=length, q=q)
+    return TagVector(residues=residues, q=q)

@@ -16,7 +16,6 @@ from . import ring
 from .errors import ConfigError
 from .host import (
     DEVICE_SCHEMES,
-    SHARE_SCHEMES,
     EmbeddingOp,
     PrivateMatrixOp,
     PublicMatrixOp,
@@ -49,7 +48,7 @@ def run_mlp(cfg: SchemeConfig, sess: Session, rng, p):
     layers = [PublicMatrixOp(sess, W, uses=1, step=f"layer{i}")
               for i, W in enumerate(weights)]
     for i, layer in enumerate(layers):
-        y_raw = layer.apply(x, reshare=i > 0 and cfg.scheme in SHARE_SCHEMES)
+        y_raw = layer.apply(x, reshare=i > 0)
         x = ring.relu_array(ring.trunc_array(y_raw))
     return x
 

@@ -133,8 +133,8 @@ class CircuitBuilder:
                         carry = self.not_(self.and_(self.not_(ai), self.not_(carry)))
         return out
 
-    def sigmoid_clamp(self, x, frac_bits: int):
-        """clamp(x + 1/2, 0, 1) on a two's-complement Q(frac_bits) word.
+    def sigmoid_clamp(self, x):
+        """clamp(x + 1/2, 0, 1) on a two's-complement Q12 word.
 
         b1 = sign(x + 1/2), b2 = sign(x - 1/2); the middle branch selects
         v = x + 1/2 via b2 & ~b1, the high branch contributes the constant
@@ -143,6 +143,7 @@ class CircuitBuilder:
         branch also requires x >= 0.  Forming x - 1/2 as v - 1 needs one
         AND fewer than x + (-1/2), which pays for that extra condition.
         """
+        frac_bits = ring.FRAC_BITS
         half = 1 << (frac_bits - 1)
         width = len(x)
         v = self.add_const(x, half)
@@ -167,30 +168,28 @@ class CircuitBuilder:
         )
 
 
-def build_add_mod_circuit(word_bits: int = ring.WORD_BITS) -> BoolCircuit:
-    """Garbler word R plus evaluator word C, mod 2^word_bits."""
+def build_add_mod_circuit() -> BoolCircuit:
+    """Garbler word R plus evaluator word C, mod 2^32."""
     b = CircuitBuilder()
-    r = b.garbler_word(word_bits)
-    c = b.evaluator_word(word_bits)
+    r = b.garbler_word(ring.WORD_BITS)
+    c = b.evaluator_word(ring.WORD_BITS)
     return b.build(b.add_words(r, c))
 
 
-def build_sigmoid_circuit(word_bits: int = ring.WORD_BITS,
-                          frac_bits: int = ring.FRAC_BITS) -> BoolCircuit:
+def build_sigmoid_circuit() -> BoolCircuit:
     """Clamped-sigmoid on a plain evaluator-supplied word."""
     b = CircuitBuilder()
-    x = b.evaluator_word(word_bits)
-    return b.build(b.sigmoid_clamp(x, frac_bits))
+    x = b.evaluator_word(ring.WORD_BITS)
+    return b.build(b.sigmoid_clamp(x))
 
 
-def build_a2y_circuit(word_bits: int = ring.WORD_BITS,
-                      frac_bits: int = ring.FRAC_BITS) -> BoolCircuit:
+def build_a2y_circuit() -> BoolCircuit:
     """Reconstruct x = R + C inside the circuit, then apply the clamp."""
     b = CircuitBuilder()
-    r = b.garbler_word(word_bits)
-    c = b.evaluator_word(word_bits)
+    r = b.garbler_word(ring.WORD_BITS)
+    c = b.evaluator_word(ring.WORD_BITS)
     x = b.add_words(r, c)
-    return b.build(b.sigmoid_clamp(x, frac_bits))
+    return b.build(b.sigmoid_clamp(x))
 
 
 def word_to_bits(word: int, bits: int):

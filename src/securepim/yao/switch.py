@@ -25,12 +25,11 @@ class SwitchStats:
 
 
 @lru_cache(maxsize=None)
-def a2y_circuit(word_bits: int = ring.WORD_BITS, frac_bits: int = ring.FRAC_BITS):
-    return build_a2y_circuit(word_bits, frac_bits)
+def a2y_circuit():
+    return build_a2y_circuit()
 
 
-def prepare_switch(r_word, c_word, seed,
-                   word_bits: int = ring.WORD_BITS, frac_bits: int = ring.FRAC_BITS):
+def prepare_switch(r_word, c_word, seed):
     """Garble one switch per scalar; returns (gc, input labels, ot, stats).
 
     ``r_word``, ``c_word`` and ``seed`` are equal-length sequences, and the
@@ -39,7 +38,8 @@ def prepare_switch(r_word, c_word, seed,
     every evaluator input wire until the OT runs, which is the
     2x-input-size memory cost of switching.
     """
-    circ = a2y_circuit(word_bits, frac_bits)
+    circ = a2y_circuit()
+    word_bits = ring.WORD_BITS
     scalar = np.ndim(seed) == 0
     gc, pairs = garble(circ, [seed] if scalar else seed)
     copies = np.arange(gc.batch)

@@ -97,6 +97,16 @@ class TestExitCodes:
                       "workload": "mlp", "params": {"depth": 0}}},
         {"campaign": {"trials": 1, "targets": ["gc_table"],
                       "workload": "logreg", "params": {"iterations": 0}}},
+        # falsy values are not absent: only a missing or null field is
+        {"campaign": {}},
+        {"campaign": []},
+        {"campaign": 0},
+        {"campaign": False},
+        {"campaign": ""},
+        {"variant": ""},
+        {"variant": 0},
+        {"variant": False},
+        {"variant": []},
         {"out": 5},
         {"out": "no-such-dir/report.json"},
         ["--seed", "-1"],

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from securepim import mac, ring
+from securepim import kernels, mac, ring
 from securepim.errors import ConfigError, GcEvaluationFault, VerificationError
 from securepim.host import (
     SCHEMES,
@@ -20,7 +20,7 @@ from securepim.host import (
     SchemeConfig,
     Session,
 )
-from securepim.pimsim import TamperSpec
+from securepim.pimsim import CostReport, TamperSpec
 from securepim.workloads import run_workload
 
 
@@ -90,6 +90,45 @@ class TestPublicMatrixOp:
         op.apply(self.x)
         with pytest.raises(ConfigError, match="no precomputed resCPU left"):
             op.apply(self.x)
+
+    # per scheme: offline ledger, online ledger and reshare count after three
+    # verified applies of one 5x7 matrix; pim_precompute shares each vector
+    # under the context its resCPU was precomputed with
+    TAG_OFFLINE = CostReport(host_mac_ops=35, host_prf_calls=5)
+    DEVICE_ONLINE = dict(bytes_h2d=476, bytes_d2h=60, device_mac_ops=105,
+                         verify_ops=3)
+    REPEATED = {
+        "cpu_insecure": (TAG_OFFLINE, CostReport(
+            host_mac_ops=105, host_prf_calls=12, verify_ops=3), 0),
+        "cpu_secure": (TAG_OFFLINE, CostReport(
+            host_mac_ops=105, host_prf_calls=24, verify_ops=3), 0),
+        "pim_insecure": (TAG_OFFLINE, CostReport(
+            host_prf_calls=12, **DEVICE_ONLINE), 0),
+        "pim_enc_dec": (TAG_OFFLINE, CostReport(
+            host_prf_calls=24, device_prf_calls=12, **DEVICE_ONLINE), 0),
+        "pim_runtime": (TAG_OFFLINE, CostReport(
+            host_mac_ops=105, host_prf_calls=24, **DEVICE_ONLINE), 2),
+        "pim_precompute": (CostReport(host_mac_ops=140, host_prf_calls=17),
+                           CostReport(host_prf_calls=24, **DEVICE_ONLINE), 2),
+    }
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_repeated_applies_pin_results_and_ledgers(self, scheme):
+        rng = np.random.default_rng(11)
+        W = (rng.integers(-128, 129, (5, 7)) & ring.MASK).astype(np.uint32)
+        xs = [(rng.integers(-4096, 4097, 7) & ring.MASK).astype(np.uint32)
+              for _ in range(3)]
+        sess = session(scheme, verify=True, seed=3)
+        op = PublicMatrixOp(sess, W, uses=3)
+        for i, x in enumerate(xs):
+            assert np.array_equal(op.apply(x, reshare=i > 0),
+                                  kernels.gemv(W, x))
+        offline, online, reshares = self.REPEATED[scheme]
+        assert sess.offline == offline
+        assert sess.online == online
+        assert sess.verification_events == [
+            {"step": f"gemv:{i}", "ok": True} for i in range(3)]
+        assert sess.reshare_events == reshares
 
     @pytest.mark.parametrize("scheme", ["pim_runtime", "pim_enc_dec"])
     @pytest.mark.parametrize("seed", range(4))

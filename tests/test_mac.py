@@ -141,7 +141,7 @@ class TestSealedStorage:
         tags = mac.gen_tags(M, s=31337)
         c = ctx()
         sealed = mac.seal_tags(tags, c, ks)
-        opened = mac.open_tags(sealed, tags.axis, tags.length, c, ks)
+        opened = mac.open_tags(sealed, c, ks)
         assert np.array_equal(opened.residues, tags.residues)
 
     def test_sealed_residues_differ(self, ks):

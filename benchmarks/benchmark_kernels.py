@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the hot kernels against pure-Python big-int references.
+"""Time the hot kernels against pure-Python big-int references, and
+garbling on the A2Y circuit.
 
 Each numpy kernel in ``securepim.kernels`` is timed beside a plain Python
 loop that computes the same result with unbounded integers (Horner's rule
@@ -8,6 +9,10 @@ stays visible.  MAC operands are the signed lift of random ring words, as
 the callers pass them; the ``gen_tags`` row times ``mac.gen_tags`` on the
 raw words, lift included.  The references run once per repetition like the
 kernels; both columns report the best of ``--repeat`` runs.
+
+The garbling rows time ``garble`` and ``evaluate`` of the A2Y switch circuit
+on batches of 1, 32, 64 and 256 scalars, best of ``--repeat``; each batch's
+output bits are first checked against ``BoolCircuit.eval_plain``.
 
 Usage:
     python benchmarks/benchmark_kernels.py [--size 512] [--repeat 20]
@@ -22,8 +27,12 @@ import time
 import numpy as np
 
 from securepim import kernels, mac, ring
+from securepim.yao.circuit import word_to_bits
+from securepim.yao.garble import evaluate, garble
+from securepim.yao.switch import a2y_circuit, prepare_switch
 
 MASK = (1 << 32) - 1
+GC_BATCHES = (1, 32, 64, 256)
 
 
 def gemv_ref(W, x):
@@ -64,6 +73,24 @@ def bench(fn, args, repeat):
         fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def garbling_rows(repeat):
+    """{"garble"|"evaluate": {batch: best ms}} on the A2Y circuit."""
+    circ = a2y_circuit()
+    rows = {"garble": {}, "evaluate": {}}
+    for n in GC_BATCHES:
+        rng = np.random.default_rng(n)
+        r, c = rng.integers(0, 1 << 32, size=(2, n), dtype=np.uint32)
+        seeds = list(range(n))
+        gc, labels, _ot, _stats = prepare_switch(r, c, seeds)
+        want = [circ.eval_plain(word_to_bits(int(a), 32), word_to_bits(int(b), 32))
+                for a, b in zip(r, c)]
+        if evaluate(gc, labels).tolist() != want:
+            raise SystemExit(f"evaluate disagrees with eval_plain at batch {n}")
+        rows["garble"][n] = bench(garble, (circ, seeds), repeat) * 1e3
+        rows["evaluate"][n] = bench(evaluate, (gc, labels), repeat) * 1e3
+    return rows
 
 
 def main(argv=None):
@@ -111,6 +138,13 @@ def main(argv=None):
                "speedup": t_py / t_np}
         print(f"{name:<14}{t_np:>12.3f}{t_py:>13.3f}{row['speedup']:>10.1f}")
         results["kernels"][name] = row
+
+    results["garbling"] = garbling_rows(args.repeat)
+    header = "A2Y (ms)" + "".join(f"{f'batch {n}':>11}" for n in GC_BATCHES)
+    print(f"\n{header}")
+    print("-" * len(header))
+    for name, row in results["garbling"].items():
+        print(f"{name:<8}" + "".join(f"{row[n]:>11.3f}" for n in GC_BATCHES))
 
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

@@ -115,10 +115,22 @@ def _load_config(path):
 
 
 def _campaign(spec) -> Campaign:
-    try:
-        return Campaign(**spec)
-    except TypeError as exc:
-        raise ConfigError(f"campaign: {exc}") from None
+    """The Campaign of a config object; a bad shape or a key that is
+    unknown or missing is named before Campaign checks the values."""
+    fields = dataclasses.fields(Campaign)
+    keys = [f.name for f in fields]
+    if not isinstance(spec, dict):
+        raise ConfigError(f"campaign must be an object with keys among "
+                          f"{keys}, got {spec!r}")
+    unknown = sorted(set(spec) - set(keys))
+    if unknown:
+        raise ConfigError(f"campaign has unknown keys {unknown}; its keys "
+                          f"are among {keys}")
+    missing = [f.name for f in fields if f.name not in spec
+               and f.default is f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"campaign is missing the required keys {missing}")
+    return Campaign(**spec)
 
 
 def _run_scenario(sc) -> int:

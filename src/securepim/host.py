@@ -150,17 +150,16 @@ class Session:
     # -- nonlinear offload --------------------------------------------------
 
     def a2y_activation(self, p: np.ndarray) -> np.ndarray:
-        """Switch the vector to Yao in one batch: the device evaluates the
-        clamp per scalar, learns the activation values (declared leak), host
-        stores both labels per C bit."""
+        """Switch the vector to Yao in one batch: one fresh context per
+        scalar, all their one-word OTPs in one keystream request; the device
+        evaluates the clamp per scalar, learns the activation values
+        (declared leak), host stores both labels per C bit."""
         words = p.ravel()
-        r = np.empty(words.size, dtype=np.uint32)
-        seeds = []
-        for i in range(words.size):
-            ctx = self.alloc_ctx()
+        ctxs = [self.alloc_ctx() for _ in range(words.size)]
+        for ctx in ctxs:
             self.ks.consume(ctx)
-            r[i] = self.ks.otp_words(ctx, 1, on_prf=self._on_prf)[0]
-            seeds.append(self.next_gc_seed())
+        r = self.ks.word_per_context(ctxs, on_prf=self._on_prf)
+        seeds = [self.next_gc_seed() for _ in range(words.size)]
         c = words.astype(np.uint32) - r
         gcirc, labels, _ot, stats = prepare_switch(r, c, seeds)
         try:

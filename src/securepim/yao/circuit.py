@@ -5,7 +5,11 @@ Words are LSB-first wire lists.  Adders use the single-AND full adder
 wires because each bit case simplifies to at most one AND.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import groupby
+
+import numpy as np
 
 from .. import ring
 
@@ -22,6 +26,19 @@ class Gate:
     out: int
 
 
+@dataclass(frozen=True)
+class AndStage:
+    """The AND gates of one AND-depth stage, in gate-id order: input wires
+    stacked as ``ab = (a, b)``, output wires, table indices as a (gates, 1)
+    column, and gate ids."""
+
+    ab: np.ndarray
+    out: np.ndarray
+    tables: np.ndarray
+    gids: tuple
+    op = AND
+
+
 @dataclass
 class BoolCircuit:
     n_wires: int
@@ -33,6 +50,34 @@ class BoolCircuit:
     @property
     def and_count(self) -> int:
         return sum(1 for g in self.gates if g.op == AND)
+
+    @cached_property
+    def schedule(self) -> list:
+        """The gates in evaluation order, each stage's ANDs merged into one
+        AndStage.  A gate's stage is its AND depth: one more than its
+        inputs' stage for an AND, their max for XOR and NOT.  Sorting by
+        (stage, ANDs before XOR/NOT, gate id) keeps the order topological."""
+        stage = [0] * self.n_wires
+        keyed = []          # (stage, XOR or NOT, gate id, table index, gate)
+        table = 0
+        for gid, g in enumerate(self.gates):
+            stage[g.out] = max(stage[g.a], stage[g.b] if g.op != NOT else 0) \
+                + (g.op == AND)
+            keyed.append((stage[g.out], g.op != AND, gid, table, g))
+            table += g.op == AND
+        steps = []
+        for (_, xor_or_not), run in groupby(sorted(keyed), key=lambda k: k[:2]):
+            _, _, gids, tables, gates = zip(*run)
+            if xor_or_not:
+                steps.extend(gates)
+                continue
+            steps.append(AndStage(
+                ab=np.array([[g.a for g in gates], [g.b for g in gates]],
+                            dtype=np.intp),
+                out=np.array([g.out for g in gates], dtype=np.intp),
+                tables=np.array(tables, dtype=np.intp)[:, None],
+                gids=gids))
+        return steps
 
     def eval_plain(self, garbler_bits, evaluator_bits):
         """Reference evaluation on plain bits; the oracle for garbling tests."""

@@ -11,6 +11,11 @@ in GF(2^128) and T = 2 * gate id + half.  The low 128 bits of a decrypted
 row must be zero, which is the integrity check that turns table corruption
 into an evaluation fault.
 
+Evaluation runs by AND depth (Husted, Myers, shelat and Grubbs, ACSAC 2013):
+XOR and NOT gates one at a time, and each stage of AND gates whose inputs
+are ready as one step, with one key, one AES call and one row check for
+all of its gates and copies.
+
 An int seed garbles a batch of one in the scalar form: labels are 128-bit
 ints keyed by wire, and evaluation returns a list of output bits.
 """
@@ -29,9 +34,11 @@ ROW_BYTES = 32
 # pi: AES-128 under a fixed public key; ECB keeps no state between calls
 ROW_HASH_KEY = bytes(range(16))
 _PI = Cipher(algorithms.AES(ROW_HASH_KEY), modes.ECB()).encryptor()
-_HALVES = np.array([0, 1], dtype=np.uint64)
 _LSB = np.array([1, 0], dtype=np.uint64)
 _FOLD = np.array([0, 0x87, 0x87 << 1, 0x87 ^ 0x87 << 1], dtype=np.uint64)
+_SHIFT = np.array([1, 2], dtype=np.uint64)   # 2a, 4b
+_CARRY = 64 - _SHIFT                         # the bits each shift drops
+_ONE = np.uint64(1)
 # row r of a table holds the inputs whose point bits are (r >> 1, r & 1)
 _ROW_A = np.array([0, 0, 1, 1], dtype=np.uint64)[:, None]
 _ROW_B = np.array([0, 1, 0, 1], dtype=np.uint64)[:, None]
@@ -41,29 +48,36 @@ _ROW_B = np.array([0, 1, 0, 1], dtype=np.uint64)[:, None]
 # differs per word: broadcasting it across the trailing (lo, hi) axis would
 # make numpy's inner loop two elements long.
 
-def _key(a, b):
-    """K = 2a ^ 4b in GF(2^128) mod x^128 + x^7 + x^2 + x + 1, on (..., 2)
-    labels.  The bits shifted out of hi fold back into lo as their carryless
-    product with 0x87, and doubling is linear, so both reductions are one."""
-    key = (a << 1) ^ (b << 2)
-    carry = (a >> 63) ^ (b >> 62)
-    key[..., 0] ^= _FOLD[carry[..., 1]]
+def _key(ab):
+    """K = 2a ^ 4b in GF(2^128) mod x^128 + x^7 + x^2 + x + 1, on a stack
+    ``ab`` of two (..., 2) label arrays a and b.  The bits shifted out of hi
+    fold back into lo as their carryless product with 0x87, and doubling is
+    linear, so both reductions are one."""
+    shape = (2,) + (1,) * (ab.ndim - 1)
+    shifted = ab << _SHIFT.reshape(shape)
+    carries = ab >> _CARRY.reshape(shape)
+    key = shifted[0] ^ shifted[1]
+    carry = carries[0] ^ carries[1]
+    key[..., 0] ^= _FOLD.take(carry[..., 1])
     key[..., 1] ^= carry[..., 0]
     return key
 
 
 def _tweaks(gids):
-    """T = 2 * gate id + half per row-hash block: (..., half, word) uint64."""
-    gids = np.asarray(gids, dtype=np.uint64)
-    tweaks = np.zeros(gids.shape + (2, 2), dtype=np.uint64)
-    tweaks[..., 0] = gids[..., None] * 2 + _HALVES
-    return tweaks
+    """T = 2 * gate id + half per row-hash block: (half, gate) uint64."""
+    doubled = np.asarray(gids, dtype=np.uint64) * 2
+    return np.stack([doubled, doubled + 1])
 
 
 def _hash(keys):
-    """pi(K) ^ K for every 128-bit block of a (..., 2) uint64 array."""
-    pi = np.frombuffer(_PI.update(keys.tobytes()), dtype=np.uint64)
-    return pi.reshape(keys.shape) ^ keys
+    """pi(K) ^ K for every 128-bit block of a C-contiguous (..., 2) uint64
+    array.  update_into skips the copies into and out of bytes objects,
+    which cost several times the AES itself on large batches."""
+    out = np.empty(keys.size + 2, dtype=np.uint64)  # room for one spare block
+    _PI.update_into(keys.reshape(-1).view(np.uint8), out.view(np.uint8))
+    out = out[:keys.size].reshape(keys.shape)
+    out ^= keys
+    return out
 
 
 def _xor_delta(labels, bits, delta):
@@ -144,11 +158,12 @@ def garble(circuit: BoolCircuit, seed):
     # K = 2a ^ 4b is linear: row r's key is the key of the point-0 labels
     # plus (r >> 1) 2 delta ^ (r & 1) 4 delta
     none = np.zeros_like(delta)
-    steps = np.stack([none, _key(none, delta), _key(delta, none), _key(delta, delta)])
-    keys = np.repeat((_key(za, zb)[:, None] ^ steps)[..., None, :], 2, axis=-2)
-    tweaks = _tweaks([gid for gid, _ in ands])[:, None, None, :, 0]
-    keys[..., 0, 0] ^= tweaks[..., 0]
-    keys[..., 1, 0] ^= tweaks[..., 1]
+    steps = _key(np.array([[none, none, delta, delta], [none, delta, none, delta]]))
+    keys = np.repeat((_key(np.stack([za, zb]))[:, None] ^ steps)[..., None, :], 2,
+                     axis=-2)
+    tweaks = _tweaks([gid for gid, _ in ands])[..., None, None]
+    keys[..., 0, 0] ^= tweaks[0]
+    keys[..., 1, 0] ^= tweaks[1]
     tables = _hash(keys).reshape(len(ands), 4, n, 4)
     out = tables[..., 2:]                 # the masked output labels
     zo = rand[1 + len(inputs):, None]
@@ -167,16 +182,18 @@ def garble(circuit: BoolCircuit, seed):
 
 def evaluate(gc: GarbledCircuit, input_labels, transcript: EvalTranscript = None,
              row_tamper=None):
-    """Walk the gate list on all N copies at once; returns (N, outputs)
-    plain bits, or a list of bits for scalar-form ``input_labels``.
+    """Evaluate all N copies one AND stage at a time (``circuit.schedule``);
+    returns (N, outputs) plain bits, or a list of bits for scalar-form
+    ``input_labels``.
 
     ``input_labels`` is an (inputs, N, 2) uint64 array ordered like
-    ``garble``'s pairs, or a {wire: int} dict for a batch of one.  Every
-    copy's row check runs at every AND gate; the first failing gate raises.
+    ``garble``'s pairs, or a {wire: int} dict for a batch of one.  A stage's
+    AND gates take one row hash and one row check for every gate and copy;
+    the first failing stage raises, naming its lowest failing gate id.
     ``row_tamper(gate_id, row_indices, rows) -> rows`` lets the simulator
-    mutate the ciphertexts actually being decrypted: ``rows[k]`` holds the
-    four words, low first, of copy k's row at table index ``row_indices[k]``
-    (tamper-at-access semantics).
+    mutate the ciphertexts actually being decrypted, once per AND gate in
+    stage order: ``rows[k]`` holds the four words, low first, of copy k's
+    row at table index ``row_indices[k]`` (tamper-at-access semantics).
     """
     circ = gc.circuit
     inputs = circ.garbler_inputs + circ.evaluator_inputs
@@ -184,33 +201,37 @@ def evaluate(gc: GarbledCircuit, input_labels, transcript: EvalTranscript = None
     if scalar:
         input_labels = np.array([[_from_int(input_labels[w])] for w in inputs],
                                 dtype=np.uint64).reshape(-1, 1, 2)
-    labels = [None] * circ.n_wires
-    for w, label in zip(inputs, input_labels):
-        labels[w] = label
-    copies = np.arange(gc.batch)
-    tables = zip(gc.tables, _tweaks([gid for gid, g in enumerate(circ.gates)
-                                     if g.op == AND]))
-    for gid, g in enumerate(circ.gates):
-        if g.op == XOR:
-            labels[g.out] = labels[g.a] ^ labels[g.b]
-        elif g.op == NOT:
-            labels[g.out] = labels[g.a]
+    n = gc.batch
+    labels = np.empty((circ.n_wires, n, 2), dtype=np.uint64)
+    labels[inputs] = input_labels
+    rows_of = gc.tables.reshape(-1, 4)   # table t, row r, copy k at (4t + r)n + k
+    copies = np.arange(n)
+    tweaks = _tweaks([gid for gid, g in enumerate(circ.gates) if g.op == AND])
+    for step in circ.schedule:
+        if step.op == XOR:
+            np.bitwise_xor(labels[step.a], labels[step.b], out=labels[step.out])
+        elif step.op == NOT:
+            labels[step.out] = labels[step.a]
         else:
-            la = labels[g.a]
-            lb = labels[g.b]
-            r = ((la[:, 0] & 1) << 1) | (lb[:, 0] & 1)
-            table, tweak = next(tables)
-            h = _hash(_key(la, lb)[:, None] ^ tweak).reshape(-1, 4)
+            ab = labels[step.ab]        # (a or b, gate, copy, word)
+            points = ab[..., 0] & _ONE
+            r = ((points[0] << _ONE) | points[1]).view(np.intp)
+            keys = np.empty(ab.shape, dtype=np.uint64)  # (half, gate, copy, word)
+            keys[:] = _key(ab)
+            keys[..., 0] ^= tweaks[:, step.tables]
+            h = _hash(keys)
             if transcript is not None:
-                ok = ((table[..., :2] ^ h[:, :2]) == 0).all(axis=-1)
-                transcript.row_matches.extend(ok.sum(axis=0).tolist())
-            rows = table[r, copies]
+                table = gc.tables[step.tables[:, 0], ..., :2]
+                ok = (table == h[0][:, None]).all(axis=-1).sum(axis=1)
+                transcript.row_matches.extend(ok.ravel().tolist())
+            rows = rows_of.take((step.tables * 4 + r) * n + copies, axis=0)
             if row_tamper is not None:
-                rows = row_tamper(gid, r, rows)
-            m = rows ^ h
-            if m[:, :2].any():
+                for j, gid in enumerate(step.gids):
+                    rows[j] = row_tamper(gid, r[j], rows[j])
+            bad = rows[..., :2] != h[0]
+            if bad.any():
+                gid = step.gids[bad.any(axis=(1, 2)).argmax()]
                 raise GcEvaluationFault(f"row check failed at AND gate {gid}")
-            labels[g.out] = np.ascontiguousarray(m[:, 2:])
-    bits = np.array([labels[w][:, 0] & 1 for w in circ.outputs],
-                    dtype=np.uint8).reshape(len(circ.outputs), -1).T ^ gc.output_points
+            labels[step.out] = np.bitwise_xor(rows[..., 2:], h[1], out=h[1])
+    bits = (labels[circ.outputs, :, 0] & 1).astype(np.uint8).T ^ gc.output_points
     return bits[0].tolist() if scalar else bits

@@ -132,6 +132,25 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("campaign,named", [
+        ([], ["campaign must be an object"]),
+        ({"trialz": 1, "trials": 1, "targets": ["device_result"]}, ["'trialz'"]),
+        ({}, ["'trials'", "'targets'"]),
+        ({"targets": ["device_result"]}, ["'trials'"]),
+    ], ids=repr)
+    def test_campaign_errors_name_the_key(self, tmp_path, capsys, campaign,
+                                          named):
+        """A malformed campaign is described in the config's own terms, not
+        by the TypeError of a Python call."""
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(
+            {"workload": "mlp", "scheme": "cpu_insecure", "campaign": campaign}))
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert all(word in err for word in named), err
+        assert not any(leak in err for leak in
+                       ("Campaign(", "__init__", "argument after")), err
+
     def test_unknown_scheme_is_config_error(self, tmp_path):
         code, _ = run_cli(tmp_path, "run", "--workload", "mlp",
                           "--scheme", "warp")

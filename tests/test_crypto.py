@@ -87,6 +87,22 @@ class TestOtpWords:
         # words 2..9 span blocks 0..2 inclusive
         assert sum(calls) == 3
 
+    @pytest.mark.parametrize("base", [0, 6])
+    def test_word_per_context_is_each_streams_first_word(self, ks, base):
+        """One keystream request over many versions gives what one
+        otp_words call per context gives, one PRF call each."""
+        ctxs = [ctx(version=v, base_index=base) for v in (3, 1, 2**32 + 9, 40)]
+        calls = []
+        words = ks.word_per_context(ctxs, on_prf=calls.append)
+        assert words.tolist() == [ks.otp_words(c, 1)[0] for c in ctxs]
+        assert sum(calls) == len(ctxs)
+        assert ks.word_per_context([]).size == 0
+
+    def test_word_per_context_needs_one_key_and_base(self, ks):
+        for other in (ctx(version=2, base_index=4), ctx(version=2, key_id="j")):
+            with pytest.raises(ValueError):
+                ks.word_per_context([ctx(version=1), other])
+
 
 class TestSealOpen:
     def test_involution(self, ks):

@@ -187,7 +187,12 @@ def test_benchmark_script_smoke(tmp_path, capsys):
     out = tmp_path / "kernels.json"
     assert bench.main(["--size", "16", "--repeat", "1", "--json", str(out)]) == 0
     assert "tag_columns" in capsys.readouterr().out
-    rows = json.loads(out.read_text())["kernels"]
+    results = json.loads(out.read_text())
+    rows = results["kernels"]
     assert set(rows) == {"gemv", "gemv_t", "tag_columns", "poly_hash", "dot_tags",
                          "gen_tags"}
     assert all(r["numpy_ms"] > 0 and r["python_ms"] > 0 for r in rows.values())
+    garbling = results["garbling"]
+    assert set(garbling) == {"garble", "evaluate"}
+    assert all(set(row) == {"1", "32", "64", "256"} and min(row.values()) > 0
+               for row in garbling.values())

@@ -3,8 +3,8 @@ tamper faults, batches, and the arithmetic-to-Yao switch.
 
 Oracles: BoolCircuit.eval_plain for garbling, big-int ring arithmetic for
 the adder, the piecewise clamp for the activation, a big-int GF(2^128)
-fixed-key-AES row hash for the tables, and per-seed scalar garbling for
-batches.
+fixed-key-AES row hash for the tables, a gate-order big-int evaluator for
+the staged one, and per-seed scalar garbling for batches.
 """
 
 import random
@@ -12,7 +12,7 @@ import random
 import numpy as np
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from securepim import ring
@@ -286,3 +286,153 @@ class TestBatch:
         transcript = EvalTranscript()
         evaluate(gc, labels, transcript=transcript)
         assert transcript.row_matches == [1] * (3 * A2Y.and_count)
+
+
+def reference_evaluate(gc, k, labels) -> list:
+    """Copy k of ``gc``, gate by gate in gate order on 128-bit int labels
+    ({wire: int}), with every row checked against ``bigint_row_hash``."""
+    labels = dict(labels)
+    t = 0
+    for gid, g in enumerate(gc.circuit.gates):
+        if g.op == "XOR":
+            labels[g.out] = labels[g.a] ^ labels[g.b]
+        elif g.op == "NOT":
+            labels[g.out] = labels[g.a]
+        else:
+            la, lb = labels[g.a], labels[g.b]
+            row = gc.tables[t, (la & 1) << 1 | (lb & 1), k]
+            assert label_int(row[:2]) == bigint_row_hash(la, lb, 2 * gid)
+            labels[g.out] = label_int(row[2:]) ^ bigint_row_hash(la, lb, 2 * gid + 1)
+            t += 1
+    return [labels[w] & 1 ^ int(p) for w, p in zip(gc.circuit.outputs,
+                                                    gc.output_points[k])]
+
+
+def _pure_xor():
+    b = CircuitBuilder()
+    x = b.evaluator_word(3)
+    return b.build([b.xor(x[0], x[1]), b.xor(x[1], x[2])])
+
+
+def _edge_cases():
+    """An input wire as output, NOT of an input, x ^ x and x & x."""
+    b = CircuitBuilder()
+    g = b.garbler_word(1)
+    x = b.evaluator_word(2)
+    same = b.xor(x[0], x[0])
+    return b.build([x[1], b.not_(g[0]), same, b.and_(x[1], x[1]),
+                    b.and_(same, b.not_(x[0]))])
+
+
+def _wide_stage():
+    """Several ANDs per stage, stages fed by XORs of earlier stages."""
+    b = CircuitBuilder()
+    g = b.garbler_word(3)
+    x = b.evaluator_word(3)
+    s1 = [b.and_(u, v) for u, v in zip(g, x)]
+    s2 = [b.and_(b.xor(s1[i], x[i]), s1[(i + 1) % 3]) for i in range(3)]
+    return b.build(s2 + [b.not_(s2[0])])
+
+
+@st.composite
+def small_circuits(draw):
+    """Random small circuits; operands repeat and reuse inputs often, so
+    x ^ x, NOTs of inputs, inputs as outputs and wide stages come up."""
+    b = CircuitBuilder()
+    wires = (b.garbler_word(draw(st.integers(0, 3)))
+             + b.evaluator_word(draw(st.integers(1, 3))))
+    for _ in range(draw(st.integers(0, 14))):
+        op = draw(st.sampled_from(["AND", "AND", "XOR", "NOT"]))
+        a = draw(st.sampled_from(wires))
+        c = a if draw(st.integers(0, 3)) == 0 else draw(st.sampled_from(wires))
+        wires.append(b.and_(a, c) if op == "AND" else
+                     b.xor(a, c) if op == "XOR" else b.not_(a))
+    return b.build(draw(st.lists(st.sampled_from(wires), min_size=1,
+                                 max_size=4)))
+
+
+class TestStagedEvaluation:
+    def test_a2y_schedule(self):
+        """33 AND stages cover the 102 AND gates once; stage 1 is the first
+        AND gate alone; every gate's inputs are set before it runs."""
+        stages = [s for s in A2Y.schedule if s.op == "AND"]
+        and_gids = [i for i, g in enumerate(A2Y.gates) if g.op == "AND"]
+        assert len(stages) == 33
+        assert stages[0].gids == (and_gids[0],)
+        assert sorted(gid for s in stages for gid in s.gids) == and_gids
+        assert all(list(s.gids) == sorted(s.gids) for s in stages)
+        ready = set(A2Y.garbler_inputs + A2Y.evaluator_inputs)
+        for step in A2Y.schedule:
+            if step.op == "AND":
+                reads, out = set(step.ab.ravel().tolist()), step.out.tolist()
+            else:
+                reads, out = {step.a, step.b} - {-1}, [step.out]
+            assert reads <= ready
+            ready |= set(out)
+        assert set(A2Y.outputs) <= ready
+
+    @settings(max_examples=150, deadline=None)
+    @given(circ=small_circuits(), data=st.data())
+    @example(circ=_pure_xor(), data=None)
+    @example(circ=_edge_cases(), data=None)
+    @example(circ=_wide_stage(), data=None)
+    def test_matches_gate_order_reference(self, circ, data):
+        """Batched staged evaluation equals a gate-order big-int walk and
+        eval_plain on every copy."""
+        inputs = circ.garbler_inputs + circ.evaluator_inputs
+        if data is None:
+            rng = random.Random(len(circ.gates))
+            seeds = [rng.getrandbits(40) for _ in range(3)]
+            bits = [[rng.getrandbits(1) for _ in inputs] for _ in seeds]
+        else:
+            seeds = data.draw(st.lists(st.integers(0, 2**40), min_size=1,
+                                       max_size=4))
+            bits = [data.draw(st.lists(st.integers(0, 1), min_size=len(inputs),
+                                       max_size=len(inputs))) for _ in seeds]
+        gc, pairs = garble(circ, seeds)
+        labels = np.array([[pairs[i, v[i], k] for k, v in enumerate(bits)]
+                           for i in range(len(inputs))], dtype=np.uint64)
+        got = evaluate(gc, labels).tolist()
+        ng = len(circ.garbler_inputs)
+        for k, v in enumerate(bits):
+            ref = reference_evaluate(
+                gc, k, {w: label_int(labels[i, k]) for i, w in enumerate(inputs)})
+            assert got[k] == ref == circ.eval_plain(v[:ng], v[ng:])
+
+    def test_fault_names_every_and_gate(self):
+        """A corrupted decrypted row of one copy in a 33-copy batch faults
+        at its own AND gate, for each of the 102 AND gates."""
+        rng = random.Random(1)
+        rs = [rng.getrandbits(32) for _ in range(33)]
+        cs = [rng.getrandbits(32) for _ in range(33)]
+        gc, labels, _ot, _stats = prepare_switch(rs, cs, list(range(33)))
+        decrypted = {}
+
+        def record(gid, ridx, rows):
+            decrypted[gid] = ridx.copy()
+            return rows
+
+        evaluate(gc, labels, row_tamper=record)
+        and_gids = [i for i, g in enumerate(A2Y.gates) if g.op == "AND"]
+        for j, gid in enumerate(and_gids):
+            k = j % 33
+            row = gc.tables[j, decrypted[gid][k], k]
+            row[j % 2] ^= np.uint64(1 << j % 64)
+            with pytest.raises(GcEvaluationFault, match=f"AND gate {gid}$"):
+                evaluate(gc, labels)
+            row[j % 2] ^= np.uint64(1 << j % 64)
+        evaluate(gc, labels)
+
+    def test_row_tamper_sees_each_and_gate_once(self):
+        gc, labels, _ot, _stats = prepare_switch([5, 6], [7, 8], [1, 2])
+        seen = []
+
+        def record(gid, ridx, rows):
+            assert rows.shape == (2, 4) and ridx.shape == (2,)
+            seen.append(gid)
+            return rows
+
+        evaluate(gc, labels, row_tamper=record)
+        and_gids = [i for i, g in enumerate(A2Y.gates) if g.op == "AND"]
+        assert sorted(seen) == and_gids
+        assert seen[0] == and_gids[0]

@@ -65,7 +65,7 @@ class KeyStore:
         ``version``, or block ``first_block`` of each version in a sequence."""
         counters = np.empty((nblocks, 2), dtype="<u8")
         if isinstance(version, (int, np.integer)):
-            counters[:, 0] = version & 0xFFFFFFFF | stream_id << 32
+            counters[:, 0] = np.uint64(version & 0xFFFFFFFF) | (np.uint64(stream_id) << np.uint64(32))
             counters[:, 1] = np.arange(first_block, first_block + nblocks, dtype=np.uint64)
         else:
             counters[:, 0] = np.array(version, dtype=np.uint64) & np.uint64(0xFFFFFFFF) \
@@ -91,9 +91,8 @@ class KeyStore:
         off = ctx.base_index % WORDS_PER_BLOCK
         return words[off:off + count].astype(np.uint32)
 
-    def word_per_context(self, ctxs, stream_id: int = STREAM_SHARE,
-                         on_prf=None) -> np.ndarray:
-        """The word at ``base_index`` of each context's stream, from one
+    def word_per_context(self, ctxs, on_prf=None) -> np.ndarray:
+        """The word at ``base_index`` of each context's share stream, from one
         keystream request of one block per context: the one-word OTPs of a
         vector of scalars.  The contexts must share key and base index."""
         if not ctxs:
@@ -101,7 +100,7 @@ class KeyStore:
         key_id, base = ctxs[0].key_id, ctxs[0].base_index
         if any(c.key_id != key_id or c.base_index != base for c in ctxs):
             raise ValueError("contexts must share key_id and base_index")
-        raw = self._blocks(key_id, [c.version for c in ctxs], stream_id,
+        raw = self._blocks(key_id, [c.version for c in ctxs], STREAM_SHARE,
                            base // WORDS_PER_BLOCK, len(ctxs), on_prf)
         words = np.frombuffer(raw, dtype="<u4").reshape(-1, WORDS_PER_BLOCK)
         return words[:, base % WORDS_PER_BLOCK].astype(np.uint32)

@@ -30,13 +30,21 @@ class Gate:
 class AndStage:
     """The AND gates of one AND-depth stage, in gate-id order: input wires
     stacked as ``ab = (a, b)``, output wires, table indices as a (gates, 1)
-    column, and gate ids."""
+    column, gate ids, and their row-hash tweaks as (half, gate, 1)."""
 
     ab: np.ndarray
     out: np.ndarray
     tables: np.ndarray
     gids: tuple
+    tweaks: np.ndarray
     op = AND
+
+
+def row_tweaks(gids):
+    """The row-hash tweaks T = 2 * gate id + half of AND gates: (half, gate)
+    uint64."""
+    doubled = np.asarray(gids, dtype=np.uint64) * 2
+    return np.stack([doubled, doubled + 1])
 
 
 @dataclass
@@ -76,7 +84,8 @@ class BoolCircuit:
                             dtype=np.intp),
                 out=np.array([g.out for g in gates], dtype=np.intp),
                 tables=np.array(tables, dtype=np.intp)[:, None],
-                gids=gids))
+                gids=gids,
+                tweaks=row_tweaks(gids)[..., None]))
         return steps
 
     def eval_plain(self, garbler_bits, evaluator_bits):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from .circuit import AND, NOT, XOR, BoolCircuit
+from .circuit import AND, NOT, XOR, BoolCircuit, row_tweaks
 from ..errors import GcEvaluationFault
 
 LABEL_BYTES = 16
@@ -36,8 +36,6 @@ ROW_HASH_KEY = bytes(range(16))
 _PI = Cipher(algorithms.AES(ROW_HASH_KEY), modes.ECB()).encryptor()
 _LSB = np.array([1, 0], dtype=np.uint64)
 _FOLD = np.array([0, 0x87, 0x87 << 1, 0x87 ^ 0x87 << 1], dtype=np.uint64)
-_SHIFT = np.array([1, 2], dtype=np.uint64)   # 2a, 4b
-_CARRY = 64 - _SHIFT                         # the bits each shift drops
 _ONE = np.uint64(1)
 # row r of a table holds the inputs whose point bits are (r >> 1, r & 1)
 _ROW_A = np.array([0, 0, 1, 1], dtype=np.uint64)[:, None]
@@ -48,25 +46,15 @@ _ROW_B = np.array([0, 1, 0, 1], dtype=np.uint64)[:, None]
 # differs per word: broadcasting it across the trailing (lo, hi) axis would
 # make numpy's inner loop two elements long.
 
-def _key(ab):
-    """K = 2a ^ 4b in GF(2^128) mod x^128 + x^7 + x^2 + x + 1, on a stack
-    ``ab`` of two (..., 2) label arrays a and b.  The bits shifted out of hi
-    fold back into lo as their carryless product with 0x87, and doubling is
-    linear, so both reductions are one."""
-    shape = (2,) + (1,) * (ab.ndim - 1)
-    shifted = ab << _SHIFT.reshape(shape)
-    carries = ab >> _CARRY.reshape(shape)
-    key = shifted[0] ^ shifted[1]
-    carry = carries[0] ^ carries[1]
-    key[..., 0] ^= _FOLD.take(carry[..., 1])
+def _key(a, b):
+    """K = 2a ^ 4b in GF(2^128) mod x^128 + x^7 + x^2 + x + 1, on (..., 2)
+    labels.  The bits shifted out of hi fold back into lo as their carryless
+    product with 0x87, and doubling is linear, so both reductions are one."""
+    key = (a << 1) ^ (b << 2)
+    carry = (a >> 63) ^ (b >> 62)
+    key[..., 0] ^= _FOLD[carry[..., 1]]
     key[..., 1] ^= carry[..., 0]
     return key
-
-
-def _tweaks(gids):
-    """T = 2 * gate id + half per row-hash block: (half, gate) uint64."""
-    doubled = np.asarray(gids, dtype=np.uint64) * 2
-    return np.stack([doubled, doubled + 1])
 
 
 def _hash(keys):
@@ -158,10 +146,9 @@ def garble(circuit: BoolCircuit, seed):
     # K = 2a ^ 4b is linear: row r's key is the key of the point-0 labels
     # plus (r >> 1) 2 delta ^ (r & 1) 4 delta
     none = np.zeros_like(delta)
-    steps = _key(np.array([[none, none, delta, delta], [none, delta, none, delta]]))
-    keys = np.repeat((_key(np.stack([za, zb]))[:, None] ^ steps)[..., None, :], 2,
-                     axis=-2)
-    tweaks = _tweaks([gid for gid, _ in ands])[..., None, None]
+    steps = np.stack([none, _key(none, delta), _key(delta, none), _key(delta, delta)])
+    keys = np.repeat((_key(za, zb)[:, None] ^ steps)[..., None, :], 2, axis=-2)
+    tweaks = row_tweaks([gid for gid, _ in ands])[..., None, None]
     keys[..., 0, 0] ^= tweaks[0]
     keys[..., 1, 0] ^= tweaks[1]
     tables = _hash(keys).reshape(len(ands), 4, n, 4)
@@ -189,7 +176,12 @@ def evaluate(gc: GarbledCircuit, input_labels, transcript: EvalTranscript = None
     ``input_labels`` is an (inputs, N, 2) uint64 array ordered like
     ``garble``'s pairs, or a {wire: int} dict for a batch of one.  A stage's
     AND gates take one row hash and one row check for every gate and copy;
-    the first failing stage raises, naming its lowest failing gate id.
+    the first failing stage raises, naming its lowest failing gate id.  A
+    corrupted check half fails at its own gate, as in gate order.  A
+    corrupted output-label half fails at a later AND gate that reads the
+    label: the first in stage order, which on a general circuit can be a
+    different gate from the first in gate order (on the A2Y circuit the
+    two agree).
     ``row_tamper(gate_id, row_indices, rows) -> rows`` lets the simulator
     mutate the ciphertexts actually being decrypted, once per AND gate in
     stage order: ``rows[k]`` holds the four words, low first, of copy k's
@@ -206,7 +198,6 @@ def evaluate(gc: GarbledCircuit, input_labels, transcript: EvalTranscript = None
     labels[inputs] = input_labels
     rows_of = gc.tables.reshape(-1, 4)   # table t, row r, copy k at (4t + r)n + k
     copies = np.arange(n)
-    tweaks = _tweaks([gid for gid, g in enumerate(circ.gates) if g.op == AND])
     for step in circ.schedule:
         if step.op == XOR:
             np.bitwise_xor(labels[step.a], labels[step.b], out=labels[step.out])
@@ -217,8 +208,8 @@ def evaluate(gc: GarbledCircuit, input_labels, transcript: EvalTranscript = None
             points = ab[..., 0] & _ONE
             r = ((points[0] << _ONE) | points[1]).view(np.intp)
             keys = np.empty(ab.shape, dtype=np.uint64)  # (half, gate, copy, word)
-            keys[:] = _key(ab)
-            keys[..., 0] ^= tweaks[:, step.tables]
+            keys[:] = _key(ab[0], ab[1])
+            keys[..., 0] ^= step.tweaks
             h = _hash(keys)
             if transcript is not None:
                 table = gc.tables[step.tables[:, 0], ..., :2]

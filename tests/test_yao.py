@@ -290,7 +290,8 @@ class TestBatch:
 
 def reference_evaluate(gc, k, labels) -> list:
     """Copy k of ``gc``, gate by gate in gate order on 128-bit int labels
-    ({wire: int}), with every row checked against ``bigint_row_hash``."""
+    ({wire: int}), with every row checked against ``bigint_row_hash``: the
+    first failing AND gate raises GcEvaluationFault."""
     labels = dict(labels)
     t = 0
     for gid, g in enumerate(gc.circuit.gates):
@@ -301,7 +302,8 @@ def reference_evaluate(gc, k, labels) -> list:
         else:
             la, lb = labels[g.a], labels[g.b]
             row = gc.tables[t, (la & 1) << 1 | (lb & 1), k]
-            assert label_int(row[:2]) == bigint_row_hash(la, lb, 2 * gid)
+            if label_int(row[:2]) != bigint_row_hash(la, lb, 2 * gid):
+                raise GcEvaluationFault(f"row check failed at AND gate {gid}")
             labels[g.out] = label_int(row[2:]) ^ bigint_row_hash(la, lb, 2 * gid + 1)
             t += 1
     return [labels[w] & 1 ^ int(p) for w, p in zip(gc.circuit.outputs,
@@ -400,27 +402,46 @@ class TestStagedEvaluation:
             assert got[k] == ref == circ.eval_plain(v[:ng], v[ng:])
 
     def test_fault_names_every_and_gate(self):
-        """A corrupted decrypted row of one copy in a 33-copy batch faults
-        at its own AND gate, for each of the 102 AND gates."""
+        """For each of the 102 AND gates, corrupt one copy's decrypted row in
+        a 33-copy batch.  A corrupted check half faults at that gate; a
+        corrupted output-label half faults where the gate-order walk faults
+        (at a later AND gate reading the label) or, if no AND gate reads it,
+        gives the walk's output bits."""
         rng = random.Random(1)
         rs = [rng.getrandbits(32) for _ in range(33)]
         cs = [rng.getrandbits(32) for _ in range(33)]
         gc, labels, _ot, _stats = prepare_switch(rs, cs, list(range(33)))
+        inputs = A2Y.garbler_inputs + A2Y.evaluator_inputs
         decrypted = {}
 
         def record(gid, ridx, rows):
             decrypted[gid] = ridx.copy()
             return rows
 
+        def outcome(run):
+            try:
+                return run()
+            except GcEvaluationFault as e:
+                return str(e)
+
         evaluate(gc, labels, row_tamper=record)
         and_gids = [i for i, g in enumerate(A2Y.gates) if g.op == "AND"]
+        downstream = set()
         for j, gid in enumerate(and_gids):
             k = j % 33
             row = gc.tables[j, decrypted[gid][k], k]
-            row[j % 2] ^= np.uint64(1 << j % 64)
-            with pytest.raises(GcEvaluationFault, match=f"AND gate {gid}$"):
-                evaluate(gc, labels)
-            row[j % 2] ^= np.uint64(1 << j % 64)
+            copy_labels = {w: label_int(labels[i, k]) for i, w in enumerate(inputs)}
+            for word in (j % 2, 2 + j % 2):
+                row[word] ^= np.uint64(1 << j % 64)
+                want = outcome(lambda: reference_evaluate(gc, k, copy_labels))
+                got = outcome(lambda: evaluate(gc, labels)[k].tolist())
+                assert got == want
+                if word < 2:
+                    assert got == f"row check failed at AND gate {gid}"
+                elif isinstance(got, str):
+                    downstream.add(gid)
+                row[word] ^= np.uint64(1 << j % 64)
+        assert len(downstream) == 69     # the AND outputs a later AND gate reads
         evaluate(gc, labels)
 
     def test_row_tamper_sees_each_and_gate_once(self):

@@ -2,13 +2,15 @@
 
 Each trial, tampered or clean, is one verified ``run_workload`` call
 classified by the check that stopped it: a MAC mismatch (``verify_fail``), a
-garbled-table fault (``gc_fault``) or none (undetected, which includes a
-benign flip that leaves the result unchanged).  The default workload
-``gemv16`` is data: linear targets run a one-layer 16x16 ``mlp``, and
-``gc_table`` one ``logreg`` step that switches a single scalar to Yao.
+garbled-table fault (``gc_fault``) or none.  A tampered trial no check
+stopped is rerun clean: benign if the words match, missed if not.  The
+default workload ``gemv16`` is data: linear targets run a one-layer 16x16
+``mlp``, and ``gc_table`` one ``logreg`` step that switches a scalar to Yao.
 """
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ConfigError, GcEvaluationFault, VerificationError
 from .host import DEVICE_SCHEMES, SchemeConfig
@@ -70,16 +72,16 @@ class Campaign:
 
 
 def _trial(name: str, cfg: SchemeConfig, seed: int, params=None, spec=None):
-    """One verified run: the kind of check that stopped it, or None."""
+    """One verified run: (the check that stopped it, None) or (None, words)."""
     try:
-        _words, sess = run_workload(name, cfg, seed, params, tamper=spec)
+        words, sess = run_workload(name, cfg, seed, params, tamper=spec)
     except VerificationError:
-        return "verify_fail"
+        return "verify_fail", None
     except GcEvaluationFault:
-        return "gc_fault"
-    if spec is not None and not sess.device.tamper_log:
+        return "gc_fault", None
+    if spec is not None and not sess.tamper.log:
         raise ConfigError(f"tamper on {spec.target!r} never fired in {name}")
-    return None
+    return None, words
 
 
 def run_campaign(campaign: Campaign) -> dict:
@@ -91,20 +93,25 @@ def run_campaign(campaign: Campaign) -> dict:
         name, params = campaign.body(target)
         cfg = SchemeConfig(campaign.scheme, verify=True,
                            variant="A2Y" if target == "gc_table" else "A")
-        kind = _trial(name, cfg, campaign.seed * 1_000_003 + i, params,
-                      TamperSpec(target=target, mutation=campaign.mutation))
+        seed = campaign.seed * 1_000_003 + i
+        kind, words = _trial(name, cfg, seed, params,
+                             TamperSpec(target=target, mutation=campaign.mutation))
         detected = kind is not None
+        benign = not detected and np.array_equal(
+            words, _trial(name, cfg, seed, params)[1])
         by_target[target]["trials"] += 1
         by_target[target]["detected"] += int(detected)
-        trials.append({"target": target, "detected": detected, "kind": kind})
+        trials.append({"target": target, "detected": detected, "kind": kind,
+                       "benign": benign})
     return {"trials": len(trials),
             "detected": sum(t["detected"] for t in trials),
+            "benign": sum(t["benign"] for t in trials),
             "by_target": by_target, "log": trials}
 
 
 def clean_run_suite(workloads, schemes, seeds) -> dict:
     """Completeness half: verified clean runs must never trip a check."""
-    kinds = [_trial(name, SchemeConfig(scheme, verify=True), seed)
+    kinds = [_trial(name, SchemeConfig(scheme, verify=True), seed)[0]
              for name in workloads for scheme in schemes for seed in seeds]
     return {"runs": len(kinds),
             "false_positives": sum(k is not None for k in kinds)}

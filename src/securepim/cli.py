@@ -67,7 +67,7 @@ def build_report(scenario: dict, words, sess, aborted=None) -> dict:
         "reshare_events": sess.reshare_events,
         "verification": sess.verification_events,
         "leaks": sess.leaks,
-        "tampers": sess.device.tamper_log,
+        "tampers": sess.tamper.log,
     }
     if aborted is not None:
         report["aborted"] = aborted

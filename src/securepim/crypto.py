@@ -61,20 +61,21 @@ class KeyStore:
         self._consumed.add(mark)
 
     def _blocks(self, key_id, version, stream_id, first_block, nblocks, on_prf):
-        """``nblocks`` keystream blocks: from ``first_block`` on for one int
-        ``version``, or block ``first_block`` of each version in a sequence."""
-        counters = np.empty((nblocks, 2), dtype="<u8")
-        if isinstance(version, (int, np.integer)):
-            counters[:, 0] = np.uint64(version & 0xFFFFFFFF) | (np.uint64(stream_id) << np.uint64(32))
-            counters[:, 1] = np.arange(first_block, first_block + nblocks, dtype=np.uint64)
-        else:
-            counters[:, 0] = np.array(version, dtype=np.uint64) & np.uint64(0xFFFFFFFF) \
-                | np.uint64(stream_id << 32)
-            counters[:, 1] = first_block
-        out = self._cipher(key_id).update(counters.tobytes())
+        """``nblocks`` keystream blocks as ring words: from ``first_block`` on
+        for one int ``version``, or block ``first_block`` of each in a list."""
+        versions = np.asarray(version, dtype=np.uint64).reshape(-1, 1)
+        blocks = np.arange(first_block, first_block + nblocks // len(versions),
+                           dtype=np.uint64)
+        counters = np.empty((len(versions), len(blocks), 2), dtype="<u8")
+        counters[..., 1] = blocks
+        fields = counters.view("<u4")   # version, stream id, block index (2 words)
+        fields[..., 0] = versions       # the cast keeps the low 32 bits
+        fields[..., 1] = stream_id
+        words = np.empty(4 * nblocks + 4, dtype="<u4")  # room for one spare block
+        self._cipher(key_id).update_into(counters.data.cast("B"), words.data.cast("B"))
         if on_prf is not None:
             on_prf(nblocks)
-        return out
+        return words[:4 * nblocks]
 
     def otp_words(self, ctx: OtpContext, count: int, stream_id: int = STREAM_SHARE,
                   on_prf=None) -> np.ndarray:
@@ -85,11 +86,10 @@ class KeyStore:
             return np.empty(0, dtype=np.uint32)
         first_block = ctx.base_index // WORDS_PER_BLOCK
         last_block = (ctx.base_index + count - 1) // WORDS_PER_BLOCK
-        raw = self._blocks(ctx.key_id, ctx.version, stream_id,
-                           first_block, last_block - first_block + 1, on_prf)
-        words = np.frombuffer(raw, dtype="<u4")
+        words = self._blocks(ctx.key_id, ctx.version, stream_id,
+                             first_block, last_block - first_block + 1, on_prf)
         off = ctx.base_index % WORDS_PER_BLOCK
-        return words[off:off + count].astype(np.uint32)
+        return words[off:off + count]
 
     def word_per_context(self, ctxs, on_prf=None) -> np.ndarray:
         """The word at ``base_index`` of each context's share stream, from one
@@ -100,10 +100,9 @@ class KeyStore:
         key_id, base = ctxs[0].key_id, ctxs[0].base_index
         if any(c.key_id != key_id or c.base_index != base for c in ctxs):
             raise ValueError("contexts must share key_id and base_index")
-        raw = self._blocks(key_id, [c.version for c in ctxs], STREAM_SHARE,
-                           base // WORDS_PER_BLOCK, len(ctxs), on_prf)
-        words = np.frombuffer(raw, dtype="<u4").reshape(-1, WORDS_PER_BLOCK)
-        return words[:, base % WORDS_PER_BLOCK].astype(np.uint32)
+        words = self._blocks(key_id, [c.version for c in ctxs], STREAM_SHARE,
+                             base // WORDS_PER_BLOCK, len(ctxs), on_prf)
+        return words[base % WORDS_PER_BLOCK::WORDS_PER_BLOCK].copy()
 
     def seal(self, ctx: OtpContext, words: np.ndarray, on_prf=None) -> np.ndarray:
         """XOR with the sealing stream; an involution, so also unseals."""
@@ -115,6 +114,6 @@ class KeyStore:
 
     def derive_mac_secret(self, ctx: OtpContext, q: int, on_prf=None) -> int:
         """s in [1, q-1] from the first MAC-stream block of this context."""
-        raw = self._blocks(ctx.key_id, ctx.version, STREAM_MAC,
-                           ctx.base_index // WORDS_PER_BLOCK, 1, on_prf)
-        return int.from_bytes(raw[:8], "little") % (q - 1) + 1
+        words = self._blocks(ctx.key_id, ctx.version, STREAM_MAC,
+                             ctx.base_index // WORDS_PER_BLOCK, 1, on_prf)
+        return int(words[:2].view("<u8")[0]) % (q - 1) + 1

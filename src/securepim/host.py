@@ -19,7 +19,7 @@ import numpy as np
 from . import kernels, mac, sharing
 from .crypto import KeyStore, OtpContext
 from .errors import ConfigError, GcEvaluationFault, VerificationError
-from .pimsim import CostReport, PimDevice
+from .pimsim import CostReport, PimDevice, Tamper
 from .yao.circuit import bits_to_word
 from .yao.switch import prepare_switch
 
@@ -59,7 +59,7 @@ def derive_key_hex(seed: int) -> str:
 
 
 class Session:
-    """One run: keystore, device instance, cost ledgers, version allocator."""
+    """One run: keystore, tamper point, device, cost ledgers, version allocator."""
 
     def __init__(self, cfg: SchemeConfig, seed: int):
         self.cfg = cfg
@@ -69,7 +69,8 @@ class Session:
         self.ks.register(self.key_id, derive_key_hex(seed))
         self.offline = CostReport()
         self.online = CostReport()
-        self.device = PimDevice(report=self.online, seed=seed,
+        self.tamper = Tamper(seed)
+        self.device = PimDevice(report=self.online, tamper=self.tamper,
                                 secure_mode=cfg.scheme in SHARE_SCHEMES)
         self._version = 0
         self._gc_seed = 0
@@ -191,7 +192,7 @@ class _PrivateOperand:
         if scheme in SHARE_SCHEMES:
             self.ctx = s.alloc_ctx() if ctx is None else ctx
             s.reshare_events += reshare
-            return sharing.split(M, self.ctx, s.ks, on_prf=on_prf).cipher
+            return sharing.split(M, self.ctx, s.ks, on_prf=on_prf)
         if scheme in SEALED_SCHEMES:
             self.ctx = s.alloc_ctx()
             return s.ks.seal(self.ctx, M, on_prf=on_prf)

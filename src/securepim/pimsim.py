@@ -1,10 +1,11 @@
 """The untrusted device: DPU topology, ring kernels over resident shares,
-a host-device channel with tamper hooks, and deterministic cost counters.
+a host-device channel, and deterministic cost counters.
 
 Kernels run over whichever words are resident (ciphertext shares in secure
 schemes, plaintext in the baselines); partitioning across DPUs never changes
-the math, only the byte accounting.  A tamper spec mutates exactly one word
-at its target on the next matching access or transfer.
+the math, only the byte accounting.  Every untrusted surface consults the
+session's one ``Tamper``: a spec mutates one word at its target on the next
+matching access or transfer.
 """
 
 from dataclasses import dataclass, field
@@ -52,6 +53,67 @@ class TamperSpec:
             raise ValueError(f"unknown mutation {self.mutation!r}")
 
 
+class Tamper:
+    """The one tamper point of every untrusted surface: armed specs, RNG and
+    log.  A spec fires once; specs on one target fire in the order armed."""
+
+    def __init__(self, seed: int = 0):
+        self._rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD17]))
+        self._armed = []
+        self.log = []
+
+    def arm(self, spec: TamperSpec) -> None:
+        self._armed.append(spec)
+
+    def _take(self, target):
+        for i, spec in enumerate(self._armed):
+            if spec.target == target:
+                return self._armed.pop(i)
+        return None
+
+    def _fired(self, spec: TamperSpec, index: int) -> None:
+        self.log.append(
+            {"target": spec.target, "mutation": spec.mutation, "index": index})
+
+    def hit(self, target: str, arr: np.ndarray) -> np.ndarray:
+        """``arr`` itself, or a copy with one word mutated by a ``target`` spec."""
+        spec = self._take(target)
+        if spec is None:
+            return arr
+        out = arr.copy()
+        flat = out.reshape(-1)
+        idx = (int(self._rng.integers(0, flat.size)) if spec.position == "random"
+               else int(spec.position) % flat.size)
+        word = new = int(flat[idx])
+        if spec.mutation == "bit_flip":
+            new ^= 1 << int(self._rng.integers(0, 32))
+        while new == word:
+            new = int(self._rng.integers(0, 1 << 32))
+        flat[idx] = new
+        self._fired(spec, idx)
+        return out
+
+    def row_hook(self):
+        """A ``gc_table`` spec's ``row_tamper`` for one garbled evaluation, or
+        None; it mutates the first row it sees, logged as ``gate_id*4 + row``."""
+        spec = self._take("gc_table")
+
+        def row_tamper(gid, ridx, rows):
+            nonlocal spec
+            if spec is None:
+                return rows
+            if spec.mutation == "bit_flip":
+                bit = int(self._rng.integers(0, 256))
+                rows[0, bit // 64] ^= np.uint64(1 << bit % 64)
+            else:
+                rows[0] = np.frombuffer(self._rng.bytes(32), dtype="<u8")
+            self._fired(spec, gid * 4 + int(ridx[0]))
+            spec = None
+            return rows
+
+        return None if spec is None else row_tamper
+
+
 @dataclass
 class _Resident:
     data: np.ndarray
@@ -60,50 +122,18 @@ class _Resident:
 
 class PimDevice:
     def __init__(self, topology: DeviceTopology = None, report: CostReport = None,
-                 seed: int = 0, secure_mode: bool = False):
+                 tamper: Tamper = None, secure_mode: bool = False):
         self.topology = topology or DeviceTopology()
         self.report = report if report is not None else CostReport()
+        self.tamper = tamper or Tamper()
         self.secure_mode = secure_mode
-        self._rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD17]))
         self._resident = {}
-        self._armed = []
-        self.tamper_log = []
 
-    # -- tamper machinery ---------------------------------------------------
-
+    # delegates to the session's Tamper, kept for the names tracers patch
     def arm_tamper(self, spec: TamperSpec) -> None:
-        self._armed.append(spec)
+        self.tamper.arm(spec)
 
-    def _pending(self, target):
-        for i, spec in enumerate(self._armed):
-            if spec.target == target:
-                return self._armed.pop(i)
-        return None
-
-    def _mutate_word(self, word: int, spec: TamperSpec) -> int:
-        if spec.mutation == "bit_flip":
-            return word ^ (1 << int(self._rng.integers(0, 32)))
-        new = int(self._rng.integers(0, 1 << 32))
-        while new == word:
-            new = int(self._rng.integers(0, 1 << 32))
-        return new
-
-    def _mutate_array(self, arr: np.ndarray, spec: TamperSpec) -> np.ndarray:
-        out = arr.copy()
-        flat = out.reshape(-1)
-        if spec.position == "random":
-            idx = int(self._rng.integers(0, flat.size))
-        else:
-            idx = int(spec.position) % flat.size
-        flat[idx] = self._mutate_word(int(flat[idx]), spec)
-        self.tamper_log.append(
-            {"target": spec.target, "mutation": spec.mutation, "index": idx}
-        )
-        return out
-
-    def _apply(self, target, arr):
-        spec = self._pending(target)
-        return self._mutate_array(arr, spec) if spec is not None else arr
+    tamper_log = property(lambda self: self.tamper.log)
 
     # -- channel ------------------------------------------------------------
 
@@ -112,12 +142,12 @@ class PimDevice:
             raise TaintViolation("plaintext private buffer on the h2d channel")
         copies = self.topology.dpu_count if replicate else 1
         self.report.bytes_h2d += arr.nbytes * copies
-        return self._apply("channel_h2d", arr)
+        return self.tamper.hit("channel_h2d", arr)
 
     def _d2h(self, arr: np.ndarray) -> np.ndarray:
-        arr = self._apply("device_result", arr)
+        arr = self.tamper.hit("device_result", arr)
         self.report.bytes_d2h += arr.nbytes
-        return self._apply("channel_d2h", arr)
+        return self.tamper.hit("channel_d2h", arr)
 
     # -- residency ----------------------------------------------------------
 
@@ -144,9 +174,7 @@ class PimDevice:
 
     def _access(self, name: str) -> np.ndarray:
         r = self._resident[name]
-        spec = self._pending("resident_share")
-        if spec is not None:
-            r.data = self._mutate_array(r.data, spec)
+        r.data = self.tamper.hit("resident_share", r.data)
         return r.data
 
     def row_partition(self, name: str):
@@ -230,26 +258,8 @@ class PimDevice:
         self.report.gc_ciphertexts += gc.ciphertext_count
         self.report.gc_bytes += gc.table_bytes
         self.report.bytes_h2d += gc.table_bytes + input_labels.nbytes
-        spec = self._pending("gc_table") if gc.batch else None
-        row_tamper = None
-        if spec is not None:
-            fired = []
-
-            def row_tamper(gid, ridx, rows):
-                if fired:
-                    return rows
-                fired.append(gid)
-                if spec.mutation == "bit_flip":
-                    bit = int(self._rng.integers(0, 256))
-                    rows[0, bit // 64] ^= np.uint64(1 << bit % 64)
-                else:
-                    rows[0] = np.frombuffer(self._rng.bytes(32), dtype="<u8")
-                self.tamper_log.append(
-                    {"target": "gc_table", "mutation": spec.mutation,
-                     "index": gid * 4 + int(ridx[0])}
-                )
-                return rows
-
+        # an empty batch has no row to tamper with, so its spec stays armed
+        row_tamper = self.tamper.row_hook() if gc.batch else None
         bits = gc_evaluate(gc, input_labels, row_tamper=row_tamper)
         self.report.bytes_d2h += gc.batch * max(1, bits.shape[1] // 8)
         return bits

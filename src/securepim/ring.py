@@ -26,10 +26,6 @@ def add(a: int, b: int) -> int:
     return (a + b) & MASK
 
 
-def sub(a: int, b: int) -> int:
-    return (a - b) & MASK
-
-
 def to_signed(w: int) -> int:
     """Two's-complement reinterpretation of a ring word."""
     return w - (1 << WORD_BITS) if w & SIGN_BIT else w

@@ -5,23 +5,9 @@ demand from an OtpContext; the device only ever holds C.  The host never
 stores R, which is what makes the precomputation scheme's cost model work.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .crypto import KeyStore, OtpContext
-
-
-@dataclass(frozen=True)
-class SharedVector:
-    """Device-side share plus the metadata regenerating the host share."""
-
-    cipher: np.ndarray       # uint32, any shape
-    ctx: OtpContext
-
-    @property
-    def shape(self):
-        return self.cipher.shape
 
 
 def host_share(ctx: OtpContext, shape, ks: KeyStore, on_prf=None) -> np.ndarray:
@@ -30,18 +16,18 @@ def host_share(ctx: OtpContext, shape, ks: KeyStore, on_prf=None) -> np.ndarray:
     return ks.otp_words(ctx, size, on_prf=on_prf).reshape(shape)
 
 
-def split(plain: np.ndarray, ctx: OtpContext, ks: KeyStore, on_prf=None) -> SharedVector:
+def split(plain: np.ndarray, ctx: OtpContext, ks: KeyStore, on_prf=None) -> np.ndarray:
+    """The device share C = P - R of ``plain``; consumes ``ctx``."""
     plain = np.ascontiguousarray(plain, dtype=np.uint32)
     ks.consume(ctx)
-    r = host_share(ctx, plain.shape, ks, on_prf)
-    return SharedVector(cipher=plain - r, ctx=ctx)
+    return plain - host_share(ctx, plain.shape, ks, on_prf)
 
 
-def reconstruct(sv: SharedVector, ks: KeyStore, on_prf=None) -> np.ndarray:
-    r = host_share(sv.ctx, sv.cipher.shape, ks, on_prf)
-    return sv.cipher + r
+def reconstruct(cipher: np.ndarray, ctx: OtpContext, ks: KeyStore,
+                on_prf=None) -> np.ndarray:
+    return cipher + host_share(ctx, cipher.shape, ks, on_prf)
 
 
-def reshare(plain: np.ndarray, next_ctx: OtpContext, ks: KeyStore, on_prf=None) -> SharedVector:
+def reshare(plain: np.ndarray, next_ctx: OtpContext, ks: KeyStore, on_prf=None) -> np.ndarray:
     """Identical contract to split; distinct so refresh events can be counted."""
     return split(plain, next_ctx, ks, on_prf)

@@ -222,7 +222,7 @@ def run_workload(name: str, cfg: SchemeConfig, seed: int, params=None,
                  tamper=None):
     """The one setup path: check the input, merge the workload's defaults with
     ``params``, seed the input generator, build the session, arm ``tamper`` on
-    its device and run the body ``(cfg, sess, rng, p) -> words``; returns
+    its ``Tamper`` and run the body ``(cfg, sess, rng, p) -> words``; returns
     (words, sess).  Malformed input raises ConfigError."""
     if not isinstance(name, str) or name not in WORKLOADS:
         raise ConfigError(f"unknown workload {name!r}")
@@ -233,5 +233,5 @@ def run_workload(name: str, cfg: SchemeConfig, seed: int, params=None,
     rng = np.random.default_rng(seed)
     sess = Session(cfg, seed)
     if tamper is not None:
-        sess.device.arm_tamper(tamper)
+        sess.tamper.arm(tamper)
     return WORKLOADS[name][0](cfg, sess, rng, p), sess

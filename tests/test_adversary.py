@@ -46,6 +46,8 @@ class TestDetection:
             for t in TAMPER_TARGETS}
         assert [i for i, t in enumerate(rep["log"]) if not t["detected"]] \
             == [95, 190]
+        assert rep["benign"] == 2
+        assert rep["detected"] + rep["benign"] == rep["trials"]
 
     @pytest.mark.parametrize("workload", ["mlp", "linreg"])
     def test_campaigns_over_real_workloads(self, workload):

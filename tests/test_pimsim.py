@@ -11,11 +11,18 @@ from hypothesis import strategies as st
 
 from securepim import kernels
 from securepim.crypto import KeyStore
-from securepim.errors import CapacityError, DimensionError, TaintViolation
+from securepim.errors import (
+    CapacityError,
+    DimensionError,
+    GcEvaluationFault,
+    TaintViolation,
+)
+from securepim.host import SchemeConfig, Session
 from securepim.pimsim import (
     CostReport,
     DeviceTopology,
     PimDevice,
+    Tamper,
     TamperSpec,
 )
 
@@ -24,7 +31,7 @@ from conftest import TEST_KEY, ctx, rand_words
 
 def fresh_device(secure=False, dpus=4):
     return PimDevice(DeviceTopology(dpu_count=dpus), CostReport(),
-                     seed=0, secure_mode=secure)
+                     secure_mode=secure)
 
 
 class TestLoadAccounting:
@@ -186,6 +193,81 @@ class TestTamper:
             TamperSpec("nonsense")
         with pytest.raises(ValueError):
             TamperSpec("device_result", mutation="scramble")
+
+
+class TestTamperPoint:
+    """``Tamper`` on its own: the one fire-once and log path of every
+    surface."""
+
+    WORDS = np.arange(1, 9, dtype=np.uint32)
+
+    def test_spec_fires_once(self):
+        t = Tamper()
+        t.arm(TamperSpec("device_result"))
+        hit = t.hit("device_result", self.WORDS)
+        assert (hit != self.WORDS).sum() == 1
+        assert t.hit("device_result", self.WORDS) is self.WORDS
+        assert [e["target"] for e in t.log] == ["device_result"]
+
+    def test_specs_on_one_target_fire_in_armed_order(self):
+        t = Tamper()
+        t.arm(TamperSpec("resident_share", position=0))
+        t.arm(TamperSpec("channel_d2h", position=5))
+        t.arm(TamperSpec("channel_d2h", "bit_flip", position=3))
+        t.hit("channel_d2h", self.WORDS)
+        t.hit("channel_d2h", self.WORDS)
+        assert [(e["mutation"], e["index"]) for e in t.log] == [
+            ("word_randomize", 5), ("bit_flip", 3)]
+        assert t.hit("channel_d2h", self.WORDS) is self.WORDS
+        assert t.hit("resident_share", self.WORDS)[0] != self.WORDS[0]
+
+    def test_unarmed_hit_returns_the_same_object(self):
+        t = Tamper()
+        assert t.hit("channel_h2d", self.WORDS) is self.WORDS
+        t.arm(TamperSpec("device_result"))
+        assert t.hit("channel_h2d", self.WORDS) is self.WORDS
+        assert t.log == []
+
+    def test_int_position_wraps_modulo_size(self):
+        t = Tamper()
+        t.arm(TamperSpec("device_result", position=8 * 3 + 2))
+        hit = t.hit("device_result", self.WORDS.reshape(2, 4))
+        assert (hit.reshape(-1) != self.WORDS).tolist() == [
+            i == 2 for i in range(8)]
+        assert t.log[0]["index"] == 2
+
+    @pytest.mark.parametrize("mutation", ["bit_flip", "word_randomize"])
+    def test_row_hook_mutates_only_the_first_row(self, mutation):
+        t = Tamper()
+        assert t.row_hook() is None
+        t.arm(TamperSpec("gc_table", mutation))
+        hook = t.row_hook()
+        assert t.row_hook() is None   # the spec belongs to this evaluation
+        rows = np.zeros((3, 4), dtype=np.uint64)
+        out = hook(7, np.asarray([2, 0, 1]), rows.copy())
+        assert out[0].any() and not out[1:].any()
+        if mutation == "bit_flip":
+            assert sum(bin(int(w)).count("1") for w in out.ravel()) == 1
+        assert not hook(9, np.asarray([1, 1, 1]), rows.copy()).any()
+        assert t.log == [{"target": "gc_table", "mutation": mutation,
+                          "index": 7 * 4 + 2}]
+
+    def test_empty_a2y_vector_leaves_gc_spec_armed(self):
+        sess = Session(SchemeConfig("pim_runtime", variant="A2Y"), 0)
+        sess.tamper.arm(TamperSpec("gc_table"))
+        assert sess.a2y_activation(np.empty(0, dtype=np.uint32)).size == 0
+        assert sess.tamper.log == []
+        with pytest.raises(GcEvaluationFault):
+            sess.a2y_activation(np.asarray([2048], dtype=np.uint32))
+        assert [e["target"] for e in sess.tamper.log] == ["gc_table"]
+
+    def test_session_device_shares_the_tamper_log(self):
+        sess = Session(SchemeConfig("pim_runtime"), 0)
+        assert sess.device.tamper is sess.tamper
+        assert sess.device.tamper_log is sess.tamper.log
+        sess.device.arm_tamper(TamperSpec("device_result"))
+        sess.tamper.hit("device_result", self.WORDS)
+        assert len(sess.device.tamper_log) == 1
 
 
 class TestTaint:

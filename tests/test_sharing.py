@@ -26,20 +26,20 @@ def fixed_r_keystore(monkeypatch, ks, r_words):
 class TestSplit:
     def test_hand_vector(self, ks, monkeypatch):
         fixed_r_keystore(monkeypatch, ks, [3])
-        sv = sharing.split(np.asarray([5], dtype=np.uint32), ctx(), ks)
-        assert sv.cipher.tolist() == [2]
+        c = sharing.split(np.asarray([5], dtype=np.uint32), ctx(), ks)
+        assert c.tolist() == [2]
 
     def test_wraparound(self, ks, monkeypatch):
         fixed_r_keystore(monkeypatch, ks, [7])
-        sv = sharing.split(np.asarray([0], dtype=np.uint32), ctx(), ks)
-        assert sv.cipher.tolist() == [(1 << 32) - 7]
+        c = sharing.split(np.asarray([0], dtype=np.uint32), ctx(), ks)
+        assert c.tolist() == [(1 << 32) - 7]
 
     def test_round_trip_many(self, ks):
         rng = np.random.default_rng(1)
         for v in range(1, 1001):
             x = rand_words(rng, 4)
-            sv = sharing.split(x, ctx(version=v), ks)
-            assert np.array_equal(sharing.reconstruct(sv, ks), x)
+            c = sharing.split(x, ctx(version=v), ks)
+            assert np.array_equal(sharing.reconstruct(c, ctx(version=v), ks), x)
 
     def test_version_reuse_faults(self, ks):
         x = np.zeros(2, dtype=np.uint32)
@@ -51,24 +51,23 @@ class TestSplit:
 class TestReconstruct:
     def test_hand_vector(self, ks, monkeypatch):
         fixed_r_keystore(monkeypatch, ks, [3])
-        sv = sharing.SharedVector(np.asarray([2], dtype=np.uint32), ctx())
-        assert sharing.reconstruct(sv, ks).tolist() == [5]
+        c = np.asarray([2], dtype=np.uint32)
+        assert sharing.reconstruct(c, ctx(), ks).tolist() == [5]
 
     def test_complement_gives_zero(self, ks):
         r = ks.otp_words(ctx(), 8)
-        sv = sharing.SharedVector((-r.astype(np.int64) & 0xFFFFFFFF)
-                                  .astype(np.uint32), ctx())
-        assert not sharing.reconstruct(sv, ks).any()
+        c = (-r.astype(np.int64) & 0xFFFFFFFF).astype(np.uint32)
+        assert not sharing.reconstruct(c, ctx(), ks).any()
 
 
 class TestReshare:
     def test_same_plaintext_new_cipher(self, ks):
         rng = np.random.default_rng(2)
         x = rand_words(rng, 16)
-        sv1 = sharing.split(x, ctx(version=1), ks)
-        sv2 = sharing.reshare(x, ctx(version=2), ks)
-        assert np.array_equal(sharing.reconstruct(sv2, ks), x)
-        assert not np.array_equal(sv1.cipher, sv2.cipher)
+        c1 = sharing.split(x, ctx(version=1), ks)
+        c2 = sharing.reshare(x, ctx(version=2), ks)
+        assert np.array_equal(sharing.reconstruct(c2, ctx(version=2), ks), x)
+        assert not np.array_equal(c1, c2)
 
     def test_reuse_faults(self, ks):
         x = np.zeros(2, dtype=np.uint32)
@@ -86,15 +85,15 @@ def test_linearity_w_times_shares(seed):
     ks.register("k", TEST_KEY)
     W = rand_words(rng, (8, 8))
     x = rand_words(rng, 8)
-    sv = sharing.split(x, OtpContext("k", 1, 0), ks)
+    c = sharing.split(x, OtpContext("k", 1, 0), ks)
     r = sharing.host_share(OtpContext("k", 1, 0), (8,), ks)
     lhs = kernels.gemv(W, x)
-    rhs = kernels.gemv(W, sv.cipher) + kernels.gemv(W, r)
+    rhs = kernels.gemv(W, c) + kernels.gemv(W, r)
     assert np.array_equal(lhs, rhs)
 
 
 def test_cipher_distribution_smoke(ks):
     """Cipher words of an all-zero plaintext look uniform-ish (mean check)."""
-    sv = sharing.split(np.zeros(4096, dtype=np.uint32), ctx(), ks)
-    mean = sv.cipher.astype(np.float64).mean()
+    c = sharing.split(np.zeros(4096, dtype=np.uint32), ctx(), ks)
+    mean = c.astype(np.float64).mean()
     assert abs(mean - 2**31) < 2**31 * 0.05

@@ -91,7 +91,7 @@ class TestSigmoidCircuit:
         for x in (0, 1, ring.HALF, ring.ONE, (1 << 32) - 1,
                   ring.fx_encode(-0.5), ring.fx_encode(0.5)):
             v = ring.to_signed(ring.add(x, ring.HALF))
-            w = ring.to_signed(ring.sub(x, ring.HALF))
+            w = ring.to_signed((x - ring.HALF) & ring.MASK)
             b1, b2 = int(v < 0), int(w < 0)
             assert not (b1 == 1 and b2 == 0)
 
@@ -164,7 +164,7 @@ class TestA2Y:
     def test_switch_equals_clamp_of_reconstruction(self, x, seed):
         rng = random.Random(seed)
         r = rng.getrandbits(32)
-        c = ring.sub(x, r)
+        c = (x - r) & ring.MASK
         assert a2y_sigmoid(r, c, seed) == clamp_oracle(x)
 
     def test_label_accounting(self):
@@ -177,7 +177,7 @@ class TestA2Y:
         rng = random.Random(0)
         for _ in range(200):
             r, x = rng.getrandbits(32), rng.getrandbits(32)
-            c = ring.sub(x, r)
+            c = (x - r) & ring.MASK
             bits = A2Y.eval_plain(word_to_bits(r, 32), word_to_bits(c, 32))
             assert bits_to_word(bits) == clamp_oracle(x)
 
@@ -264,7 +264,7 @@ class TestBatch:
         rng = random.Random(k)
         xs = [rng.getrandbits(32) for _ in range(33)]
         rs = [rng.getrandbits(32) for _ in range(33)]
-        cs = [ring.sub(x, r) for x, r in zip(xs, rs)]
+        cs = [(x - r) & ring.MASK for x, r in zip(xs, rs)]
         gc, labels, _ot, _stats = prepare_switch(rs, cs, list(range(33)))
         j = 5
         gid = [i for i, g in enumerate(A2Y.gates) if g.op == "AND"][j]

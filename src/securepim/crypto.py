@@ -2,8 +2,9 @@
 
 A keystream block is AES-128(key) applied to a 128-bit counter laid out as
 little-endian fields ``version(32) || stream_id(32) || block_index(64)``;
-each block yields four ring words.  Streams are addressed by a logical
-64-bit element index, so regeneration is bit-exact and position-addressable.
+each block yields four ring words.  A context is ``(key, version)``; its
+stream is addressable by block, so regeneration is bit-exact, and a share
+takes the first words of its context's stream.
 """
 
 from dataclasses import dataclass
@@ -22,11 +23,10 @@ WORDS_PER_BLOCK = 4
 
 @dataclass(frozen=True)
 class OtpContext:
-    """Addresses one keystream: (key, version, first element index)."""
+    """Addresses one keystream: (key, version)."""
 
     key_id: str
     version: int
-    base_index: int = 0
 
 
 class KeyStore:
@@ -55,22 +55,19 @@ class KeyStore:
 
     def consume(self, ctx: OtpContext) -> None:
         self._cipher(ctx.key_id)
-        mark = (ctx.key_id, ctx.version, ctx.base_index)
+        mark = (ctx.key_id, ctx.version)
         if mark in self._consumed:
             raise VersionReuseError(f"context already consumed: {mark}")
         self._consumed.add(mark)
 
     def _blocks(self, key_id, version, stream_id, first_block, nblocks, on_prf):
-        """``nblocks`` keystream blocks as ring words: from ``first_block`` on
-        for one int ``version``, or block ``first_block`` of each in a list."""
-        versions = np.asarray(version, dtype=np.uint64).reshape(-1, 1)
-        blocks = np.arange(first_block, first_block + nblocks // len(versions),
-                           dtype=np.uint64)
-        counters = np.empty((len(versions), len(blocks), 2), dtype="<u8")
-        counters[..., 1] = blocks
+        """``nblocks`` keystream blocks from ``first_block`` on, as ring words."""
+        counters = np.empty((nblocks, 2), dtype="<u8")
+        counters[:, 1] = np.arange(first_block, first_block + nblocks,
+                                   dtype=np.uint64)
         fields = counters.view("<u4")   # version, stream id, block index (2 words)
-        fields[..., 0] = versions       # the cast keeps the low 32 bits
-        fields[..., 1] = stream_id
+        fields[:, 0] = version & 0xFFFFFFFF
+        fields[:, 1] = stream_id
         words = np.empty(4 * nblocks + 4, dtype="<u4")  # room for one spare block
         self._cipher(key_id).update_into(counters.data.cast("B"), words.data.cast("B"))
         if on_prf is not None:
@@ -79,30 +76,14 @@ class KeyStore:
 
     def otp_words(self, ctx: OtpContext, count: int, stream_id: int = STREAM_SHARE,
                   on_prf=None) -> np.ndarray:
-        """``count`` keystream ring words starting at ctx.base_index."""
+        """The first ``count`` ring words of the context's stream."""
         if count < 0:
             raise ValueError("count must be >= 0")
         if count == 0:
             return np.empty(0, dtype=np.uint32)
-        first_block = ctx.base_index // WORDS_PER_BLOCK
-        last_block = (ctx.base_index + count - 1) // WORDS_PER_BLOCK
-        words = self._blocks(ctx.key_id, ctx.version, stream_id,
-                             first_block, last_block - first_block + 1, on_prf)
-        off = ctx.base_index % WORDS_PER_BLOCK
-        return words[off:off + count]
-
-    def word_per_context(self, ctxs, on_prf=None) -> np.ndarray:
-        """The word at ``base_index`` of each context's share stream, from one
-        keystream request of one block per context: the one-word OTPs of a
-        vector of scalars.  The contexts must share key and base index."""
-        if not ctxs:
-            return np.empty(0, dtype=np.uint32)
-        key_id, base = ctxs[0].key_id, ctxs[0].base_index
-        if any(c.key_id != key_id or c.base_index != base for c in ctxs):
-            raise ValueError("contexts must share key_id and base_index")
-        words = self._blocks(key_id, [c.version for c in ctxs], STREAM_SHARE,
-                             base // WORDS_PER_BLOCK, len(ctxs), on_prf)
-        return words[base % WORDS_PER_BLOCK::WORDS_PER_BLOCK].copy()
+        nblocks = -(-count // WORDS_PER_BLOCK)
+        return self._blocks(ctx.key_id, ctx.version, stream_id, 0, nblocks,
+                            on_prf)[:count]
 
     def seal(self, ctx: OtpContext, words: np.ndarray, on_prf=None) -> np.ndarray:
         """XOR with the sealing stream; an involution, so also unseals."""
@@ -114,6 +95,5 @@ class KeyStore:
 
     def derive_mac_secret(self, ctx: OtpContext, q: int, on_prf=None) -> int:
         """s in [1, q-1] from the first MAC-stream block of this context."""
-        words = self._blocks(ctx.key_id, ctx.version, STREAM_MAC,
-                             ctx.base_index // WORDS_PER_BLOCK, 1, on_prf)
+        words = self._blocks(ctx.key_id, ctx.version, STREAM_MAC, 0, 1, on_prf)
         return int(words[:2].view("<u8")[0]) % (q - 1) + 1

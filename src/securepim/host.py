@@ -151,17 +151,14 @@ class Session:
     # -- nonlinear offload --------------------------------------------------
 
     def a2y_activation(self, p: np.ndarray) -> np.ndarray:
-        """Switch the vector to Yao in one batch: one fresh context per
-        scalar, all their one-word OTPs in one keystream request; the device
-        evaluates the clamp per scalar, learns the activation values
-        (declared leak), host stores both labels per C bit."""
-        words = p.ravel()
-        ctxs = [self.alloc_ctx() for _ in range(words.size)]
-        for ctx in ctxs:
-            self.ks.consume(ctx)
-        r = self.ks.word_per_context(ctxs, on_prf=self._on_prf)
+        """Switch the vector to Yao in one batch: one share C = P - R of the
+        whole vector under one fresh context; the device evaluates the clamp
+        per scalar, learns the activation values (declared leak), host
+        stores both labels per C bit."""
+        words = np.asarray(p, dtype=np.uint32).ravel()
+        c = sharing.split(words, self.alloc_ctx(), self.ks, on_prf=self._on_prf)
+        r = words - c
         seeds = [self.next_gc_seed() for _ in range(words.size)]
-        c = words.astype(np.uint32) - r
         gcirc, labels, _ot, stats = prepare_switch(r, c, seeds)
         try:
             bits = self.device.evaluate_garbled(gcirc, labels)
@@ -203,19 +200,18 @@ class _PrivateOperand:
         device.  pim_precompute seals resCPU = host_fn(R, *args) offline for
         each ``(key, host_fn, args)`` in ``precompute``; without static
         operands it keeps R = M - C in trusted memory instead, so the online
-        phase needs no PRF calls."""
+        phase needs no PRF calls.  Either way R comes from the share itself,
+        not from a second keystream request."""
         s = self.sess
         data = self._protect(M, s._off_prf)
         self._r = self._pre = None
-        if s.cfg.scheme == "pim_precompute" and precompute is None:
-            self._r = M - data
-        elif s.cfg.scheme == "pim_precompute":
-            self._pre = []
-            for key, host_fn, args in precompute:
-                r = sharing.host_share(self.ctx, M.shape, s.ks,
-                                       on_prf=s._off_prf)
-                self._pre.append(
-                    (key, s.seal_precomputed(host_fn(r, *args), M.size)))
+        if s.cfg.scheme == "pim_precompute":
+            r = M - data
+            if precompute is None:
+                self._r = r
+            else:
+                self._pre = [(key, s.seal_precomputed(host_fn(r, *args), M.size))
+                             for key, host_fn, args in precompute]
         self._held = s.device.load(s._next_name(prefix), data,
                                    secret_plaintext=data is M) \
             if s.cfg.scheme in DEVICE_SCHEMES else data

@@ -1,8 +1,10 @@
 """Additive secret sharing between the trusted host and the device.
 
-A plaintext P is split as C = P - R mod 2^32, where R is regenerated on
-demand from an OtpContext; the device only ever holds C.  The host never
-stores R, which is what makes the precomputation scheme's cost model work.
+A plaintext P is split as C = P - R mod 2^32, where R is the first words
+of a fresh OtpContext's stream; the device only ever holds C.  The host
+regenerates R on demand instead of storing it, with one exception: under
+pim_precompute an operand with no static vectors (an embedding table) keeps
+R = P - C in trusted memory, so its online phase needs no PRF calls.
 """
 
 import numpy as np

@@ -13,8 +13,8 @@ from functools import lru_cache
 import numpy as np
 
 from .. import ring
-from .circuit import bits_to_word, build_a2y_circuit, word_to_bits
-from .garble import EvalTranscript, _to_int, evaluate, garble
+from .circuit import build_a2y_circuit, word_to_bits
+from .garble import _to_int, garble
 from .ot import IdealOT
 
 
@@ -61,9 +61,3 @@ def prepare_switch(r_word, c_word, seed):
     )
     return gc, input_labels, ot, stats
 
-
-def a2y_sigmoid(r_word: int, c_word: int, seed: int,
-                transcript: EvalTranscript = None) -> int:
-    """Host-side reference path: switch, evaluate locally, decode the word."""
-    gc, input_labels, _ot, _stats = prepare_switch(r_word, c_word, seed)
-    return bits_to_word(evaluate(gc, input_labels, transcript=transcript))

@@ -13,8 +13,8 @@ def ks():
     return store
 
 
-def ctx(version=1, base_index=0, key_id="k"):
-    return OtpContext(key_id, version, base_index)
+def ctx(version=1, key_id="k"):
+    return OtpContext(key_id, version)
 
 
 def rand_words(rng, shape):

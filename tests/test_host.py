@@ -28,6 +28,11 @@ def session(scheme, verify=False, variant="A", seed=0):
     return Session(SchemeConfig(scheme, verify, variant), seed)
 
 
+def blocks(words):
+    """Keystream blocks (PRF calls) that ``words`` ring words take."""
+    return -(-words // 4)
+
+
 class TestSchemeConfig:
     def test_unknown_scheme(self):
         with pytest.raises(ConfigError):
@@ -171,6 +176,25 @@ class TestPrivateMatrixOp:
                              tag_rows=False)
         assert op.matvec(w).tolist() == [3, 7]
         assert sess.online.host_mac_ops == 0
+
+    @pytest.mark.parametrize("verify", [False, True])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_precompute_offline_prf_is_split_plus_seals(self, k, verify):
+        """R = X - C is derived once from the share: the offline keystream
+        cost is the split of X plus one seal per precomputed resCPU (plus
+        the two tag seals), with no per-vector regeneration of R."""
+        X = np.arange(30, dtype=np.uint32).reshape(6, 5)
+        vecs = [("rows", np.ones(5, dtype=np.uint32)),
+                ("cols", np.ones(6, dtype=np.uint32))] * 2
+        sess = session("pim_precompute", verify=verify)
+        before = sess.offline.host_prf_calls
+        PrivateMatrixOp(sess, X, precompute=vecs[:k])
+        expect = blocks(X.size) + sum(
+            blocks(6 if direction == "rows" else 5)
+            for direction, _ in vecs[:k])
+        if verify:  # column and row tags, two words per residue
+            expect += blocks(2 * 5) + blocks(2 * 6)
+        assert sess.offline.host_prf_calls - before == expect
 
     def test_precompute_exhausted_is_config_error(self):
         w = np.asarray([1, 1], dtype=np.uint32)
@@ -320,6 +344,17 @@ class TestA2YActivation:
         assert got.tolist() == [
             min(max(ring.to_signed(x) + ring.HALF, 0), ring.ONE) for x in xs]
         assert sess.a2y_scalars == len(xs)
+
+    @pytest.mark.parametrize("n", [1, 4, 5, 33])
+    def test_one_share_per_vector(self, n):
+        """The whole vector is masked by one split: ceil(n/4) keystream
+        blocks, not one per scalar."""
+        xs = (np.arange(n, dtype=np.int64) * 997 - 3000).astype(np.uint32)
+        sess = session("pim_runtime", variant="A2Y")
+        before = sess.online.host_prf_calls
+        got = sess.a2y_activation(xs)
+        assert sess.online.host_prf_calls - before == blocks(n)
+        assert np.array_equal(got, ring.clamp_unit_array(xs))
 
     def test_label_accounting_per_scalar(self):
         sess = session("pim_runtime", variant="A2Y")

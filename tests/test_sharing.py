@@ -85,8 +85,8 @@ def test_linearity_w_times_shares(seed):
     ks.register("k", TEST_KEY)
     W = rand_words(rng, (8, 8))
     x = rand_words(rng, 8)
-    c = sharing.split(x, OtpContext("k", 1, 0), ks)
-    r = sharing.host_share(OtpContext("k", 1, 0), (8,), ks)
+    c = sharing.split(x, OtpContext("k", 1), ks)
+    r = sharing.host_share(OtpContext("k", 1), (8,), ks)
     lhs = kernels.gemv(W, x)
     rhs = kernels.gemv(W, c) + kernels.gemv(W, r)
     assert np.array_equal(lhs, rhs)

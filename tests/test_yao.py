@@ -27,7 +27,7 @@ from securepim.yao.circuit import (
 )
 from securepim.yao.garble import ROW_HASH_KEY, EvalTranscript, evaluate, garble
 from securepim.yao.ot import IdealOT
-from securepim.yao.switch import a2y_sigmoid, prepare_switch
+from securepim.yao.switch import prepare_switch
 
 words = st.integers(min_value=0, max_value=(1 << 32) - 1)
 
@@ -40,6 +40,12 @@ def clamp_oracle(x_word: int) -> int:
     """Piecewise ground truth: 0 / x + 1/2 / 1 in Q12."""
     x = ring.to_signed(x_word)
     return min(max(x + ring.HALF, 0), ring.ONE)
+
+
+def switch_and_decode(r_word, c_word, seed, transcript=None):
+    """Switch one scalar, evaluate it on the host and decode the word."""
+    gc, labels, _ot, _stats = prepare_switch(r_word, c_word, seed)
+    return bits_to_word(evaluate(gc, labels, transcript=transcript))
 
 
 def plain_add(r, c):
@@ -137,7 +143,7 @@ class TestGarbling:
 
     def test_exactly_one_row_match_per_and_gate(self):
         transcript = EvalTranscript()
-        a2y_sigmoid(123456, 654321, seed=7, transcript=transcript)
+        switch_and_decode(123456, 654321, seed=7, transcript=transcript)
         assert len(transcript.row_matches) == A2Y.and_count
         assert all(m == 1 for m in transcript.row_matches)
 
@@ -165,7 +171,7 @@ class TestA2Y:
         rng = random.Random(seed)
         r = rng.getrandbits(32)
         c = (x - r) & ring.MASK
-        assert a2y_sigmoid(r, c, seed) == clamp_oracle(x)
+        assert switch_and_decode(r, c, seed) == clamp_oracle(x)
 
     def test_label_accounting(self):
         _gc, _labels, ot, stats = prepare_switch(111, 222, seed=3)

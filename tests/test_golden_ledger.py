@@ -13,7 +13,12 @@ were re-recorded once, when placement PRF calls moved to the offline ledger
 activation vector before the device evaluates any of it: its aborted run
 now charges all 8 scalars' OTP words, tables and labels (online
 ``host_prf_calls``, ``gc_ciphertexts``, ``gc_bytes`` and ``bytes_h2d``;
-every other case and the tamper log stayed as they were).  The
+every other case and the tamper log stayed as they were).  They were
+re-recorded a third time, with ``tools/golden_diff.py --allow
+host_prf_calls``, when every additive share began to come from one
+``sharing.split`` and R was derived once per operand: only
+``host_prf_calls`` moved, in the five ``gemm``/``conv`` ``pim_precompute``
+cases (offline) and the two A2Y cases (online).  The
 shapes are small to keep the sweep fast; the acceptance suite covers the
 default ones.
 """

@@ -200,8 +200,8 @@ class _PrivateOperand:
         device.  pim_precompute seals resCPU = host_fn(R, *args) offline for
         each ``(key, host_fn, args)`` in ``precompute``; without static
         operands it keeps R = M - C in trusted memory instead, so the online
-        phase needs no PRF calls.  Either way R comes from the share itself,
-        not from a second keystream request."""
+        phase needs no PRF calls.  Either way R = M - C is taken from the
+        share, at no keystream cost."""
         s = self.sess
         data = self._protect(M, s._off_prf)
         self._r = self._pre = None

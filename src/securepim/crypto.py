@@ -1,4 +1,4 @@
-"""Counter-mode keystreams: share OTPs, at-rest sealing, and MAC secrets.
+"""Counter-mode keystreams: share OTPs, sealing, MAC secrets, garbling seeds.
 
 A keystream block is AES-128(key) applied to a 128-bit counter laid out as
 little-endian fields ``version(32) || stream_id(32) || block_index(64)``;
@@ -17,6 +17,7 @@ from .errors import UnknownKeyError, VersionReuseError
 STREAM_SHARE = 0   # masks for arithmetic shares
 STREAM_SEAL = 1    # at-rest sealing (MAC-then-encrypt storage)
 STREAM_MAC = 2     # per-operand MAC secret s
+STREAM_GC = 3      # A2Y garbling seeds, one 128-bit block per scalar
 
 WORDS_PER_BLOCK = 4
 
@@ -27,6 +28,10 @@ class OtpContext:
 
     key_id: str
     version: int
+
+    def __post_init__(self):
+        if not 0 <= self.version < 1 << 32:
+            raise ValueError(f"version {self.version} would alias in the 32-bit counter")
 
 
 class KeyStore:
@@ -66,7 +71,7 @@ class KeyStore:
         counters[:, 1] = np.arange(first_block, first_block + nblocks,
                                    dtype=np.uint64)
         fields = counters.view("<u4")   # version, stream id, block index (2 words)
-        fields[:, 0] = version & 0xFFFFFFFF
+        fields[:, 0] = version
         fields[:, 1] = stream_id
         words = np.empty(4 * nblocks + 4, dtype="<u4")  # room for one spare block
         self._cipher(key_id).update_into(counters.data.cast("B"), words.data.cast("B"))

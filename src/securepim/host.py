@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, mac, sharing
-from .crypto import KeyStore, OtpContext
+from .crypto import STREAM_GC, KeyStore, OtpContext
 from .errors import ConfigError, GcEvaluationFault, VerificationError
 from .pimsim import CostReport, PimDevice, Tamper
 from .yao.circuit import bits_to_word
@@ -63,7 +63,6 @@ class Session:
 
     def __init__(self, cfg: SchemeConfig, seed: int):
         self.cfg = cfg
-        self.seed = seed
         self.ks = KeyStore()
         self.key_id = "k0"
         self.ks.register(self.key_id, derive_key_hex(seed))
@@ -73,7 +72,6 @@ class Session:
         self.device = PimDevice(report=self.online, tamper=self.tamper,
                                 secure_mode=cfg.scheme in SHARE_SCHEMES)
         self._version = 0
-        self._gc_seed = 0
         self._names = 0
         self.verification_events = []
         self.leaks = []
@@ -100,10 +98,6 @@ class Session:
     def _next_name(self, prefix: str) -> str:
         self._names += 1
         return f"{prefix}{self._names}"
-
-    def next_gc_seed(self) -> int:
-        self._gc_seed += 1
-        return (self.seed << 24) ^ self._gc_seed
 
     def record_leak(self, what: str) -> None:
         if what not in self.leaks:
@@ -152,13 +146,15 @@ class Session:
 
     def a2y_activation(self, p: np.ndarray) -> np.ndarray:
         """Switch the vector to Yao in one batch: one share C = P - R of the
-        whole vector under one fresh context; the device evaluates the clamp
-        per scalar, learns the activation values (declared leak), host
-        stores both labels per C bit."""
+        whole vector under one fresh context, whose uncharged STREAM_GC gives
+        one garbling seed per scalar; the device evaluates the clamp, learns
+        the activations (declared leak), host stores both labels per C bit."""
         words = np.asarray(p, dtype=np.uint32).ravel()
-        c = sharing.split(words, self.alloc_ctx(), self.ks, on_prf=self._on_prf)
+        ctx = self.alloc_ctx()
+        c = sharing.split(words, ctx, self.ks, on_prf=self._on_prf)
         r = words - c
-        seeds = [self.next_gc_seed() for _ in range(words.size)]
+        pad = self.ks.otp_words(ctx, 4 * words.size, stream_id=STREAM_GC).tobytes()
+        seeds = [int.from_bytes(pad[i:i + 16], "little") for i in range(0, len(pad), 16)]
         gcirc, labels, _ot, stats = prepare_switch(r, c, seeds)
         try:
             bits = self.device.evaluate_garbled(gcirc, labels)

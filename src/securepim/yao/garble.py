@@ -9,7 +9,10 @@ fixed-key AES block per 128-bit half (Bellare, Hoang, Keelveedhi and
 Rogaway, S&P 2013): H(a, b, T) = pi(K) ^ K with K = 2a ^ 4b ^ T, doubling
 in GF(2^128) and T = 2 * gate id + half.  The low 128 bits of a decrypted
 row must be zero, which is the integrity check that turns table corruption
-into an evaluation fault.
+into an evaluation fault.  The same hash, tweakable and correlation-robust
+(Guo, Katz, Wang and Yu, S&P 2020), expands a 128-bit seed s: draw i, with
+K = s ^ (i << 64), gives delta, the input zero-labels, then the AND output
+zero-labels in gate order.
 
 Evaluation runs by AND depth (Husted, Myers, shelat and Grubbs, ACSAC 2013):
 XOR and NOT gates one at a time, and each stage of AND gates whose inputs
@@ -20,7 +23,6 @@ An int seed garbles a batch of one in the scalar form: labels are 128-bit
 ints keyed by wire, and evaluation returns a list of output bits.
 """
 
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +31,6 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from .circuit import AND, NOT, XOR, BoolCircuit, row_tweaks
 from ..errors import GcEvaluationFault
 
-LABEL_BYTES = 16
-ROW_BYTES = 32
 # pi: AES-128 under a fixed public key; ECB keeps no state between calls
 ROW_HASH_KEY = bytes(range(16))
 _PI = Cipher(algorithms.AES(ROW_HASH_KEY), modes.ECB()).encryptor()
@@ -90,12 +90,10 @@ class GarbledCircuit:
     circuit: BoolCircuit
     tables: np.ndarray          # (AND gates, 4 rows, N, 4 words, low first) uint64
     output_points: np.ndarray   # (N, outputs) point bit of each output zero-label
-    ciphertext_count: int       # 4 rows per AND gate per copy
-    table_bytes: int
 
-    @property
-    def batch(self) -> int:
-        return self.output_points.shape[0]
+    batch = property(lambda self: self.output_points.shape[0])
+    ciphertext_count = property(lambda self: self.tables.size // 4)  # 4 per AND per copy
+    table_bytes = property(lambda self: self.tables.nbytes)
 
 
 @dataclass
@@ -111,19 +109,20 @@ def garble(circuit: BoolCircuit, seed):
     Returns (GarbledCircuit, pairs).  For a sequence of N seeds ``pairs`` is
     a (inputs, 2, N, 2) uint64 array: ``pairs[i, v]`` holds the labels of
     value v on input i, garbler inputs first.  For an int seed it maps each
-    input wire to its (label0, label1) ints.
+    input wire to its (label0, label1) ints.  Seeds lie in [0, 2^128).
     """
     scalar = np.ndim(seed) == 0
-    seeds = [seed] if scalar else seed
+    seeds = [int(s) for s in ([seed] if scalar else seed)]
+    if not all(0 <= s < 1 << 128 for s in seeds):
+        raise ValueError("garbling seeds must lie in [0, 2^128)")
     n = len(seeds)
     inputs = circuit.garbler_inputs + circuit.evaluator_inputs
     ands = [(gid, g) for gid, g in enumerate(circuit.gates) if g.op == AND]
-    # randbytes(16 k) is the stream of k getrandbits(128) calls: delta,
-    # input zero-labels, then AND output zero-labels in gate order
     draws = 1 + len(inputs) + len(ands)
-    rand = np.ascontiguousarray(np.frombuffer(
-        b"".join(random.Random(int(s)).randbytes(LABEL_BYTES * draws) for s in seeds),
-        dtype=np.uint64).reshape(n, draws, 2).swapaxes(0, 1))
+    keys = np.empty((draws, n, 2), dtype=np.uint64)
+    keys[:] = np.array([_from_int(s) for s in seeds], dtype=np.uint64).reshape(n, 2)
+    keys[..., 1] ^= np.arange(draws, dtype=np.uint64)[:, None]
+    rand = _hash(keys)
     delta = rand[0] | _LSB
     zero = [None] * circuit.n_wires
     for w, label in zip(inputs, rand[1:]):
@@ -159,8 +158,7 @@ def garble(circuit: BoolCircuit, seed):
     _xor_delta(out, (pa[:, None] ^ _ROW_A) & (pb[:, None] ^ _ROW_B), delta)
     output_points = np.array([zero[w][:, 0] & 1 for w in circuit.outputs],
                              dtype=np.uint8).reshape(len(circuit.outputs), n).T
-    count = 4 * len(ands) * n
-    gc = GarbledCircuit(circuit, tables, output_points, count, count * ROW_BYTES)
+    gc = GarbledCircuit(circuit, tables, output_points)
     pairs = np.stack([rand[1:1 + len(inputs)], rand[1:1 + len(inputs)] ^ delta], axis=1)
     if scalar:
         pairs = {w: (_to_int(p[0, 0]), _to_int(p[1, 0])) for w, p in zip(inputs, pairs)}

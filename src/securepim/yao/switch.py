@@ -1,10 +1,10 @@
 """Arithmetic-to-Yao switching for the clamped-sigmoid activation.
 
-The host garbles one composed add-then-clamp circuit per scalar, hardwires
-its own R bits as garbler inputs (the trusted side needs no OT for itself),
-and the evaluator fetches labels for its C bits through the ideal OT, one
-transfer for the whole vector.  The output decodes to plain activation
-words on the device side.
+The host garbles one composed add-then-clamp circuit per scalar from a seed
+of its keystream (``crypto.STREAM_GC``), hardwires its own R bits as garbler
+inputs (the trusted side needs no OT for itself), and the evaluator fetches
+labels for its C bits through the ideal OT, one transfer for the whole
+vector.  The output decodes to plain activation words on the device side.
 """
 
 from dataclasses import dataclass

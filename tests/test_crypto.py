@@ -5,11 +5,16 @@ block_index(64), AES-128-ECB) is a frozen external interface, so one test
 pins it against a direct `cryptography` oracle.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
+import securepim
 from securepim.crypto import (
+    STREAM_GC,
     STREAM_MAC,
     STREAM_SEAL,
     STREAM_SHARE,
@@ -43,9 +48,17 @@ class TestOtpWords:
             + aes_block_oracle(TEST_KEY, 7, STREAM_SHARE, 1)
         assert words.tobytes() == blocks
 
-    def test_counter_keeps_low_32_version_bits(self, ks):
-        assert np.array_equal(ks.otp_words(ctx(version=2**32 + 7), 8),
-                              ks.otp_words(ctx(version=7), 8))
+    @pytest.mark.parametrize("version", [-1, 2**32, 2**32 + 7])
+    def test_version_outside_counter_field_rejected(self, version):
+        """The counter holds 32 version bits: a wider version would reuse
+        the pad of ``version mod 2^32``, so it never forms a context."""
+        with pytest.raises(ValueError, match="32-bit counter"):
+            ctx(version=version)
+
+    def test_widest_version_pins_its_counter(self, ks):
+        version = 2**32 - 1
+        assert ks.otp_words(ctx(version=version), 4).tobytes() == \
+            aes_block_oracle(TEST_KEY, version, STREAM_SHARE, 0)
 
     def test_seal_stream_is_distinct(self, ks):
         share = ks.otp_words(ctx(), 4)
@@ -128,3 +141,50 @@ class TestVersionDiscipline:
     def test_distinct_versions_fine(self, ks):
         ks.consume(ctx(version=1))
         ks.consume(ctx(version=2))
+
+
+def rng_uses(tree):
+    """(top-level class or None, line) of each ``random`` import and each
+    ``np.random`` reference in a module's syntax tree."""
+    for top in tree.body:
+        owner = top.name if isinstance(top, ast.ClassDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                hit = any(a.name == "random" or a.name.startswith("numpy.random")
+                          for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                hit = node.level == 0 and (
+                    node.module in ("random", "numpy.random")
+                    or node.module == "numpy" and any(a.name == "random" for a in node.names))
+            else:
+                hit = (isinstance(node, ast.Attribute) and node.attr == "random"
+                       and isinstance(node.value, ast.Name)
+                       and node.value.id in ("np", "numpy"))
+            if hit:
+                yield owner, node.lineno
+
+
+class TestOneRandomnessRoot:
+    """Every secret the host draws comes from the KeyStore.  The only other
+    generators are the workload input generator and the adversary's RNG."""
+
+    ALLOWED = {("workloads", None), ("pimsim", "Tamper")}
+
+    def scan(self):
+        package = Path(securepim.__file__).parent
+        for path in sorted(package.rglob("*.py")):
+            module = ".".join(path.relative_to(package).with_suffix("").parts)
+            for owner, line in rng_uses(ast.parse(path.read_text())):
+                yield module, owner, line
+
+    def test_no_other_generator(self):
+        stray = [u for u in self.scan() if u[:2] not in self.ALLOWED]
+        assert stray == []
+
+    def test_scan_sees_the_allowed_generators(self):
+        assert {u[:2] for u in self.scan()} == self.ALLOWED
+
+    def test_gc_stream_is_distinct(self, ks):
+        assert STREAM_GC not in (STREAM_SHARE, STREAM_SEAL, STREAM_MAC)
+        assert ks.otp_words(ctx(), 4, stream_id=STREAM_GC).tobytes() == \
+            aes_block_oracle(TEST_KEY, 1, STREAM_GC, 0)

@@ -356,6 +356,39 @@ class TestA2YActivation:
         assert sess.online.host_prf_calls - before == blocks(n)
         assert np.array_equal(got, ring.clamp_unit_array(xs))
 
+    @staticmethod
+    def switched(sess, xs):
+        """The activation words and the garbled tables the device received."""
+        tables = []
+        evaluate = sess.device.evaluate_garbled
+
+        def record(gc, labels):
+            tables.append(gc.tables.copy())
+            return evaluate(gc, labels)
+
+        sess.device.evaluate_garbled = record
+        words = sess.a2y_activation(xs)
+        del sess.device.evaluate_garbled
+        return words, tables[0]
+
+    def test_tables_follow_the_session_keystream(self):
+        xs = (np.arange(6, dtype=np.int64) * 1531 - 4000).astype(np.uint32)
+        words, tables = self.switched(session("pim_runtime", variant="A2Y"), xs)
+        again, same = self.switched(session("pim_runtime", variant="A2Y"), xs)
+        other, fresh = self.switched(session("pim_runtime", variant="A2Y", seed=1), xs)
+        assert np.array_equal(tables, same)
+        assert not np.array_equal(tables, fresh)
+        assert np.array_equal(words, ring.clamp_unit_array(xs))
+        assert np.array_equal(again, words) and np.array_equal(other, words)
+
+    def test_each_vector_takes_fresh_seeds(self):
+        sess = session("pim_runtime", variant="A2Y")
+        xs = np.asarray([0, 4096, 123456], dtype=np.uint32)
+        first, tables = self.switched(sess, xs)
+        second, fresh = self.switched(sess, xs)
+        assert not np.array_equal(tables, fresh)
+        assert np.array_equal(first, second)
+
     def test_label_accounting_per_scalar(self):
         sess = session("pim_runtime", variant="A2Y")
         sess.a2y_activation(np.asarray([0, 4096, 123456], dtype=np.uint32))

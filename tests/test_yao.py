@@ -2,11 +2,13 @@
 tamper faults, batches, and the arithmetic-to-Yao switch.
 
 Oracles: BoolCircuit.eval_plain for garbling, big-int ring arithmetic for
-the adder, the piecewise clamp for the activation, a big-int GF(2^128)
-fixed-key-AES row hash for the tables, a gate-order big-int evaluator for
-the staged one, and per-seed scalar garbling for batches.
+the adder, the piecewise clamp for the activation, a big-int fixed-key-AES
+seed expansion and GF(2^128) row hash for the labels and tables, a
+gate-order big-int evaluator for the staged one, and per-seed scalar
+garbling for batches.
 """
 
+import itertools
 import random
 
 import numpy as np
@@ -125,6 +127,17 @@ class TestGarbling:
         assert np.array_equal(g1.tables, g2.tables)
         assert p1 == p2
 
+    @pytest.mark.parametrize("bad", [-1, 1 << 128, (1 << 128) + 5])
+    def test_seed_outside_128_bits_rejected(self, bad):
+        with pytest.raises(ValueError, match="2\\^128"):
+            garble(ADD, bad)
+        with pytest.raises(ValueError, match="2\\^128"):
+            garble(ADD, [3, bad])
+
+    def test_widest_seed_garbles(self):
+        gc, pairs = garble(ADD, [(1 << 128) - 1, 0])
+        assert gc.batch == 2
+
     def test_free_xor_label_algebra(self):
         gc, pairs = garble(ADD, seed=5)
         deltas = {l1 ^ l0 for l0, l1 in pairs.values()}
@@ -220,26 +233,31 @@ def bigint_double(x: int) -> int:
     return x ^ (1 << 128 | 0x87) if x >> 128 else x
 
 
-def bigint_row_hash(a: int, b: int, tweak: int) -> int:
-    """pi(K) ^ K with K = 2a ^ 4b ^ T, pi AES-128 under the public key."""
-    k = bigint_double(a) ^ bigint_double(bigint_double(b)) ^ tweak
+def bigint_fixed_key_hash(k: int) -> int:
+    """pi(K) ^ K, pi AES-128 under the public key."""
     pi = Cipher(algorithms.AES(ROW_HASH_KEY), modes.ECB()).encryptor()
     return int.from_bytes(pi.update(k.to_bytes(16, "little")), "little") ^ k
 
 
+def bigint_row_hash(a: int, b: int, tweak: int) -> int:
+    """The row hash: the fixed-key hash of K = 2a ^ 4b ^ T."""
+    return bigint_fixed_key_hash(bigint_double(a) ^ bigint_double(bigint_double(b)) ^ tweak)
+
+
 class TestBatch:
     def test_first_and_gate_matches_bigint_reference(self):
-        """Labels come from the getrandbits(128) stream (delta, inputs, AND
-        outputs); rows sit at their point bits, masked by the row hash."""
-        seed = 11
+        """Draw i of a seed is the fixed-key hash of seed ^ (i << 64): delta,
+        input zero-labels, then AND output zero-labels; rows sit at their
+        point bits, masked by the row hash."""
+        seed = 0xC0FFEE << 100 | 0xFACE << 40 | 11   # bits in both halves
         gc, pairs = garble(ADD, seed)
-        rng = random.Random(seed)
-        delta = rng.getrandbits(128) | 1
+        draws = (bigint_fixed_key_hash(seed ^ (i << 64)) for i in itertools.count())
+        delta = next(draws) | 1
         inputs = ADD.garbler_inputs + ADD.evaluator_inputs
-        zero = {w: rng.getrandbits(128) for w in inputs}
+        zero = {w: next(draws) for w in inputs}
         assert pairs == {w: (z, z ^ delta) for w, z in zero.items()}
         gid, gate = next((i, g) for i, g in enumerate(ADD.gates) if g.op == "AND")
-        out0 = rng.getrandbits(128)
+        out0 = next(draws)
         for va in (0, 1):
             for vb in (0, 1):
                 la = zero[gate.a] ^ (delta if va else 0)

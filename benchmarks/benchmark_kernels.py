@@ -7,7 +7,9 @@ loop that computes the same result with unbounded integers (Horner's rule
 for the MAC tag and hash), on the same operands, so the vectorization gain
 stays visible.  MAC operands are the signed lift of random ring words, as
 the callers pass them; the ``gen_tags`` row times ``mac.gen_tags`` on the
-raw words, lift included.  The references run once per repetition like the
+raw words, lift included, and ``gen_tags_rows`` tags the rows of a tall,
+narrow ``8n x 16`` table (at the default size, the 4096 x 16 DLRM embedding
+table).  The references run once per repetition like the
 kernels; both columns report the best of ``--repeat`` runs.
 
 The garbling rows time ``garble`` and ``evaluate`` of the A2Y switch circuit
@@ -61,6 +63,10 @@ def gen_tags_ref(W, s):
     return tag_columns_ref([[ring.to_signed(w) for w in row] for row in W], s)
 
 
+def gen_tags_rows_ref(T, s):
+    return gen_tags_ref([list(col) for col in zip(*T)], s)
+
+
 def dot_tags_ref(tags, x):
     return sum(t * v for t, v in zip(tags, x)) % mac.Q
 
@@ -106,6 +112,7 @@ def main(argv=None):
     n = args.size
     W = rng.integers(0, 1 << 32, size=(n, n), dtype=np.uint32)
     x = rng.integers(0, 1 << 32, size=n, dtype=np.uint32)
+    table = rng.integers(0, 1 << 32, size=(8 * n, 16), dtype=np.uint32)
     lifted = mac.lift(W)
     vec = mac.lift(x)
     tags = np.asarray(rng.integers(0, mac.Q, size=n), dtype=np.uint64)
@@ -119,6 +126,9 @@ def main(argv=None):
         ("dot_tags", kernels.dot_tags, (tags, vec), dot_tags_ref),
         ("gen_tags", lambda M, s: mac.gen_tags(M, s).residues, (W, s),
          gen_tags_ref),
+        ("gen_tags_rows",
+         lambda T, s: mac.gen_tags(T, s, axis=mac.AXIS_ROWS).residues,
+         (table, s), gen_tags_rows_ref),
     ]
 
     results = {"size": n, "kernels": {}}

@@ -3,14 +3,18 @@
 Ring kernels work on uint32 arrays mod 2^32.  MAC kernels fold ring words
 into residues mod the Mersenne prime q = 2^61 - 1.
 
-A MAC operand is the signed int64 lift of ring words (``mac.lift``), so
-every value v has |v| <= 2^31.  The tag of a column is a Horner polynomial,
-``tag_j = sum_i M[i,j] * s^(m-i) mod q``.  It is folded against the power
-vector ``[s^m, ..., s^1]`` (cached per secret ``s``) split into four 16-bit
-limbs: one int64 product ``limbs @ M`` whose terms are each below 2^47, so a
-block of up to 2^16 terms sums exactly.  Limb sum k, reduced mod q, weighs
-2^(16k), which mod q is a 61-bit rotate.  ``dot_tags`` splits the tag
-residues instead.  The result is the residue Horner's rule gives, bit for bit.
+A MAC operand is the signed lift of ring words (``mac.lift``, an int32
+view), so every value v has |v| <= 2^31.  The tag of a column is a Horner
+polynomial, ``tag_j = sum_i M[i,j] * s^(m-i) mod q``.  It is folded against
+the power vector ``[s^m, ..., s^1]`` (cached per secret ``s``) split into six
+11-bit limbs: one float64 (BLAS) product ``limbs @ M`` whose terms are each
+below 2^42, so a block of up to 2^11 terms sums exactly below 2^53, in any
+order; a product of 2^19 terms or more is taken in column slices, which
+OpenBLAS keeps on one thread.  Limb sum k weighs 2^(11k), which mod q is a
+61-bit rotate, and is brought into [0, q) without a division; a single hash
+recombines its limb sums as Python ints.  ``dot_tags`` splits the tags into
+their eight bytes instead.  The result is the residue Horner's rule gives,
+bit for bit.
 """
 
 import functools
@@ -21,9 +25,12 @@ MASK32 = np.uint64(0xFFFFFFFF)
 Q61 = (1 << 61) - 1
 _M61 = np.uint64(Q61)
 _M29 = np.uint64((1 << 29) - 1)
-_LIMB_SHIFTS = np.arange(0, 64, 16, dtype=np.uint64)
+_LIMB_SHIFTS = np.arange(0, 61, 11, dtype=np.uint64)[:, None]  # 6 limbs
 _ROTATE_BACK = np.uint64(61) - _LIMB_SHIFTS
-_EXACT_TERMS = 1 << 16  # 2^16 terms below 2^47 sum exactly in int64
+_LIMB_MASK = np.uint64((1 << 11) - 1)
+_EXACT_TERMS = 1 << 11  # 2^11 terms below 2^42 sum exactly in float64
+_OFFSET = np.uint64(4 * Q61)  # 2^63 - 4: moves int64 > -2^63 + 3 into uint64
+_ONE_THREAD = 1 << 19  # OpenBLAS runs a GEMM of fewer products on one thread
 
 
 def gemv(W: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -69,28 +76,62 @@ def mulmod61(a, b):
     return _mod61(_fold61(acc))
 
 
-def _limbs16(p: np.ndarray) -> np.ndarray:
-    """Residues (k,) as their 16-bit limbs, int64 (4, k), low limb first."""
-    limbs = np.ascontiguousarray(p, dtype="<u8").view("<u2").reshape(-1, 4)
-    return limbs.T.astype(np.int64, order="C")
+def _limbs11(p: np.ndarray) -> np.ndarray:
+    """Residues (k,) as their 11-bit limbs, float64 (6, k), low limb first."""
+    limbs = (np.asarray(p, dtype=np.uint64) >> _LIMB_SHIFTS) & _LIMB_MASK
+    return limbs.astype(np.float64)
+
+
+def _byte_limbs(p: np.ndarray) -> np.ndarray:
+    """Residues (k,) as their eight bytes, float64 (8, k), low byte first.
+
+    The byte view costs one conversion pass, where 11-bit limbs need a shift
+    and a mask first; ``dot_tags`` builds these per call.
+    """
+    octets = np.ascontiguousarray(p, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    return octets.astype(np.float64).T
 
 
 def _limb_sums(v: np.ndarray, limbs: np.ndarray) -> np.ndarray:
-    """``limbs @ v`` mod q along axis 0, as int64 residues, limb axis first.
+    """``limbs @ v`` along axis 0 as int64, equal mod q, limb axis first.
 
-    ``v`` is signed int64 with |v| <= 2^31, (m,) or (m, n).  Each product
-    is below 2^47, so a block of up to ``_EXACT_TERMS`` terms sums exactly
-    in int64; longer folds are reduced block by block.
+    ``v`` is the signed lift (int32, or int64) with |v| <= 2^31, (m,) or
+    (m, n), and every limb is below 2^11.  Each product is then below 2^42,
+    so a float64 block of up to ``_EXACT_TERMS`` terms sums exactly, whatever
+    order BLAS adds it in.  A one-block fold comes back as the exact sums; a
+    longer one is reduced block by block into [0, 2q).
     """
-    sums = [np.einsum("km,m...->k...", limbs[:, i:i + _EXACT_TERMS],
-                      v[i:i + _EXACT_TERMS]) % Q61
+    v = v.astype(np.float64)
+    sums = [_matmul(limbs[:, i:i + _EXACT_TERMS], v[i:i + _EXACT_TERMS]).astype(np.int64)
             for i in range(0, max(v.shape[0], 1), _EXACT_TERMS)]
-    return functools.reduce(lambda a, b: (a + b) % Q61, sums)
+    return functools.reduce(
+        lambda a, b: (_residues(a) + _residues(b)).view(np.int64), sums)
 
 
-def _recombine(sums: np.ndarray) -> int:
-    """sum_k sums[k] * 2^(16k) mod q for the four limb sums of one fold."""
-    return sum(int(a) << 16 * k for k, a in enumerate(sums.tolist())) % Q61
+def _matmul(limbs: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``limbs @ v``, in column slices of fewer than ``_ONE_THREAD`` products.
+
+    OpenBLAS splits a larger product over two threads.  On a shared 2-CPU
+    machine those were seen taking turns on one CPU, and at times, for a
+    second or so, at 16 ms per 768 x 768 fold where one thread takes 1 ms.
+    """
+    if v.ndim == 1 or limbs.size * v.shape[1] < _ONE_THREAD:
+        return limbs @ v
+    out = np.empty((limbs.shape[0], v.shape[1]))
+    step = (_ONE_THREAD - 1) // limbs.size
+    for j in range(0, v.shape[1], step):
+        np.matmul(limbs, v[:, j:j + step], out=out[:, j:j + step])
+    return out
+
+
+def _residues(sums: np.ndarray) -> np.ndarray:
+    """int64 limb sums above -2^63 + 3 reduced into [0, q), with no division."""
+    return _mod61(sums.view(np.uint64) + _OFFSET)
+
+
+def _recombine(sums: np.ndarray, bits: int) -> int:
+    """sum_k sums[k] * 2^(bits*k) mod q for the limb sums of one fold."""
+    return sum(a << bits * k for k, a in enumerate(sums.tolist())) % Q61
 
 
 class _PowerCache:
@@ -104,12 +145,12 @@ class _PowerCache:
         self.s = self.desc = self.limbs = None
 
     def powers_limbs(self, s: int, m: int) -> np.ndarray:
-        """``_limbs16([s^m, ..., s^1])``."""
+        """``_limbs11([s^m, ..., s^1])``."""
         if s != self.s or self.desc.size < m:
             desc = self.desc if s == self.s else np.array([s], dtype=np.uint64)
             while desc.size < m:  # [s^2k .. s^(k+1)] = [s^k .. s^1] * s^k
                 desc = np.concatenate((mulmod61(desc, desc[0]), desc))
-            self.s, self.desc, self.limbs = s, desc, _limbs16(desc)
+            self.s, self.desc, self.limbs = s, desc, _limbs11(desc)
         return self.limbs[:, self.desc.size - m:]
 
 
@@ -119,16 +160,17 @@ _POWERS = _PowerCache()
 def tag_columns(m_lifted: np.ndarray, s: int) -> np.ndarray:
     """Per-column Horner polynomial: tag_j = sum_i M[i,j] * s^(m-i) mod q."""
     limbs = _POWERS.powers_limbs(s, m_lifted.shape[0])
-    r = _limb_sums(m_lifted, limbs).T.astype(np.uint64)
-    r = ((r << _LIMB_SHIFTS) & _M61) | (r >> _ROTATE_BACK)  # r * 2^(16k) mod q
-    return _mod61(r.sum(axis=-1, dtype=np.uint64))
+    r = _residues(_limb_sums(m_lifted, limbs))
+    r = ((r << _LIMB_SHIFTS) & _M61) | (r >> _ROTATE_BACK)  # r * 2^(11k) mod q
+    return _mod61(r.sum(axis=0, dtype=np.uint64))
 
 
 def poly_hash(v_lifted: np.ndarray, s: int) -> int:
     """The one-column case of ``tag_columns``."""
-    return _recombine(_limb_sums(v_lifted, _POWERS.powers_limbs(s, v_lifted.shape[0])))
+    limbs = _POWERS.powers_limbs(s, v_lifted.shape[0])
+    return _recombine(_limb_sums(v_lifted, limbs), 11)
 
 
 def dot_tags(tags: np.ndarray, x_lifted: np.ndarray) -> int:
     """sum_j tags[j] * x[j] mod q."""
-    return _recombine(_limb_sums(x_lifted, _limbs16(tags)))
+    return _recombine(_limb_sums(x_lifted, _byte_limbs(tags)), 8)

@@ -7,9 +7,10 @@ to [-2^31, 2^31), so the identity holds whenever the true integer result
 fits a signed word; desk-scale workloads are sized to guarantee that.
 
 For q = 2^61 - 1 the tags and hashes come from ``kernels``, which take the
-lift as signed int64 (``lift``) and fold it against 16-bit limbs of the
-cached powers ``[s^m, ..., s^1]`` or of the tags, exactly per block of 2^16
-terms.  Other moduli use the big-int Horner loop below.
+lift as the zero-copy int32 view of the ring words (``lift``) and fold it,
+as float64, against 11-bit limbs of the cached powers ``[s^m, ..., s^1]`` or
+the bytes of the tags, exactly per block of 2^11 terms.  Other moduli use
+the big-int Horner loop below.
 """
 
 from dataclasses import dataclass
@@ -35,8 +36,8 @@ class TagVector:
 
 
 def lift(words) -> np.ndarray:
-    """Signed lift of ring words: int64 in [-2^31, 2^31)."""
-    return ring.to_signed_array(words)
+    """Signed lift of ring words: their int32 view, values in [-2^31, 2^31)."""
+    return np.asarray(words, dtype=np.uint32).view(np.int32)
 
 
 def _lift_int(w: int, q: int) -> int:

@@ -1,10 +1,11 @@
 """Hot kernels against big-int oracles, including the edges of the
-signed-limb MAC fold: the 2^16-term exact block, the most negative ring
-word against all-(q-1) tags, extreme secrets, empty operands and the
-cached power limbs across secrets and lengths.
+float64 limb MAC fold: the 2^11-term exact block, the most negative ring
+word against all-(q-1) tags, all-maximal limbs against odd words, extreme
+secrets, empty operands and the cached power limbs across secrets and
+lengths.
 
 MAC operands are what the callers pass: ``mac.lift`` of uint32 ring words
-(signed int64); tags are residues in [0, q).
+(their signed int32 view); tags are residues in [0, q).
 """
 
 import importlib.util
@@ -20,7 +21,7 @@ from securepim import kernels, mac, ring
 
 from conftest import rand_words
 
-EDGE = 1 << 16  # terms per exact int64 block: 2^31 * 2^16 * 2^16 < 2^63
+EDGE = 1 << 11  # terms per exact float64 block: 2^11 * 2^11 * 2^31 <= 2^53
 MIN_WORD = 1 << 31  # lifts to -2^31
 
 
@@ -109,8 +110,9 @@ def test_dot_tags_no_overflow_at_width_64():
     assert kernels.dot_tags(tags, x) == dot(tags, x)
 
 
-@pytest.mark.parametrize("m", [1, 2, 4096, (1 << 14) - 1, 1 << 14, (1 << 14) + 1,
-                               EDGE - 1, EDGE, EDGE + 1])
+@pytest.mark.parametrize("m", [1, 2, EDGE - 1, EDGE, EDGE + 1, 4096,
+                               (1 << 14) - 1, 1 << 14, (1 << 14) + 1,
+                               (1 << 16) - 1, 1 << 16, (1 << 16) + 1])
 def test_fold_lengths_across_block_edges(m):
     rng = np.random.default_rng(m)
     s = int(rng.integers(1, mac.Q))
@@ -134,7 +136,7 @@ def test_all_max_residues_and_extreme_secrets(s):
     assert kernels.dot_tags(tags, full[:, 1]) == dot(tags, full[:, 1])
 
 
-@pytest.mark.parametrize("m", [EDGE, EDGE + 1])
+@pytest.mark.parametrize("m", [EDGE, EDGE + 1, 1 << 16, (1 << 16) + 1])
 def test_worst_case_fold_at_exact_block_edge(m):
     """Every term at the bound: -2^31 against all-(q-1) tags and s = q-1."""
     v = mac.lift(np.full(m, MIN_WORD, dtype=np.uint32))
@@ -144,6 +146,32 @@ def test_worst_case_fold_at_exact_block_edge(m):
     assert kernels.poly_hash(v, mac.Q - 1) == expect
     M = np.repeat(v[:, None], 2, axis=1)
     assert kernels.tag_columns(M, mac.Q - 1).tolist() == [expect, expect]
+
+
+@pytest.mark.parametrize("m", [EDGE - 1, EDGE, EDGE + 1, 2 * EDGE - 1])
+@pytest.mark.parametrize("word", [MIN_WORD - 1, MIN_WORD])
+def test_all_max_limbs_sum_exactly(m, word):
+    """Every limb 2^11 - 1 against the extreme words, 2^31 - 1 giving odd terms:
+    a one-block sum just below 2^53, and 2 * EDGE - 1 terms whose sum a single
+    float64 block could not hold."""
+    v = mac.lift(np.full(m, word, dtype=np.uint32))
+    limbs = np.full((6, m), (1 << 11) - 1, dtype=np.float64)
+    want = m * ((1 << 11) - 1) * int(v[0])
+    assert [a % mac.Q for a in kernels._limb_sums(v, limbs).tolist()] == [want % mac.Q] * 6
+
+
+@pytest.mark.parametrize("shape", [(600, 300), (EDGE + 1, 90)])
+def test_wide_fold_in_column_slices(shape):
+    """A product past the one-thread bound, on a C-ordered operand and on the
+    transposed view that ``gen_tags(axis=rows)`` lifts."""
+    m, n = shape
+    assert 6 * min(m, EDGE) * n >= kernels._ONE_THREAD
+    rng = np.random.default_rng(m)
+    s = int(rng.integers(1, mac.Q))
+    M = rand_lifted(rng, shape)
+    expect = horner_columns(M, s)
+    assert kernels.tag_columns(M, s).tolist() == expect
+    assert kernels.tag_columns(np.ascontiguousarray(M.T).T, s).tolist() == expect
 
 
 def test_zero_row_operands():
@@ -190,7 +218,7 @@ def test_benchmark_script_smoke(tmp_path, capsys):
     results = json.loads(out.read_text())
     rows = results["kernels"]
     assert set(rows) == {"gemv", "gemv_t", "tag_columns", "poly_hash", "dot_tags",
-                         "gen_tags"}
+                         "gen_tags", "gen_tags_rows"}
     assert all(r["numpy_ms"] > 0 and r["python_ms"] > 0 for r in rows.values())
     garbling = results["garbling"]
     assert set(garbling) == {"garble", "evaluate"}

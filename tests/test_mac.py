@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from securepim import mac, ring
+from securepim import kernels, mac, ring
 from securepim.errors import DimensionError
 
 from conftest import ctx
@@ -100,6 +100,33 @@ class TestHashResult:
     def test_single_word(self):
         assert mac.hash_result(np.asarray([1], dtype=np.uint32),
                                s=10, q=97) == 10
+
+
+class TestLift:
+    def test_zero_copy_signed_view(self):
+        rng = np.random.default_rng(9)
+        words = rng.integers(0, 1 << 32, size=(5, 7), dtype=np.uint32)
+        words[0, :2] = [1 << 31, (1 << 31) - 1]
+        # gen_tags(axis=rows) lifts the transpose; a strided slice is not contiguous either
+        for view in (words, words.T, words[:, ::2]):
+            lifted = mac.lift(view)
+            assert np.shares_memory(lifted, view)
+            assert lifted.shape == view.shape
+            assert np.array_equal(lifted, ring.to_signed_array(view))
+
+    def test_kernels_fold_an_int64_lift_alike(self):
+        rng = np.random.default_rng(10)
+        words = rng.integers(0, 1 << 32, size=(40, 3), dtype=np.uint32)
+        tags = np.asarray(rng.integers(0, mac.Q, size=40), dtype=np.uint64)
+        s = int(rng.integers(1, mac.Q))
+        narrow, wide = mac.lift(words), ring.to_signed_array(words)
+        assert wide.dtype == np.int64
+        assert (kernels.tag_columns(narrow, s).tolist()
+                == kernels.tag_columns(wide, s).tolist()
+                == tags_oracle(words, s, mac.Q))
+        assert (kernels.poly_hash(narrow[:, 0], s) == kernels.poly_hash(wide[:, 0], s)
+                == poly_oracle(words[:, 0], s, mac.Q))
+        assert kernels.dot_tags(tags, narrow[:, 1]) == kernels.dot_tags(tags, wide[:, 1])
 
 
 class TestVerify:

@@ -9,10 +9,9 @@ polynomial, ``tag_j = sum_i M[i,j] * s^(m-i) mod q``.  It is folded against
 the power vector ``[s^m, ..., s^1]`` (cached per secret ``s``) split into six
 11-bit limbs: one float64 (BLAS) product ``limbs @ M`` whose terms are each
 below 2^42, so a block of up to 2^11 terms sums exactly below 2^53, in any
-order; a product of 2^19 terms or more is taken in column slices, which
-OpenBLAS keeps on one thread.  Limb sum k weighs 2^(11k), which mod q is a
-61-bit rotate, and is brought into [0, q) without a division; a single hash
-recombines its limb sums as Python ints.  ``dot_tags`` splits the tags into
+order.  Limb sum k weighs 2^(11k), which mod q is a 61-bit rotate, and is
+brought into [0, q) without a division; a single hash recombines its limb
+sums as Python ints.  ``dot_tags`` splits the tags into
 their eight bytes instead.  The result is the residue Horner's rule gives,
 bit for bit.
 """
@@ -30,7 +29,6 @@ _ROTATE_BACK = np.uint64(61) - _LIMB_SHIFTS
 _LIMB_MASK = np.uint64((1 << 11) - 1)
 _EXACT_TERMS = 1 << 11  # 2^11 terms below 2^42 sum exactly in float64
 _OFFSET = np.uint64(4 * Q61)  # 2^63 - 4: moves int64 > -2^63 + 3 into uint64
-_ONE_THREAD = 1 << 19  # OpenBLAS runs a GEMM of fewer products on one thread
 
 
 def gemv(W: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -102,26 +100,10 @@ def _limb_sums(v: np.ndarray, limbs: np.ndarray) -> np.ndarray:
     longer one is reduced block by block into [0, 2q).
     """
     v = v.astype(np.float64)
-    sums = [_matmul(limbs[:, i:i + _EXACT_TERMS], v[i:i + _EXACT_TERMS]).astype(np.int64)
+    sums = [(limbs[:, i:i + _EXACT_TERMS] @ v[i:i + _EXACT_TERMS]).astype(np.int64)
             for i in range(0, max(v.shape[0], 1), _EXACT_TERMS)]
     return functools.reduce(
         lambda a, b: (_residues(a) + _residues(b)).view(np.int64), sums)
-
-
-def _matmul(limbs: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``limbs @ v``, in column slices of fewer than ``_ONE_THREAD`` products.
-
-    OpenBLAS splits a larger product over two threads.  On a shared 2-CPU
-    machine those were seen taking turns on one CPU, and at times, for a
-    second or so, at 16 ms per 768 x 768 fold where one thread takes 1 ms.
-    """
-    if v.ndim == 1 or limbs.size * v.shape[1] < _ONE_THREAD:
-        return limbs @ v
-    out = np.empty((limbs.shape[0], v.shape[1]))
-    step = (_ONE_THREAD - 1) // limbs.size
-    for j in range(0, v.shape[1], step):
-        np.matmul(limbs, v[:, j:j + step], out=out[:, j:j + step])
-    return out
 
 
 def _residues(sums: np.ndarray) -> np.ndarray:

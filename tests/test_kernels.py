@@ -160,20 +160,6 @@ def test_all_max_limbs_sum_exactly(m, word):
     assert [a % mac.Q for a in kernels._limb_sums(v, limbs).tolist()] == [want % mac.Q] * 6
 
 
-@pytest.mark.parametrize("shape", [(600, 300), (EDGE + 1, 90)])
-def test_wide_fold_in_column_slices(shape):
-    """A product past the one-thread bound, on a C-ordered operand and on the
-    transposed view that ``gen_tags(axis=rows)`` lifts."""
-    m, n = shape
-    assert 6 * min(m, EDGE) * n >= kernels._ONE_THREAD
-    rng = np.random.default_rng(m)
-    s = int(rng.integers(1, mac.Q))
-    M = rand_lifted(rng, shape)
-    expect = horner_columns(M, s)
-    assert kernels.tag_columns(M, s).tolist() == expect
-    assert kernels.tag_columns(np.ascontiguousarray(M.T).T, s).tolist() == expect
-
-
 def test_zero_row_operands():
     empty = np.zeros((0, 5), dtype=np.int64)
     assert kernels.tag_columns(empty, 7).tolist() == [0] * 5

@@ -5,11 +5,12 @@ garbling on the A2Y circuit.
 Each numpy kernel in ``securepim.kernels`` is timed beside a plain Python
 loop that computes the same result with unbounded integers (Horner's rule
 for the MAC tag and hash), on the same operands, so the vectorization gain
-stays visible.  MAC operands are the signed lift of random ring words, as
-the callers pass them; the ``gen_tags`` row times ``mac.gen_tags`` on the
-raw words, lift included, and ``gen_tags_rows`` tags the rows of a tall,
-narrow ``8n x 16`` table (at the default size, the 4096 x 16 DLRM embedding
-table).  The references run once per repetition like the
+stays visible.  The ``embedding`` row gathers 32 bags of 8 weighted rows
+from a tall, narrow ``8n x 16`` table (at the default size, the 4096 x 16
+DLRM embedding table).  MAC operands are the signed lift of random ring
+words, as the callers pass them; the ``gen_tags`` row times ``mac.gen_tags``
+on the raw words, lift included, and ``gen_tags_rows`` tags the rows of the
+same table.  The references run once per repetition like the
 kernels; both columns report the best of ``--repeat`` runs.
 
 The garbling rows time ``garble`` and ``evaluate`` of the A2Y switch circuit
@@ -35,6 +36,7 @@ from securepim.yao.switch import a2y_circuit, prepare_switch
 
 MASK = (1 << 32) - 1
 GC_BATCHES = (1, 32, 64, 256)
+EMB_BATCH, EMB_PF = 32, 8  # the DLRM lookup: 32 bags of 8 weighted rows
 
 
 def gemv_ref(W, x):
@@ -43,6 +45,11 @@ def gemv_ref(W, x):
 
 def gemv_t_ref(W, e):
     return gemv_ref([list(col) for col in zip(*W)], e)
+
+
+def embedding_ref(table, ids, ws, batch, pf):
+    return [[sum(ws[k * pf + j] * table[ids[k * pf + j]][c] for j in range(pf)) & MASK
+             for c in range(len(table[0]))] for k in range(batch)]
 
 
 def tag_columns_ref(M, s):
@@ -113,6 +120,8 @@ def main(argv=None):
     W = rng.integers(0, 1 << 32, size=(n, n), dtype=np.uint32)
     x = rng.integers(0, 1 << 32, size=n, dtype=np.uint32)
     table = rng.integers(0, 1 << 32, size=(8 * n, 16), dtype=np.uint32)
+    ids = rng.integers(0, 8 * n, size=EMB_BATCH * EMB_PF)
+    ws = rng.integers(0, 1 << 32, size=ids.size, dtype=np.uint32)
     lifted = mac.lift(W)
     vec = mac.lift(x)
     tags = np.asarray(rng.integers(0, mac.Q, size=n), dtype=np.uint64)
@@ -121,6 +130,8 @@ def main(argv=None):
     cases = [
         ("gemv", kernels.gemv, (W, x), gemv_ref),
         ("gemv_t", kernels.gemv_t, (W, x), gemv_t_ref),
+        ("embedding", kernels.embedding, (table, ids, ws, EMB_BATCH, EMB_PF),
+         embedding_ref),
         ("tag_columns", kernels.tag_columns, (lifted, s), tag_columns_ref),
         ("poly_hash", kernels.poly_hash, (vec, s), poly_hash_ref),
         ("dot_tags", kernels.dot_tags, (tags, vec), dot_tags_ref),

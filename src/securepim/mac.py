@@ -97,12 +97,11 @@ def verify(ftag_e: int, ftag_r: int) -> bool:
 # MAC-then-encrypt storage: residues live sealed in untrusted memory.
 
 def seal_tags(tags: TagVector, ctx: OtpContext, ks: KeyStore, on_prf=None) -> np.ndarray:
-    words = np.ascontiguousarray(tags.residues, dtype="<u8").view("<u4").astype(np.uint32)
+    words = np.ascontiguousarray(tags.residues, dtype="<u8").view("<u4")
     return ks.seal(ctx, words, on_prf=on_prf)
 
 
 def open_tags(sealed: np.ndarray, ctx: OtpContext, ks: KeyStore, on_prf=None,
               q: int = Q) -> TagVector:
-    words = ks.open(ctx, np.ascontiguousarray(sealed, dtype=np.uint32), on_prf=on_prf)
-    residues = np.ascontiguousarray(words, dtype="<u4").view("<u8").astype(np.uint64)
-    return TagVector(residues=residues, q=q)
+    words = ks.open(ctx, sealed, on_prf=on_prf)
+    return TagVector(residues=words.view("<u8"), q=q)

@@ -34,10 +34,16 @@ GEMM_DEFAULTS = {"n": 8}
 CONV_DEFAULTS = {"size": 4, "kernel": 2, "stride": 2}
 
 
-def _raw(rng, lo, hi, shape=None):
-    """Random Q12 raw words drawn uniformly from [lo, hi] in value space."""
-    vals = rng.integers(int(lo * ring.ONE), int(hi * ring.ONE) + 1, size=shape)
-    return (vals & ring.MASK).astype(np.uint32)
+def _raw(rng, lo, hi, shape):
+    """Random Q12 raw words drawn uniformly from [lo, hi] in value space.
+
+    The draw is int32, viewed as the uint32 words of the ring.  For a range
+    below 2^32, ``Generator.integers`` draws int32 and int64 alike through
+    the same buffered 32-bit Lemire routine, so the values and the
+    generator's later stream equal those of the int64 draw masked to 32 bits.
+    """
+    return rng.integers(int(lo * ring.ONE), int(hi * ring.ONE) + 1, size=shape,
+                        dtype=np.int32).view(np.uint32)
 
 
 def run_mlp(cfg: SchemeConfig, sess: Session, rng, p):

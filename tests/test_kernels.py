@@ -1,8 +1,9 @@
-"""Hot kernels against big-int oracles, including the edges of the
-float64 limb MAC fold: the 2^11-term exact block, the most negative ring
-word against all-(q-1) tags, all-maximal limbs against odd words, extreme
-secrets, empty operands and the cached power limbs across secrets and
-lengths.
+"""Hot kernels against big-int oracles.  The uint32 ring kernels are checked
+at the most wraps, on int64 and list operands and on empty ones.  The MAC
+fold is checked at the edges of its float64 limbs: the 2^11-term exact block,
+the most negative ring word against all-(q-1) tags, all-maximal limbs against
+odd words, extreme secrets, empty operands and the cached power limbs across
+secrets and lengths.
 
 MAC operands are what the callers pass: ``mac.lift`` of uint32 ring words
 (their signed int32 view); tags are residues in [0, q).
@@ -40,6 +41,18 @@ def dot(tags, lifted):
     return sum(int(t) * int(v) for t, v in zip(tags, lifted)) % mac.Q
 
 
+def ring_gemv(W, x):
+    """Big-int W @ x mod 2^32 over any Python ints, negatives included."""
+    return [sum(int(w) * int(v) for w, v in zip(row, x)) & ring.MASK for row in W]
+
+
+def ring_embedding(table, ids, ws, batch, pf):
+    """Big-int weighted gather-reduce mod 2^32, one list per batch row."""
+    return [[sum(int(ws[k * pf + j]) * int(table[ids[k * pf + j]][c])
+                 for j in range(pf)) & ring.MASK for c in range(len(table[0]))]
+            for k in range(batch)]
+
+
 def rand_residues(rng, shape):
     return np.asarray(rng.integers(0, mac.Q, size=shape), dtype=np.uint64)
 
@@ -75,10 +88,66 @@ def test_embedding_matches_bigint_oracle():
     table = rand_words(rng, (32, 8))
     ids = np.asarray(rng.integers(0, 32, size=12), dtype=np.int64)
     ws = rand_words(rng, 12)
-    expect = [[sum(int(ws[k * 4 + j]) * int(table[ids[k * 4 + j], c])
-                   for j in range(4)) & ring.MASK for c in range(8)]
-              for k in range(3)]
+    expect = ring_embedding(table, ids, ws, 3, 4)
     assert kernels.embedding(table, ids, ws, 3, 4).tolist() == expect
+
+
+def ring_kernel_cases(W, x, e, table, ids, ws, batch, pf):
+    """(kernel result, big-int oracle) for gemv, gemv_t and embedding."""
+    Wt = [list(col) for col in zip(*np.asarray(W).tolist())]
+    return [(kernels.gemv(W, x), ring_gemv(np.asarray(W).tolist(), x)),
+            (kernels.gemv_t(W, e), ring_gemv(Wt, e)),
+            (kernels.embedding(table, ids, ws, batch, pf),
+             ring_embedding(np.asarray(table).tolist(), ids, ws, batch, pf))]
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (7, 5), (64, 384)])
+def test_ring_kernels_at_the_most_wraps(m, n):
+    """All-0xFFFFFFFF operands: every product and every partial sum wraps."""
+    full = np.uint32(ring.MASK)
+    W = np.full((m, n), full)
+    table = np.full((4 * m, n), full)
+    ids = np.arange(4 * m)[::-1].copy()
+    cases = ring_kernel_cases(W, np.full(n, full), np.full(m, full), table, ids,
+                              np.full(4 * m, full), m, 4)
+    for got, want in cases:
+        assert got.dtype == np.uint32
+        assert got.tolist() == want
+
+
+@pytest.mark.parametrize("as_list", [False, True], ids=["int64", "list"])
+def test_ring_kernels_wrap_other_integer_inputs(as_list):
+    """int64 operands, negatives and words above 2^32 among them, and Python
+    lists give the words their uint32 wraps give."""
+    rng = np.random.default_rng(9)
+    W, table, ws = (rng.integers(-(1 << 40), 1 << 40, size=shape)
+                    for shape in [(6, 5), (10, 3), 8])
+    ids = rng.integers(0, 10, size=8)
+
+    def cases(cast):
+        return ring_kernel_cases(cast(W), cast(W[0]), cast(W[:, 0]), cast(table),
+                                 ids, cast(ws), 2, 4)
+
+    given = cases(np.ndarray.tolist if as_list else lambda a: a)
+    for (got, want), (from_words, _) in zip(given,
+                                            cases(lambda a: a.astype(np.uint32))):
+        assert got.dtype == np.uint32
+        assert got.tolist() == want == from_words.tolist()
+
+
+def test_ring_kernels_on_zero_size_operands():
+    z = np.zeros
+    ids = np.zeros(8, dtype=np.int64)
+    for got, shape in [(kernels.gemv(z((0, 5), np.uint32), z(5, np.uint32)), (0,)),
+                       (kernels.gemv(z((4, 0), np.uint32), z(0, np.uint32)), (4,)),
+                       (kernels.gemv_t(z((0, 5), np.uint32), z(0, np.uint32)), (5,)),
+                       (kernels.gemv_t(z((4, 0), np.uint32), z(4, np.uint32)), (0,)),
+                       (kernels.embedding(z((3, 8), np.uint32), ids[:0],
+                                          z(0, np.uint32), 0, 4), (0, 8)),
+                       (kernels.embedding(z((3, 0), np.uint32), ids,
+                                          z(8, np.uint32), 2, 4), (2, 0))]:
+        assert got.dtype == np.uint32 and got.shape == shape
+        assert not got.any()
 
 
 @settings(max_examples=40, deadline=None)
@@ -203,8 +272,8 @@ def test_benchmark_script_smoke(tmp_path, capsys):
     assert "tag_columns" in capsys.readouterr().out
     results = json.loads(out.read_text())
     rows = results["kernels"]
-    assert set(rows) == {"gemv", "gemv_t", "tag_columns", "poly_hash", "dot_tags",
-                         "gen_tags", "gen_tags_rows"}
+    assert set(rows) == {"gemv", "gemv_t", "embedding", "tag_columns", "poly_hash",
+                         "dot_tags", "gen_tags", "gen_tags_rows"}
     assert all(r["numpy_ms"] > 0 and r["python_ms"] > 0 for r in rows.values())
     garbling = results["garbling"]
     assert set(garbling) == {"garble", "evaluate"}

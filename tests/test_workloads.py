@@ -30,6 +30,33 @@ def gemv_oracle(W, x):
     return ((signed(W).reshape(W.shape) @ signed(x)) & MASK).astype(np.uint32)
 
 
+def raw_int64(rng, lo, hi, shape):
+    """The int64 draw masked to ring words, which ``_raw`` must equal."""
+    vals = rng.integers(int(lo * ring.ONE), int(hi * ring.ONE) + 1, size=shape)
+    return (vals & MASK).astype(np.uint32)
+
+
+class TestRawDraw:
+    """``_raw`` draws int32; the tests above use it as their own oracle, so
+    this pins it to the int64 formula it replaced."""
+
+    @pytest.mark.parametrize("lo, hi", [(-1 / 32, 1 / 32), (-1, 1), (-0.25, 0.25)])
+    @pytest.mark.parametrize("shape", [(384, 384), (768, 32), (4096, 16), (32, 2),
+                                       384, 1, 7, (5, 3), (3, 1, 2), 0, (0, 4)])
+    def test_equals_the_int64_draw_and_stream(self, lo, hi, shape):
+        for seed in (0, 1, 11, 2101, 1 << 40):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _raw(ours, lo, hi, shape)
+            want = raw_int64(theirs, lo, hi, shape)
+            assert got.dtype == np.uint32 and got.shape == want.shape
+            assert np.array_equal(got, want)
+            # same stream position, the buffered half of a 64-bit word included
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            assert ours.integers(-5, 5, size=3).tolist() \
+                == theirs.integers(-5, 5, size=3).tolist()
+            assert ours.random() == theirs.random()
+
+
 class TestMlpOracle:
     def test_matches_plaintext_pipeline(self):
         seed, depth, dim = 11, 10, 16

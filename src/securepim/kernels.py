@@ -3,9 +3,9 @@
 Ring kernels are native uint32 ``einsum`` products: an integer einsum
 accumulates in its operands' dtype, and uint32 arithmetic wraps mod 2^32,
 which is exactly ring arithmetic, so no operand is widened.  Other integer
-inputs are cast to uint32 first, which wraps them into the ring.  (Integer
-``@`` wraps alike but runs a plain loop, 2-4x slower at 384 x 384.)  MAC kernels fold ring words
-into residues mod the Mersenne prime q = 2^61 - 1.
+inputs are cast to uint32 first, which wraps them into the ring.  Integer
+``@`` wraps alike but runs a plain loop, 2-5x slower at 384 x 384.  MAC
+kernels fold ring words into residues mod the Mersenne prime q = 2^61 - 1.
 
 A MAC operand is the signed lift of ring words (``mac.lift``, an int32
 view), so every value v has |v| <= 2^31.  The tag of a column is a Horner

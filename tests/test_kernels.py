@@ -118,7 +118,7 @@ def test_ring_kernels_at_the_most_wraps(m, n):
 @pytest.mark.parametrize("as_list", [False, True], ids=["int64", "list"])
 def test_ring_kernels_wrap_other_integer_inputs(as_list):
     """int64 operands, negatives and words above 2^32 among them, and Python
-    lists give the words their uint32 wraps give."""
+    lists of them give the words their uint32 wraps give."""
     rng = np.random.default_rng(9)
     W, table, ws = (rng.integers(-(1 << 40), 1 << 40, size=shape)
                     for shape in [(6, 5), (10, 3), 8])

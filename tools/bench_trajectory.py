@@ -2,21 +2,23 @@
 """Append one commit's end-to-end benchmark medians to ``BENCH_e2e.json``.
 
 Runs ``perfbench/run.py --trace 0`` of the checkout ``--root`` (default:
-this repository) on every workload its ``BENCHMARK.json`` declares, once
-per seed, and appends one entry per workload to ``--out``:
+this repository) on every workload its ``BENCHMARK.json`` declares, for
+``SECONDS`` at each of ``SEEDS``, and appends one entry per workload to
+``--out``:
 
     {"commit": "<HEAD of --root>", "workload": "<name>",
      "seconds": <per run>, "seeds": [...], "attempted": <ops>,
      "failed": <ops>, "medians": {"<metric>": <median over the seeds>}}
 
 ``commit`` ends in ``-dirty`` when ``src/`` or ``perfbench/`` of the
-checkout differ from its HEAD.  Each performance change appends its
-entries, so the file is the project's trajectory; compare entries only
-when they were measured on the same machine.  The entries are written even
-when an op failed (``failed`` > 0), and the exit code is then 1.
+checkout hold changes or untracked files (ignored ones aside).  Each
+performance change appends its entries, so the file is the project's
+trajectory; every entry is measured at the same seeds and run length, and
+entries compare only when they were measured on the same machine.  The
+entries are written even when an op failed (``failed`` > 0), and the exit
+code is then 1.
 
-    python tools/bench_trajectory.py [--root DIR] [--seeds 0 1 2]
-                                     [--seconds 25] [--out BENCH_e2e.json]
+    python tools/bench_trajectory.py [--root DIR] [--out BENCH_e2e.json]
 """
 
 import argparse
@@ -27,6 +29,8 @@ import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
+SEEDS = (0, 1, 2)
+SECONDS = 25.0
 
 
 def commit_of(root: Path) -> str:
@@ -35,8 +39,8 @@ def commit_of(root: Path) -> str:
                               capture_output=True, text=True)
 
     head = git("rev-parse", "HEAD").stdout.strip() or "unknown"
-    clean = git("diff", "--quiet", "HEAD", "--", "src", "perfbench").returncode == 0
-    return head if clean else head + "-dirty"
+    changed = git("status", "--porcelain", "--", "src", "perfbench").stdout.strip()
+    return head + "-dirty" if changed else head
 
 
 def measure(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -68,9 +72,6 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", type=Path, default=REPO,
                     help="checkout to measure (default: this repository)")
-    ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    ap.add_argument("--seconds", type=float, default=25.0,
-                    help="--seconds of each perfbench run")
     ap.add_argument("--out", type=Path, default=REPO / "BENCH_e2e.json")
     args = ap.parse_args(argv)
 
@@ -81,8 +82,8 @@ def main(argv=None):
         if args.out.exists() else []
     new = []
     for workload in (w["name"] for w in spec["workloads"]):
-        runs = [measure(root, workload, seed, args.seconds) for seed in args.seeds]
-        new.append(entry(commit, workload, args.seconds, args.seeds, runs))
+        runs = [measure(root, workload, seed, SECONDS) for seed in SEEDS]
+        new.append(entry(commit, workload, SECONDS, SEEDS, runs))
         print(f"{workload:<14} op_s_p50 {new[-1]['medians']['op_s_p50']:.5f} s  "
               f"failed {new[-1]['failed']}/{new[-1]['attempted']}")
     args.out.write_text(json.dumps(history + new, indent=2) + "\n", encoding="utf-8")

@@ -15,7 +15,10 @@ kernels; both columns report the best of ``--repeat`` runs.
 
 The garbling rows time ``garble`` and ``evaluate`` of the A2Y switch circuit
 on batches of 1, 32, 64 and 256 scalars, best of ``--repeat``; each batch's
-output bits are first checked against ``BoolCircuit.eval_plain``.
+output bits are first checked against ``BoolCircuit.eval_plain``.  The
+``prepare_switch`` row times the whole host side of one switch batch:
+``garble`` plus unpacking the R and C words to bits and selecting their
+input labels.
 
 Usage:
     python benchmarks/benchmark_kernels.py [--size 512] [--repeat 20]
@@ -89,9 +92,10 @@ def bench(fn, args, repeat):
 
 
 def garbling_rows(repeat):
-    """{"garble"|"evaluate": {batch: best ms}} on the A2Y circuit."""
+    """{"garble"|"evaluate"|"prepare_switch": {batch: best ms}} on the A2Y
+    circuit."""
     circ = a2y_circuit()
-    rows = {"garble": {}, "evaluate": {}}
+    rows = {"garble": {}, "evaluate": {}, "prepare_switch": {}}
     for n in GC_BATCHES:
         rng = np.random.default_rng(n)
         r, c = rng.integers(0, 1 << 32, size=(2, n), dtype=np.uint32)
@@ -103,6 +107,7 @@ def garbling_rows(repeat):
             raise SystemExit(f"evaluate disagrees with eval_plain at batch {n}")
         rows["garble"][n] = bench(garble, (circ, seeds), repeat) * 1e3
         rows["evaluate"][n] = bench(evaluate, (gc, labels), repeat) * 1e3
+        rows["prepare_switch"][n] = bench(prepare_switch, (r, c, seeds), repeat) * 1e3
     return rows
 
 
@@ -161,11 +166,11 @@ def main(argv=None):
         results["kernels"][name] = row
 
     results["garbling"] = garbling_rows(args.repeat)
-    header = "A2Y (ms)" + "".join(f"{f'batch {n}':>11}" for n in GC_BATCHES)
+    header = f"{'A2Y (ms)':<14}" + "".join(f"{f'batch {n}':>11}" for n in GC_BATCHES)
     print(f"\n{header}")
     print("-" * len(header))
     for name, row in results["garbling"].items():
-        print(f"{name:<8}" + "".join(f"{row[n]:>11.3f}" for n in GC_BATCHES))
+        print(f"{name:<14}" + "".join(f"{row[n]:>11.3f}" for n in GC_BATCHES))
 
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

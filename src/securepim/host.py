@@ -20,7 +20,7 @@ from . import kernels, mac, sharing
 from .crypto import STREAM_GC, KeyStore, OtpContext
 from .errors import ConfigError, GcEvaluationFault, VerificationError
 from .pimsim import CostReport, PimDevice, Tamper
-from .yao.circuit import bits_to_word
+from .yao.circuit import bits_to_words
 from .yao.switch import prepare_switch
 
 SCHEMES = ("cpu_insecure", "cpu_secure", "pim_insecure", "pim_enc_dec",
@@ -165,7 +165,7 @@ class Session:
         self.a2y_labels_transferred += stats.evaluator_labels_transferred
         self.a2y_labels_stored += stats.host_labels_stored
         self.record_leak("a2y_activation_revealed_to_device")
-        return bits_to_word(bits.T.astype(np.uint32)).reshape(p.shape)
+        return bits_to_words(bits.T).reshape(p.shape)
 
 
 class _PrivateOperand:

@@ -40,6 +40,22 @@ class AndStage:
     op = AND
 
 
+@dataclass(frozen=True)
+class GarblePlan:
+    """Index arrays for garbling in gate order: the input wires, garbler
+    first; the AND gates' input wires stacked as ``ab = (a, b)``, their
+    output wires and their row tweaks as (half, gate, 1, 1); the XOR and
+    NOT gates as (a, b, out) wire triples, where a NOT gate's b is
+    ``n_wires``, an extra row that holds delta; and the output wires."""
+
+    inputs: np.ndarray
+    ab: np.ndarray
+    and_out: np.ndarray
+    tweaks: np.ndarray
+    free: tuple
+    outputs: np.ndarray
+
+
 def row_tweaks(gids):
     """The row-hash tweaks T = 2 * gate id + half of AND gates: (half, gate)
     uint64."""
@@ -87,6 +103,19 @@ class BoolCircuit:
                 gids=gids,
                 tweaks=row_tweaks(gids)[..., None]))
         return steps
+
+    @cached_property
+    def garble_plan(self) -> GarblePlan:
+        ands = [(gid, g) for gid, g in enumerate(self.gates) if g.op == AND]
+        return GarblePlan(
+            inputs=np.array(self.garbler_inputs + self.evaluator_inputs, dtype=np.intp),
+            ab=np.array([[g.a for _, g in ands], [g.b for _, g in ands]],
+                        dtype=np.intp).reshape(2, len(ands)),
+            and_out=np.array([g.out for _, g in ands], dtype=np.intp),
+            tweaks=row_tweaks([gid for gid, _ in ands])[..., None, None],
+            free=tuple((g.a, self.n_wires if g.op == NOT else g.b, g.out)
+                       for g in self.gates if g.op != AND),
+            outputs=np.array(self.outputs, dtype=np.intp))
 
     def eval_plain(self, garbler_bits, evaluator_bits):
         """Reference evaluation on plain bits; the oracle for garbling tests."""
@@ -252,3 +281,18 @@ def word_to_bits(word: int, bits: int):
 
 def bits_to_word(bits) -> int:
     return sum(b << i for i, b in enumerate(bits))
+
+
+def words_to_bits(words, bits: int) -> np.ndarray:
+    """Batch ``word_to_bits``: the low ``bits`` bits of each word, LSB first,
+    as a (bits, words) uint32 array; the words are flattened first."""
+    words = np.asarray(words, dtype=np.uint32).reshape(-1)
+    return (words >> np.arange(bits, dtype=np.uint32)[:, None]) & np.uint32(1)
+
+
+def bits_to_words(bits) -> np.ndarray:
+    """Batch ``bits_to_word``: the (words,) uint32 words of a (bits, words)
+    array of 0/1 values, LSB first."""
+    bits = np.asarray(bits).astype(np.uint32)
+    shifts = np.arange(bits.shape[0], dtype=np.uint32)[:, None]
+    return (bits << shifts).sum(axis=0, dtype=np.uint32)

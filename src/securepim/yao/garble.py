@@ -14,6 +14,11 @@ into an evaluation fault.  The same hash, tweakable and correlation-robust
 K = s ^ (i << 64), gives delta, the input zero-labels, then the AND output
 zero-labels in gate order.
 
+Garbling runs in gate order from the circuit's cached index plan
+(``BoolCircuit.garble_plan``): every wire's zero-labels sit in one
+(wires, N, 2) array, each XOR or NOT gate is one in-place XOR into it, and
+the AND gates' input labels are gathered from it by one fancy index.
+
 Evaluation runs by AND depth (Husted, Myers, shelat and Grubbs, ACSAC 2013):
 XOR and NOT gates one at a time, and each stage of AND gates whose inputs
 are ready as one step, with one key, one AES call and one row check for
@@ -28,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from .circuit import AND, NOT, XOR, BoolCircuit, row_tweaks
+from .circuit import NOT, XOR, BoolCircuit
 from ..errors import GcEvaluationFault
 
 # pi: AES-128 under a fixed public key; ECB keeps no state between calls
@@ -116,52 +121,48 @@ def garble(circuit: BoolCircuit, seed):
     if not all(0 <= s < 1 << 128 for s in seeds):
         raise ValueError("garbling seeds must lie in [0, 2^128)")
     n = len(seeds)
-    inputs = circuit.garbler_inputs + circuit.evaluator_inputs
-    ands = [(gid, g) for gid, g in enumerate(circuit.gates) if g.op == AND]
-    draws = 1 + len(inputs) + len(ands)
+    plan = circuit.garble_plan
+    n_in, n_and = plan.inputs.size, plan.and_out.size
+    draws = 1 + n_in + n_and
     keys = np.empty((draws, n, 2), dtype=np.uint64)
-    keys[:] = np.array([_from_int(s) for s in seeds], dtype=np.uint64).reshape(n, 2)
+    keys[:] = np.frombuffer(b"".join(s.to_bytes(16, "little") for s in seeds),
+                            dtype="<u8").reshape(n, 2)
     keys[..., 1] ^= np.arange(draws, dtype=np.uint64)[:, None]
     rand = _hash(keys)
     delta = rand[0] | _LSB
-    zero = [None] * circuit.n_wires
-    for w, label in zip(inputs, rand[1:]):
-        zero[w] = label
-    out0 = iter(rand[1 + len(inputs):])
-    for g in circuit.gates:
-        if g.op == XOR:
-            zero[g.out] = zero[g.a] ^ zero[g.b]
-        elif g.op == NOT:
-            zero[g.out] = zero[g.a] ^ delta
-        else:
-            zero[g.out] = next(out0)
-    shape = (len(ands), n, 2)
-    za = np.array([zero[g.a] for _, g in ands], dtype=np.uint64).reshape(shape)
-    zb = np.array([zero[g.b] for _, g in ands], dtype=np.uint64).reshape(shape)
-    pa = za[..., 0] & 1
-    pb = zb[..., 0] & 1
-    _xor_delta(za, pa, delta)             # now the labels with point bit 0
-    _xor_delta(zb, pb, delta)
+    zero = np.zeros((circuit.n_wires + 1, n, 2), dtype=np.uint64)
+    zero[plan.inputs] = rand[1:1 + n_in]
+    zo = rand[1 + n_in:]
+    zero[plan.and_out] = zo
+    zero[-1] = delta                      # what NOT gates XOR in
+    wire = list(zero)                     # per-wire views, written in place
+    for a, b, out in plan.free:
+        np.bitwise_xor(wire[a], wire[b], out=wire[out])
+    zab = zero[plan.ab]                   # (a or b, gate, copy, word)
+    output_points = (zero[plan.outputs, :, 0] & _ONE).astype(np.uint8).T
+    # freeing each buffer once read lowers the batch's peak heap, and with
+    # it the fresh pages every batch faults in
+    del wire, zero
+    pab = zab[..., 0] & _ONE
+    _xor_delta(zab, pab, delta)           # now the labels with point bit 0
     # K = 2a ^ 4b is linear: row r's key is the key of the point-0 labels
     # plus (r >> 1) 2 delta ^ (r & 1) 4 delta
-    none = np.zeros_like(delta)
-    steps = np.stack([none, _key(none, delta), _key(delta, none), _key(delta, delta)])
-    keys = np.repeat((_key(za, zb)[:, None] ^ steps)[..., None, :], 2, axis=-2)
-    tweaks = row_tweaks([gid for gid, _ in ands])[..., None, None]
-    keys[..., 0, 0] ^= tweaks[0]
-    keys[..., 1, 0] ^= tweaks[1]
-    tables = _hash(keys).reshape(len(ands), 4, n, 4)
+    steps = _key(delta * _ROW_A[..., None], delta * _ROW_B[..., None])
+    keys = np.repeat((_key(zab[0], zab[1])[:, None] ^ steps)[..., None, :], 2, axis=-2)
+    del zab
+    keys[..., 0, 0] ^= plan.tweaks[0]
+    keys[..., 1, 0] ^= plan.tweaks[1]
+    tables = _hash(keys).reshape(n_and, 4, n, 4)
+    del keys
     out = tables[..., 2:]                 # the masked output labels
-    zo = rand[1 + len(inputs):, None]
-    out[..., 0] ^= zo[..., 0]
-    out[..., 1] ^= zo[..., 1]
-    _xor_delta(out, (pa[:, None] ^ _ROW_A) & (pb[:, None] ^ _ROW_B), delta)
-    output_points = np.array([zero[w][:, 0] & 1 for w in circuit.outputs],
-                             dtype=np.uint8).reshape(len(circuit.outputs), n).T
+    out[..., 0] ^= zo[:, None, :, 0]
+    out[..., 1] ^= zo[:, None, :, 1]
+    _xor_delta(out, (pab[0, :, None] ^ _ROW_A) & (pab[1, :, None] ^ _ROW_B), delta)
     gc = GarbledCircuit(circuit, tables, output_points)
-    pairs = np.stack([rand[1:1 + len(inputs)], rand[1:1 + len(inputs)] ^ delta], axis=1)
+    pairs = np.stack([rand[1:1 + n_in], rand[1:1 + n_in] ^ delta], axis=1)
     if scalar:
-        pairs = {w: (_to_int(p[0, 0]), _to_int(p[1, 0])) for w, p in zip(inputs, pairs)}
+        pairs = {int(w): (_to_int(p[0, 0]), _to_int(p[1, 0]))
+                 for w, p in zip(plan.inputs, pairs)}
     return gc, pairs
 
 

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .. import ring
-from .circuit import build_a2y_circuit, word_to_bits
+from .circuit import build_a2y_circuit, words_to_bits
 from .garble import _to_int, garble
 from .ot import IdealOT
 
@@ -43,10 +43,8 @@ def prepare_switch(r_word, c_word, seed):
     scalar = np.ndim(seed) == 0
     gc, pairs = garble(circ, [seed] if scalar else seed)
     copies = np.arange(gc.batch)
-    r_bits = np.array(word_to_bits(np.asarray(r_word, dtype=np.uint32), word_bits),
-                      dtype=np.intp).reshape(word_bits, gc.batch)
-    c_bits = np.array(word_to_bits(np.asarray(c_word, dtype=np.uint32), word_bits),
-                      dtype=np.intp).reshape(-1)
+    r_bits = words_to_bits(r_word, word_bits).reshape(word_bits, gc.batch)
+    c_bits = words_to_bits(c_word, word_bits).reshape(-1)
     garbler = pairs[np.arange(word_bits)[:, None], r_bits, copies]
     evaluator_pairs = pairs[word_bits:].swapaxes(1, 2).reshape(-1, 2, 2)
     ot = IdealOT()

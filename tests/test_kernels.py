@@ -276,6 +276,6 @@ def test_benchmark_script_smoke(tmp_path, capsys):
                          "dot_tags", "gen_tags", "gen_tags_rows"}
     assert all(r["numpy_ms"] > 0 and r["python_ms"] > 0 for r in rows.values())
     garbling = results["garbling"]
-    assert set(garbling) == {"garble", "evaluate"}
+    assert set(garbling) == {"garble", "evaluate", "prepare_switch"}
     assert all(set(row) == {"1", "32", "64", "256"} and min(row.values()) > 0
                for row in garbling.values())

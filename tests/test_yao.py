@@ -8,6 +8,7 @@ gate-order big-int evaluator for the staged one, and per-seed scalar
 garbling for batches.
 """
 
+import hashlib
 import itertools
 import random
 
@@ -22,14 +23,16 @@ from securepim.errors import GcEvaluationFault
 from securepim.yao.circuit import (
     CircuitBuilder,
     bits_to_word,
+    bits_to_words,
     build_a2y_circuit,
     build_add_mod_circuit,
     build_sigmoid_circuit,
     word_to_bits,
+    words_to_bits,
 )
 from securepim.yao.garble import ROW_HASH_KEY, EvalTranscript, evaluate, garble
 from securepim.yao.ot import IdealOT
-from securepim.yao.switch import prepare_switch
+from securepim.yao.switch import a2y_circuit, prepare_switch
 
 words = st.integers(min_value=0, max_value=(1 << 32) - 1)
 
@@ -310,6 +313,76 @@ class TestBatch:
         transcript = EvalTranscript()
         evaluate(gc, labels, transcript=transcript)
         assert transcript.row_matches == [1] * (3 * A2Y.and_count)
+
+
+def array_digest(a) -> str:
+    """SHA-256 of an array's shape, dtype and C-order bytes."""
+    a = np.ascontiguousarray(a)
+    return hashlib.sha256(repr((a.shape, a.dtype.str)).encode() + a.tobytes()).hexdigest()
+
+
+class TestPinnedGarbling:
+    """The garbler's output, byte for byte, as recorded before its gate-order
+    plan existed; a change to how ``garble`` is computed must keep these."""
+
+    @pytest.mark.parametrize("seeds,tables,pairs,points", [
+        ([], "bc77cf130b07fec94001a29a82b4a76b6c5d84325805b66f8b8d4860871b8918",
+         "dc31166eaee70fa80a13762dd200a580853eb856a32a3369ed0fcdd3bcb0e67f",
+         "47b0c2e9ad2cb8c4c1c924c5f6de27ac8a97a19edc3621f14c486027f4cce781"),
+        ([0], "6032420e71477fd0b960785c7c6ef8b807f49f4dc58ca14c475d60d83a5168d6",
+         "df76af6177e0770f14491a8e6f70e737b8afa8d22cad84194f7625a8f850ca11",
+         "f4b387841eda209d69bb9814b01483050e1ce9bff16950dc29c2311d6362a2b3"),
+        (range(33), "326e38e9ad94d6c380e252bea01d86cf94986ad63ff3d89fc0da5ea584a01cd2",
+         "7509f189ed400288520e0d2b84dc0561bcbd938771e38bd66267b41df12c900a",
+         "6c97da143ea120e4a41cf160231c587ea2d05f4ac811b266a7a449b0af5ca76c"),
+    ])
+    def test_batch_digests(self, seeds, tables, pairs, points):
+        gc, got_pairs = garble(a2y_circuit(), list(seeds))
+        assert array_digest(gc.tables) == tables
+        assert array_digest(got_pairs) == pairs
+        assert array_digest(gc.output_points) == points
+
+    def test_scalar_digests(self):
+        gc, labels = garble(a2y_circuit(), seed=5)
+        blob = b"".join(w.to_bytes(4, "little") + l0.to_bytes(16, "little")
+                        + l1.to_bytes(16, "little")
+                        for w, (l0, l1) in sorted(labels.items()))
+        assert hashlib.sha256(blob).hexdigest() == \
+            "31e6940914c26d84cb19d901da0acbab1b0f03342a76756baf5ef83c33bb98f3"
+        assert array_digest(gc.tables) == \
+            "b20208105cb29425e88736f37813b1081926fad3f5bc72edcc1625981bdf5a3f"
+        assert array_digest(gc.output_points) == \
+            "d237c2112f42b0fb2b58dafebff47c6cd8a6799ac93ef6ea15965f9ca635e285"
+
+
+class TestBitCodec:
+    """The batch codec against the scalar ``word_to_bits``/``bits_to_word``."""
+
+    EDGES = [0, 1, 1 << 31, (1 << 32) - 1]
+
+    @pytest.mark.parametrize("n", [0, 1, 33])
+    def test_matches_scalar_codec(self, n):
+        words = np.random.default_rng(n).integers(0, 1 << 32, size=n, dtype=np.uint32)
+        words[:len(self.EDGES)] = self.EDGES[:n]      # all four edges at n = 33
+        bits = words_to_bits(words, 32)
+        assert bits.dtype == np.uint32
+        assert bits.shape == (32, n)
+        assert bits.T.tolist() == [word_to_bits(int(w), 32) for w in words]
+        packed = bits_to_words(bits)
+        assert packed.dtype == np.uint32
+        assert packed.tolist() == words.tolist()
+        assert packed.tolist() == [bits_to_word(b) for b in bits.T.tolist()]
+
+    @pytest.mark.parametrize("word", EDGES)
+    def test_edge_words_round_trip(self, word):
+        bits = words_to_bits([word], 32)
+        assert bits[:, 0].tolist() == word_to_bits(word, 32)
+        assert bits_to_words(bits).tolist() == [word]
+
+    def test_packs_evaluator_bits(self):
+        """``evaluate`` returns uint8 (copy, bit) rows; their transpose packs."""
+        bits = np.array([word_to_bits(w, 32) for w in self.EDGES], dtype=np.uint8)
+        assert bits_to_words(bits.T).tolist() == self.EDGES
 
 
 def reference_evaluate(gc, k, labels) -> list:

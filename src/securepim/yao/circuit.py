@@ -106,6 +106,7 @@ class BoolCircuit:
 
     @cached_property
     def garble_plan(self) -> GarblePlan:
+        """The index arrays ``garble`` runs from, gates in gate order."""
         ands = [(gid, g) for gid, g in enumerate(self.gates) if g.op == AND]
         return GarblePlan(
             inputs=np.array(self.garbler_inputs + self.evaluator_inputs, dtype=np.intp),
@@ -293,6 +294,6 @@ def words_to_bits(words, bits: int) -> np.ndarray:
 def bits_to_words(bits) -> np.ndarray:
     """Batch ``bits_to_word``: the (words,) uint32 words of a (bits, words)
     array of 0/1 values, LSB first."""
-    bits = np.asarray(bits).astype(np.uint32)
+    bits = np.asarray(bits, dtype=np.uint32)
     shifts = np.arange(bits.shape[0], dtype=np.uint32)[:, None]
     return (bits << shifts).sum(axis=0, dtype=np.uint32)

@@ -153,8 +153,8 @@ class Session:
         ctx = self.alloc_ctx()
         c = sharing.split(words, ctx, self.ks, on_prf=self._on_prf)
         r = words - c
-        pad = self.ks.otp_words(ctx, 4 * words.size, stream_id=STREAM_GC).tobytes()
-        seeds = [int.from_bytes(pad[i:i + 16], "little") for i in range(0, len(pad), 16)]
+        pad = self.ks.otp_words(ctx, 4 * words.size, stream_id=STREAM_GC)
+        seeds = pad.view("<u8").reshape(-1, 2)   # each seed's (low, high) words
         gcirc, labels, _ot, stats = prepare_switch(r, c, seeds)
         try:
             bits = self.device.evaluate_garbled(gcirc, labels)

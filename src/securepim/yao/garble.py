@@ -108,25 +108,35 @@ class EvalTranscript:
     row_matches: list = field(default_factory=list)
 
 
+def _seed_words(seeds) -> np.ndarray:
+    """The (N, 2) uint64 (low, high) words of N 128-bit seeds."""
+    if isinstance(seeds, np.ndarray) and seeds.ndim == 2 \
+            and seeds.dtype.kind == "u" and seeds.dtype.itemsize == 8:
+        return seeds
+    seeds = [int(s) for s in seeds]
+    if not all(0 <= s < 1 << 128 for s in seeds):
+        raise ValueError("garbling seeds must lie in [0, 2^128)")
+    return np.frombuffer(b"".join(s.to_bytes(16, "little") for s in seeds),
+                         dtype="<u8").reshape(-1, 2)
+
+
 def garble(circuit: BoolCircuit, seed):
     """Garble one copy of ``circuit`` per seed; deterministic.
 
-    Returns (GarbledCircuit, pairs).  For a sequence of N seeds ``pairs`` is
-    a (inputs, 2, N, 2) uint64 array: ``pairs[i, v]`` holds the labels of
+    Returns (GarbledCircuit, pairs).  For N seeds ``pairs`` is a
+    (inputs, 2, N, 2) uint64 array: ``pairs[i, v]`` holds the labels of
     value v on input i, garbler inputs first.  For an int seed it maps each
-    input wire to its (label0, label1) ints.  Seeds lie in [0, 2^128).
+    input wire to its (label0, label1) ints.  The seeds are an (N, 2) uint64
+    array of (low, high) words, or ints in [0, 2^128).
     """
     scalar = np.ndim(seed) == 0
-    seeds = [int(s) for s in ([seed] if scalar else seed)]
-    if not all(0 <= s < 1 << 128 for s in seeds):
-        raise ValueError("garbling seeds must lie in [0, 2^128)")
-    n = len(seeds)
+    words = _seed_words([seed] if scalar else seed)
+    n = len(words)
     plan = circuit.garble_plan
     n_in, n_and = plan.inputs.size, plan.and_out.size
     draws = 1 + n_in + n_and
     keys = np.empty((draws, n, 2), dtype=np.uint64)
-    keys[:] = np.frombuffer(b"".join(s.to_bytes(16, "little") for s in seeds),
-                            dtype="<u8").reshape(n, 2)
+    keys[:] = words
     keys[..., 1] ^= np.arange(draws, dtype=np.uint64)[:, None]
     rand = _hash(keys)
     delta = rand[0] | _LSB
@@ -140,8 +150,7 @@ def garble(circuit: BoolCircuit, seed):
         np.bitwise_xor(wire[a], wire[b], out=wire[out])
     zab = zero[plan.ab]                   # (a or b, gate, copy, word)
     output_points = (zero[plan.outputs, :, 0] & _ONE).astype(np.uint8).T
-    # freeing each buffer once read lowers the batch's peak heap, and with
-    # it the fresh pages every batch faults in
+    # freeing each buffer once read lowers the batch's peak heap
     del wire, zero
     pab = zab[..., 0] & _ONE
     _xor_delta(zab, pab, delta)           # now the labels with point bit 0

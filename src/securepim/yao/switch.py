@@ -32,7 +32,8 @@ def a2y_circuit():
 def prepare_switch(r_word, c_word, seed):
     """Garble one switch per scalar; returns (gc, input labels, ot, stats).
 
-    ``r_word``, ``c_word`` and ``seed`` are equal-length sequences, and the
+    ``r_word`` and ``c_word`` are equal-length sequences, ``seed`` the
+    seeds ``garble`` takes (an (N, 2) uint64 word array or N ints), and the
     input labels an array for ``evaluate``; with ints they are one scalar
     and the labels a {wire: int} dict.  The host stores both labels of
     every evaluator input wire until the OT runs, which is the

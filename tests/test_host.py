@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from securepim import kernels, mac, ring
+from securepim import host, kernels, mac, ring
+from securepim.crypto import STREAM_GC, OtpContext
 from securepim.errors import ConfigError, GcEvaluationFault, VerificationError
 from securepim.host import (
     SCHEMES,
@@ -22,6 +23,7 @@ from securepim.host import (
 )
 from securepim.pimsim import CostReport, TamperSpec
 from securepim.workloads import run_workload
+from securepim.yao.switch import prepare_switch
 
 
 def session(scheme, verify=False, variant="A", seed=0):
@@ -388,6 +390,28 @@ class TestA2YActivation:
         second, fresh = self.switched(sess, xs)
         assert not np.array_equal(tables, fresh)
         assert np.array_equal(first, second)
+
+    def test_seeds_are_the_gc_pad_read_as_little_endian_ints(self, monkeypatch):
+        """The word-array seeds garble exactly as the 128-bit ints that the
+        STREAM_GC pad's 16-byte slices give read little-endian."""
+        calls = []
+
+        def record(r, c, seed):
+            calls.append((r, c, prepare_switch(r, c, seed)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(host, "prepare_switch", record)
+        sess = session("pim_runtime", variant="A2Y")
+        xs = (np.arange(5, dtype=np.int64) * 2711 - 6000).astype(np.uint32)
+        sess.a2y_activation(xs)
+        ctx = OtpContext(sess.key_id, sess._version)
+        pad = sess.ks.otp_words(ctx, 4 * xs.size, stream_id=STREAM_GC).tobytes()
+        seeds = [int.from_bytes(pad[i:i + 16], "little")
+                 for i in range(0, len(pad), 16)]
+        r, c, (gc, labels, _ot, _stats) = calls[0]
+        want, want_labels, _ot, _stats = prepare_switch(r, c, seeds)
+        assert np.array_equal(gc.tables, want.tables)
+        assert np.array_equal(labels, want_labels)
 
     def test_label_accounting_per_scalar(self):
         sess = session("pim_runtime", variant="A2Y")

@@ -285,6 +285,22 @@ class TestBatch:
             assert np.array_equal(gc.tables[:, :, k], one.tables[:, :, 0])
             assert np.array_equal(gc.output_points[k], one.output_points[0])
 
+    def test_word_seeds_equal_int_seeds(self):
+        """An (N, 2) uint64 array of (low, high) words garbles as the ints."""
+        seeds = [3, 1 << 40, (1 << 128) - 1, 0xC0FFEE << 100 | 0xFACE << 40 | 11]
+        words = np.array([[s & (1 << 64) - 1, s >> 64] for s in seeds],
+                         dtype=np.uint64)
+        gc, pairs = garble(A2Y, seeds)
+        gw, pw = garble(A2Y, words)
+        assert np.array_equal(gc.tables, gw.tables)
+        assert np.array_equal(gc.output_points, gw.output_points)
+        assert np.array_equal(pairs, pw)
+        rs, cs = [1, 2, 3, 4], [5, 6, 7, 1 << 31]
+        _g, labels, ot, _s = prepare_switch(rs, cs, seeds)
+        _gw, labels_w, ot_w, _sw = prepare_switch(rs, cs, words)
+        assert np.array_equal(labels, labels_w)
+        assert ot.released == ot_w.released == 4 * 32
+
     @pytest.mark.parametrize("k", [0, 16, 32])
     def test_row_check_covers_every_copy(self, k):
         """One corrupted row of copy k at a later AND gate faults the batch."""

@@ -62,6 +62,9 @@ class Campaign:
             if target == "gc_table" and name != "logreg":
                 raise ConfigError(f"gc_table needs a workload that garbles "
                                   f"(logreg or gemv16), got {name!r}")
+            if target == "sealed_precompute" and self.scheme != "pim_precompute":
+                raise ConfigError(f"sealed_precompute needs scheme "
+                                  f"pim_precompute, got {self.scheme!r}")
             check_scheme(name, self.scheme)
 
     def body(self, target: str):

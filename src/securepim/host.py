@@ -140,6 +140,7 @@ class Session:
 
     def open_tag_store(self, store) -> mac.TagVector:
         ctx, sealed = store
+        sealed = self.tamper.hit("sealed_tags", sealed)
         return mac.open_tags(sealed, ctx, self.ks, on_prf=self._on_prf)
 
     # -- nonlinear offload --------------------------------------------------
@@ -235,7 +236,9 @@ class _PrivateOperand:
         if scheme not in SHARE_SCHEMES:
             return res_pim
         if res_sealed is not None:
-            return res_pim + s.ks.open(*res_sealed, on_prf=s._on_prf)
+            ctx, sealed = res_sealed
+            sealed = s.tamper.hit("sealed_precompute", sealed)
+            return res_pim + s.ks.open(ctx, sealed, on_prf=s._on_prf)
         r = self._r if self._r is not None else sharing.host_share(
             self.ctx, self.shape, s.ks, on_prf=s._on_prf)
         s.online.host_mac_ops += cost

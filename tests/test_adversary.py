@@ -6,12 +6,12 @@ import pytest
 
 from securepim.adversary import Campaign, clean_run_suite, run_campaign
 from securepim.errors import ConfigError
-from securepim.pimsim import TAMPER_TARGETS
+from securepim.pimsim import DEVICE_TARGETS
 
 
 class TestDetection:
     def test_all_targets_detected_round_robin(self):
-        camp = Campaign(trials=50, targets=list(TAMPER_TARGETS), seed=7)
+        camp = Campaign(trials=50, targets=list(DEVICE_TARGETS), seed=7)
         rep = run_campaign(camp)
         assert rep["detected"] == rep["trials"] == 50
         for target, r in rep["by_target"].items():
@@ -38,12 +38,12 @@ class TestDetection:
         # flip bit 30 of a resident matrix word whose broadcast share word
         # is divisible by 4; 2^30 * 4k = 0 mod 2^32 leaves the result
         # unchanged, so these flips are benign, not missed
-        camp = Campaign(trials=200, targets=list(TAMPER_TARGETS), seed=5,
+        camp = Campaign(trials=200, targets=list(DEVICE_TARGETS), seed=5,
                         mutation="bit_flip")
         rep = run_campaign(camp)
         assert rep["by_target"] == {
             t: {"trials": 40, "detected": 38 if t == "resident_share" else 40}
-            for t in TAMPER_TARGETS}
+            for t in DEVICE_TARGETS}
         assert [i for i, t in enumerate(rep["log"]) if not t["detected"]] \
             == [95, 190]
         assert rep["benign"] == 2
@@ -56,6 +56,33 @@ class TestDetection:
                         params={"iterations": 3} if workload == "linreg" else {})
         rep = run_campaign(camp)
         assert rep["detected"] == 6
+
+
+class TestSealedTargets:
+    """Tampers on what the host seals into untrusted host memory."""
+
+    @pytest.mark.parametrize("mutation", ["word_randomize", "bit_flip"])
+    @pytest.mark.parametrize("target, scheme", [
+        ("sealed_tags", "pim_runtime"),
+        ("sealed_tags", "pim_precompute"),
+        ("sealed_precompute", "pim_precompute"),
+    ])
+    def test_detected_at_criterion_3_standard(self, target, scheme, mutation):
+        trials = 1000 if mutation == "word_randomize" else 200
+        rep = run_campaign(Campaign(trials=trials, targets=[target], seed=42,
+                                    scheme=scheme, mutation=mutation))
+        assert rep["detected"] == trials
+        assert {t["kind"] for t in rep["log"]} == {"verify_fail"}
+
+    def test_sealed_precompute_needs_pim_precompute(self):
+        with pytest.raises(ConfigError, match="sealed_precompute"):
+            Campaign(trials=1, targets=["sealed_precompute"])
+
+    @pytest.mark.parametrize("workload", ["gemm", "conv"])
+    def test_campaigns_over_precomputed_workloads(self, workload):
+        camp = Campaign(trials=6, targets=["sealed_tags", "sealed_precompute"],
+                        seed=2, workload=workload, scheme="pim_precompute")
+        assert run_campaign(camp)["detected"] == 6
 
 
 class TestCompleteness:

@@ -25,6 +25,7 @@ from securepim.pimsim import (
     Tamper,
     TamperSpec,
 )
+from securepim.workloads import run_workload
 
 from conftest import TEST_KEY, ctx, rand_words
 
@@ -227,6 +228,16 @@ class TestTamperPoint:
         t.arm(TamperSpec("device_result"))
         assert t.hit("channel_h2d", self.WORDS) is self.WORDS
         assert t.log == []
+
+    @pytest.mark.parametrize("scheme", ["pim_runtime", "pim_precompute"])
+    def test_unarmed_sealed_hits_draw_nothing(self, scheme):
+        """A verified run passes every sealed opener through an unarmed
+        ``hit``: the tamper RNG stays where a fresh one starts."""
+        _words, sess = run_workload("mlp", SchemeConfig(scheme, verify=True), 3,
+                                    {"depth": 2, "dim": 8})
+        assert sess.tamper.log == []
+        assert (sess.tamper._rng.bit_generator.state
+                == Tamper(3)._rng.bit_generator.state)
 
     def test_int_position_wraps_modulo_size(self):
         t = Tamper()

@@ -21,8 +21,7 @@ def _keep_freed_memory() -> None:
     64 MiB trim threshold keep them in the heap.  Both are set: fixing one
     disables glibc's dynamic threshold, which leaves the mmap threshold at
     128 KiB.  This is process-wide, and resident memory stays at the highest
-    peak an op has reached.
-    A libc without ``mallopt`` is left as it is.
+    peak an op has reached.  A libc without ``mallopt`` is left as it is.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -16,10 +16,10 @@ from . import kernels
 from .errors import CapacityError, DimensionError, TaintViolation
 from .yao.garble import evaluate as gc_evaluate
 
+# the device and its channel, then what the host seals into untrusted host
+# memory: tag stores, and the resCPU that pim_precompute computes offline
 DEVICE_TARGETS = ("resident_share", "channel_h2d", "channel_d2h",
                   "device_result", "gc_table")
-# and what the host seals into untrusted host memory: tag stores, and the
-# resCPU that pim_precompute computes offline
 TAMPER_TARGETS = DEVICE_TARGETS + ("sealed_tags", "sealed_precompute")
 MUTATIONS = ("bit_flip", "word_randomize")
 

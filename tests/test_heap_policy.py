@@ -4,7 +4,7 @@ A fresh interpreter runs the logreg A2Y scenario of the benchmark's
 ``logreg_a2y`` workload (32x2, 2 iterations, verified, on ``pim_runtime``)
 and counts the minor page faults of each run after three warm-up runs.
 With glibc's default mmap and trim thresholds every run faults its garbling
-tables and keys in afresh, about 440 faults; with the thresholds the
+tables and keys in afresh, about 480 faults; with the thresholds the
 package sets at import, about none.
 """
 

@@ -75,15 +75,14 @@ class Campaign:
 
 
 def _trial(name: str, cfg: SchemeConfig, seed: int, params=None, spec=None):
-    """One verified run: (the check that stopped it, None) or (None, words)."""
+    """One verified run: (the check that stopped it, None) or (None, words);
+    a ``spec`` that never fires raises ConfigError in ``run_workload``."""
     try:
-        words, sess = run_workload(name, cfg, seed, params, tamper=spec)
+        words, _ = run_workload(name, cfg, seed, params, tamper=spec)
     except VerificationError:
         return "verify_fail", None
     except GcEvaluationFault:
         return "gc_fault", None
-    if spec is not None and not sess.tamper.log:
-        raise ConfigError(f"tamper on {spec.target!r} never fired in {name}")
     return None, words
 
 

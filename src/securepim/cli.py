@@ -3,8 +3,9 @@
 ``securepim run`` executes one (workload, scheme, verify, tamper) scenario
 and writes a deterministic JSON report; ``securepim compare`` checks two
 reports for digest equality and emits counter ratios.  Exit codes: 0 ok,
-2 verification or GC abort, 3 configuration error (including a load over the
-device memory budget).
+2 verification or GC abort, 3 configuration error (including a flag the
+parser rejects, a tamper that never fires and a load over the device memory
+budget).
 """
 
 import argparse
@@ -18,7 +19,7 @@ import numpy as np
 from .adversary import Campaign, run_campaign
 from .errors import (CapacityError, ConfigError, GcEvaluationFault,
                      SecurePimError, VerificationError)
-from .host import SchemeConfig
+from .host import VARIANTS, SchemeConfig
 from .pimsim import CostReport, TamperSpec
 from .workloads import WORKLOADS, run_workload
 
@@ -208,8 +209,16 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad flag is a configuration error (exit 3), not argparse's exit 2,
+    which is the abort code; subparsers are built from this class too."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="securepim",
         description="secure PIM-offload simulator: scenario runner")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -217,7 +226,7 @@ def make_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute a scenario and emit a report")
     run.add_argument("--workload", choices=sorted(WORKLOADS))
     run.add_argument("--scheme", default="pim_runtime")
-    run.add_argument("--variant", choices=("A", "A2Y"), default="A")
+    run.add_argument("--variant", choices=VARIANTS, default="A")
     run.add_argument("--verify", action="store_true")
     run.add_argument("--tamper", help="target[:mutation[:position]]")
     run.add_argument("--seed", type=int, default=0)
@@ -233,9 +242,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, CapacityError) as exc:
         sys.stderr.write(f"error: {exc}\n")

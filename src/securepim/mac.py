@@ -101,7 +101,7 @@ def seal_tags(tags: TagVector, ctx: OtpContext, ks: KeyStore, on_prf=None) -> np
     return ks.seal(ctx, words, on_prf=on_prf)
 
 
-def open_tags(sealed: np.ndarray, ctx: OtpContext, ks: KeyStore, on_prf=None,
-              q: int = Q) -> TagVector:
+def open_tags(sealed: np.ndarray, ctx: OtpContext, ks: KeyStore,
+              on_prf=None) -> TagVector:
     words = ks.open(ctx, sealed, on_prf=on_prf)
-    return TagVector(residues=words.view("<u8"), q=q)
+    return TagVector(residues=words.view("<u8"))

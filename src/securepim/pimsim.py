@@ -180,10 +180,6 @@ class PimDevice:
         r.data = self.tamper.hit("resident_share", r.data)
         return r.data
 
-    def row_partition(self, name: str):
-        """Per-DPU row slices; the partition-correctness property's subject."""
-        return np.array_split(self._resident[name].data, self.topology.dpu_count)
-
     # -- kernels ------------------------------------------------------------
 
     def _broadcast(self, vec: np.ndarray) -> np.ndarray:

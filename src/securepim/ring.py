@@ -80,8 +80,9 @@ def trunc_array(a: np.ndarray) -> np.ndarray:
     return ((to_signed_array(a) >> FRAC_BITS) & MASK).astype(np.uint32)
 
 
-def fx_mul_trunc_array(a: np.ndarray, b) -> np.ndarray:
-    prod = to_signed_array(np.asarray(a)) * (to_signed(b) if isinstance(b, int) else to_signed_array(b))
+def fx_mul_trunc_array(a: np.ndarray, b: int) -> np.ndarray:
+    """``fx_mul_trunc`` of each word of ``a`` by the scalar word ``b``."""
+    prod = to_signed_array(a) * to_signed(b)
     return ((prod >> FRAC_BITS) & MASK).astype(np.uint32)
 
 

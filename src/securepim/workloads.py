@@ -229,7 +229,8 @@ def run_workload(name: str, cfg: SchemeConfig, seed: int, params=None,
     """The one setup path: check the input, merge the workload's defaults with
     ``params``, seed the input generator, build the session, arm ``tamper`` on
     its ``Tamper`` and run the body ``(cfg, sess, rng, p) -> words``; returns
-    (words, sess).  Malformed input raises ConfigError."""
+    (words, sess).  Malformed input, and a ``tamper`` that the body returned
+    without firing, raise ConfigError."""
     if not isinstance(name, str) or name not in WORKLOADS:
         raise ConfigError(f"unknown workload {name!r}")
     if not (_is_int(seed) and seed >= 0):
@@ -240,4 +241,7 @@ def run_workload(name: str, cfg: SchemeConfig, seed: int, params=None,
     sess = Session(cfg, seed)
     if tamper is not None:
         sess.tamper.arm(tamper)
-    return WORKLOADS[name][0](cfg, sess, rng, p), sess
+    words = WORKLOADS[name][0](cfg, sess, rng, p)
+    if tamper is not None and not sess.tamper.log:
+        raise ConfigError(f"tamper on {tamper.target!r} never fired in {name}")
+    return words, sess

@@ -1,1 +1,1 @@
-"""Garbled-circuit subsystem: circuits, garbling, ideal OT, and switching."""
+"""Garbled-circuit subsystem: circuits, garbling, and switching with an ideal OT."""

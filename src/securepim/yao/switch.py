@@ -2,20 +2,21 @@
 
 The host garbles one composed add-then-clamp circuit per scalar from a seed
 of its keystream (``crypto.STREAM_GC``), hardwires its own R bits as garbler
-inputs (the trusted side needs no OT for itself), and the evaluator fetches
-labels for its C bits through the ideal OT, one transfer for the whole
-vector.  The output decodes to plain activation words on the device side.
+inputs (the trusted side needs no OT for itself), and the evaluator gets
+the label of each of its C bits: the oblivious transfer is ideal in this
+one-process simulation, one selection of ``label(c)`` per evaluator wire.
+The output decodes to plain activation words on the device side.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
 from .. import ring
 from .circuit import build_a2y_circuit, words_to_bits
 from .garble import _to_int, garble
-from .ot import IdealOT
 
 
 @dataclass
@@ -37,7 +38,8 @@ def prepare_switch(r_word, c_word, seed):
     input labels an array for ``evaluate``; with ints they are one scalar
     and the labels a {wire: int} dict.  The host stores both labels of
     every evaluator input wire until the OT runs, which is the
-    2x-input-size memory cost of switching.
+    2x-input-size memory cost of switching.  ``ot`` records the transfer:
+    ``ot.released`` is the number of evaluator labels released, one per wire.
     """
     circ = a2y_circuit()
     word_bits = ring.WORD_BITS
@@ -48,9 +50,9 @@ def prepare_switch(r_word, c_word, seed):
     c_bits = words_to_bits(c_word, word_bits).reshape(-1)
     garbler = pairs[np.arange(word_bits)[:, None], r_bits, copies]
     evaluator_pairs = pairs[word_bits:].swapaxes(1, 2).reshape(-1, 2, 2)
-    ot = IdealOT()
-    labels = ot.transfer(evaluator_pairs, c_bits).reshape(word_bits, -1, 2)
-    input_labels = np.concatenate([garbler, labels])
+    labels = evaluator_pairs[np.arange(c_bits.size), c_bits]
+    ot = SimpleNamespace(released=c_bits.size)
+    input_labels = np.concatenate([garbler, labels.reshape(word_bits, -1, 2)])
     if scalar:
         inputs = circ.garbler_inputs + circ.evaluator_inputs
         input_labels = {w: _to_int(label[0]) for w, label in zip(inputs, input_labels)}

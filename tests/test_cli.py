@@ -112,25 +112,47 @@ class TestExitCodes:
         ["--seed", "-1"],
         ["--tamper", "device_result:bit_flip:x"],
         ["--tamper", "device_result:bit_flip:1:2"],
+        # flags argparse rejects: its own exit 2 is the abort code
+        ["--workload", "fft"],
+        ["--seed", "x"],
+        ["--variant", "B"],
+        ["--bogus"],
+        (),
+        ("compare", "a.json"),
+        # tampers that cannot fire in the run
+        ["--scheme", "pim_runtime", "--verify", "--tamper",
+         "sealed_precompute"],
+        ["--scheme", "pim_runtime", "--tamper", "sealed_tags"],
+        ["--scheme", "pim_runtime", "--tamper", "gc_table"],
     ], ids=repr)
     def test_malformed_input_is_config_error(self, tmp_path, capsys,
                                              monkeypatch, bad):
-        """Config fields (dict) or flags (list): exit 3 with one error line,
-        and no report written."""
+        """Config fields (dict), flags after ``run`` (list) or a whole argv
+        (tuple): exit 3 with one error line, and no report written."""
         monkeypatch.chdir(tmp_path)
         if isinstance(bad, dict):
             cfg_path = tmp_path / "bad.json"
             cfg_path.write_text(json.dumps(
                 {"workload": "mlp", "scheme": "cpu_insecure", **bad}))
             argv = ["run", "--config", str(cfg_path)]
+        elif isinstance(bad, tuple):
+            argv = list(bad)
         else:
             argv = ["run", "--workload", "mlp", "--scheme", "cpu_insecure",
                     *bad]
         assert main(argv) == EXIT_CONFIG
         out, err = capsys.readouterr()
         assert err.startswith("error: ")
+        assert err.count("\n") == 1, err
         assert "Traceback" not in err
         assert out == ""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]], ids=repr)
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: securepim")
 
     @pytest.mark.parametrize("campaign,named", [
         ([], ["campaign must be an object"]),

@@ -31,7 +31,6 @@ from securepim.yao.circuit import (
     words_to_bits,
 )
 from securepim.yao.garble import ROW_HASH_KEY, EvalTranscript, evaluate, garble
-from securepim.yao.ot import IdealOT
 from securepim.yao.switch import a2y_circuit, prepare_switch
 
 words = st.integers(min_value=0, max_value=(1 << 32) - 1)
@@ -162,22 +161,6 @@ class TestGarbling:
         switch_and_decode(123456, 654321, seed=7, transcript=transcript)
         assert len(transcript.row_matches) == A2Y.and_count
         assert all(m == 1 for m in transcript.row_matches)
-
-
-class TestIdealOT:
-    def test_choice_selects_label(self):
-        ot = IdealOT()
-        pairs = [(10, 11), (20, 21), (30, 31)]
-        assert ot.transfer(pairs, [0, 1, 0]).tolist() == [10, 21, 30]
-
-    def test_released_equals_input_count(self):
-        ot = IdealOT()
-        ot.transfer([(0, 1)] * 32, [1] * 32)
-        assert ot.released == 32
-
-    def test_arity_mismatch(self):
-        with pytest.raises(ValueError):
-            IdealOT().transfer([(0, 1)], [0, 1])
 
 
 class TestA2Y:

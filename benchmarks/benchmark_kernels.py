@@ -142,8 +142,7 @@ def main(argv=None):
         ("dot_tags", kernels.dot_tags, (tags, vec), dot_tags_ref),
         ("gen_tags", lambda M, s: mac.gen_tags(M, s).residues, (W, s),
          gen_tags_ref),
-        ("gen_tags_rows",
-         lambda T, s: mac.gen_tags(T, s, axis=mac.AXIS_ROWS).residues,
+        ("gen_tags_rows", lambda T, s: mac.gen_tags(T.T, s).residues,
          (table, s), gen_tags_rows_ref),
     ]
 

@@ -47,13 +47,6 @@ class SchemeConfig:
             raise ConfigError(f"unknown variant {self.variant!r}")
 
 
-def _next_precomputed(pre: list):
-    """Pop the next entry sealed offline for pim_precompute."""
-    if not pre:
-        raise ConfigError("pim_precompute: no precomputed resCPU left")
-    return pre.pop(0)
-
-
 def derive_key_hex(seed: int) -> str:
     return hashlib.sha256(b"securepim-key:" + str(seed).encode()).hexdigest()[:32]
 
@@ -120,12 +113,12 @@ class Session:
 
     # -- sealed offline artefacts in untrusted memory (tags: MAC-then-encrypt)
 
-    def tag_store(self, M: np.ndarray, axis: str = mac.AXIS_COLUMNS):
-        """Tag M along ``axis`` and seal the tags; None unless verifying."""
+    def tag_store(self, M: np.ndarray):
+        """Tag the columns of M and seal the tags; None unless verifying."""
         if not self.cfg.verify:
             return None
         self.offline.host_mac_ops += M.size
-        return self.seal_tag_store(mac.gen_tags(M, self.s, axis=axis))
+        return self.seal_tag_store(mac.gen_tags(M, self.s))
 
     def seal_precomputed(self, res_cpu: np.ndarray, cost: int):
         """Seal a resCPU that took ``cost`` host MACs to compute; returns
@@ -192,26 +185,35 @@ class _PrivateOperand:
             return s.ks.seal(self.ctx, M, on_prf=on_prf)
         return M
 
-    def _place(self, M: np.ndarray, prefix: str, precompute=None) -> None:
+    def _place(self, M: np.ndarray, prefix: str, vectors=None) -> None:
         """Protect M offline and hold it on the host or load it on the
-        device.  pim_precompute seals resCPU = host_fn(R, *args) offline for
-        each ``(key, host_fn, args)`` in ``precompute``; without static
-        operands it keeps R = M - C in trusted memory instead, so the online
-        phase needs no PRF calls.  Either way R = M - C is taken from the
-        share, at no keystream cost."""
+        device.  pim_precompute seals resCPU = R @ v offline for each static
+        vector v in ``vectors``, one per use; without them it keeps R = M - C
+        in trusted memory, so the online phase needs no PRF calls.  Either
+        way R = M - C is taken from the share, at no keystream cost."""
         s = self.sess
         data = self._protect(M, s._off_prf)
         self._r = self._pre = None
         if s.cfg.scheme == "pim_precompute":
             r = M - data
-            if precompute is None:
+            if vectors is None:
                 self._r = r
             else:
-                self._pre = [(key, s.seal_precomputed(host_fn(r, *args), M.size))
-                             for key, host_fn, args in precompute]
+                self._pre = [(None, s.seal_precomputed(kernels.gemv(r, v),
+                                                       M.size))
+                             for v in vectors]
         self._held = s.device.load(s._next_name(prefix), data,
                                    secret_plaintext=data is M) \
             if s.cfg.scheme in DEVICE_SCHEMES else data
+
+    def _next_use(self):
+        """The (share context or None, sealed resCPU) that pim_precompute
+        planned for the next use; (None, None) without precomputation."""
+        if self._pre is None:
+            return None, None
+        if not self._pre:
+            raise ConfigError("pim_precompute: no precomputed resCPU left")
+        return self._pre.pop(0)
 
     def _merge(self, host_fn, device_fn, sealed_fn, args: tuple, cost: int,
                res_sealed=None) -> np.ndarray:
@@ -278,8 +280,7 @@ class PublicMatrixOp(_PrivateOperand):
         ``reshare`` counts the share of x as a refresh."""
         s = self.sess
         x = np.ascontiguousarray(x, dtype=np.uint32)
-        ctx, res_sealed = (_next_precomputed(self._pre)
-                           if self._pre is not None else (None, None))
+        ctx, res_sealed = self._next_use()
         self._held = self._protect(x, s._on_prf, ctx, reshare)
         dev = s.device
         y = self._merge(lambda v: kernels.gemv(self.W, v),
@@ -295,58 +296,47 @@ class PrivateMatrixOp(_PrivateOperand):
     """Private matrix resident on the device as a share; public vectors per
     call in the sample direction (X @ w) and gradient direction (X.T @ e).
 
-    ``precompute`` supplies the static public vectors, enabling the offline
-    resCPU path; without it pim_precompute is rejected (training loops feed
-    fresh vectors every iteration).
+    ``vectors`` lists the static public vectors of ``matvec``, one per call,
+    in order: pim_precompute seals the resCPU of each offline, and such an op
+    has no row tags and no ``matvec_t``.  Without them pim_precompute keeps
+    R = X - C in trusted memory, as EmbeddingOp does.
     """
 
     def __init__(self, session: Session, X: np.ndarray, step: str = "mat",
-                 precompute=None, tag_rows: bool = True):
+                 vectors=None):
         self.sess = session
         self.X = np.ascontiguousarray(X, dtype=np.uint32)
         self.step = step
+        self.static = vectors is not None
         s = session
         self.col_tag_store = s.tag_store(self.X)
-        self.row_tag_store = s.tag_store(self.X, mac.AXIS_ROWS) \
-            if tag_rows else None
-        if s.cfg.scheme == "pim_precompute" and precompute is None:
-            raise ConfigError(
-                "pim_precompute requires static public operands; "
-                "rejected for training loops")
-        self._place(self.X, "X", precompute and [
-            (direction, self._kernels(direction)[0],
-             (np.ascontiguousarray(vec, dtype=np.uint32),))
-            for direction, vec in precompute])
+        self.row_tag_store = None if self.static else s.tag_store(self.X.T)
+        self._place(self.X, "X", vectors)
 
-    def _kernels(self, direction: str):
-        """Host, device and sealed kernels of X @ vec ("rows"), else X.T @ vec."""
-        dev = self.sess.device
-        if direction == "rows":
-            return kernels.gemv, dev.matvec_rows, dev.matvec_enc
-        return (kernels.gemv_t, dev.matvec_cols,
-                functools.partial(dev.matvec_enc, transpose=True))
-
-    def _product(self, direction: str, vec, store, step: str) -> np.ndarray:
-        """X @ vec ("rows") or X.T @ vec, merged with the resCPU precomputed
-        for ``direction`` if any, and verified against ``store``."""
+    def _product(self, vec, store, step: str, *kernel_fns) -> np.ndarray:
+        """The product of X with ``vec`` by ``kernel_fns`` (host, device and
+        sealed), merged with the next use's resCPU if precomputed, and
+        verified against ``store``."""
         vec = np.ascontiguousarray(vec, dtype=np.uint32)
-        res_sealed = None
-        if self._pre is not None:
-            key, res_sealed = _next_precomputed(self._pre)
-            if key != direction:
-                raise ConfigError("precomputed direction mismatch")
-        y = self._merge(*self._kernels(direction), (vec,), self.X.size,
-                        res_sealed)
+        y = self._merge(*kernel_fns, (vec,), self.X.size, self._next_use()[1])
         self.sess.verify_gemv(f"{self.step}:{step}", store, vec, y)
         return y
 
     def matvec(self, w: np.ndarray, step_suffix: str = "dot") -> np.ndarray:
         """X @ w, merged; verified against the column tags."""
-        return self._product("rows", w, self.col_tag_store, step_suffix)
+        dev = self.sess.device
+        return self._product(w, self.col_tag_store, step_suffix, kernels.gemv,
+                             dev.matvec_rows, dev.matvec_enc)
 
-    def matvec_t(self, e: np.ndarray, step_suffix: str = "grad") -> np.ndarray:
+    def matvec_t(self, e: np.ndarray) -> np.ndarray:
         """X.T @ e, merged; verified against the row tags."""
-        return self._product("cols", e, self.row_tag_store, step_suffix)
+        if self.static:
+            raise ConfigError("matvec_t needs an op built without static "
+                              "vectors, which has the row tags")
+        dev = self.sess.device
+        return self._product(e, self.row_tag_store, "grad", kernels.gemv_t,
+                             dev.matvec_cols,
+                             functools.partial(dev.matvec_enc, transpose=True))
 
 
 class EmbeddingOp(_PrivateOperand):
@@ -361,7 +351,7 @@ class EmbeddingOp(_PrivateOperand):
         self.sess = session
         self.table = np.ascontiguousarray(table, dtype=np.uint32)
         self.step = step
-        self.row_tag_store = session.tag_store(self.table, mac.AXIS_ROWS)
+        self.row_tag_store = session.tag_store(self.table.T)
         self._place(self.table, "T")
 
     def lookup(self, ids, weights, batch: int, pf: int) -> np.ndarray:

@@ -23,13 +23,10 @@ from .errors import DimensionError
 
 Q = (1 << 61) - 1  # Mersenne prime: fast reduction, miss probability m/q
 
-AXIS_COLUMNS = "columns"
-AXIS_ROWS = "rows"
-
 
 @dataclass(frozen=True)
 class TagVector:
-    """One residue per column (or per row) of the tagged matrix."""
+    """One residue per column of the tagged matrix."""
 
     residues: np.ndarray     # uint64, < q
     q: int = Q
@@ -44,18 +41,18 @@ def _lift_int(w: int, q: int) -> int:
     return ring.to_signed(w & ring.MASK) % q
 
 
-def gen_tags(matrix: np.ndarray, s: int, q: int = Q, axis: str = AXIS_COLUMNS) -> TagVector:
+def gen_tags(matrix: np.ndarray, s: int, q: int = Q) -> TagVector:
+    """Tag each column of ``matrix``; tag the rows of M as ``gen_tags(M.T)``."""
     if not 1 <= s <= q - 1:
         raise ValueError("s must lie in [1, q-1]")
-    m = np.ascontiguousarray(matrix, dtype=np.uint32)
+    m = np.asarray(matrix, dtype=np.uint32)
     if m.ndim != 2:
         raise DimensionError("tags are defined over 2-D operands")
-    data = m if axis == AXIS_COLUMNS else m.T
     if q == Q:
-        res = kernels.tag_columns(lift(data), s)
+        res = kernels.tag_columns(lift(m), s)
     else:
         res = np.array(
-            [_poly_hash_generic(col, s, q) for col in data.T], dtype=np.uint64
+            [_poly_hash_generic(col, s, q) for col in m.T], dtype=np.uint64
         )
     return TagVector(residues=res, q=q)
 

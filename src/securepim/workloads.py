@@ -102,8 +102,7 @@ def run_gemm(cfg: SchemeConfig, sess: Session, rng, p):
     A = _raw(rng, -1, 1, (n, n))
     B = _raw(rng, -1, 1, (n, n))
     cols = [np.ascontiguousarray(B[:, j]) for j in range(n)]
-    op = PrivateMatrixOp(sess, A, step="gemm", tag_rows=False,
-                         precompute=[("rows", c) for c in cols])
+    op = PrivateMatrixOp(sess, A, step="gemm", vectors=cols)
     out = np.stack(
         [ring.trunc_array(op.matvec(c, step_suffix=f"col{j}"))
          for j, c in enumerate(cols)], axis=1)
@@ -126,8 +125,7 @@ def run_conv(cfg: SchemeConfig, sess: Session, rng, p):
     kern = _raw(rng, -1, 1, (p["kernel"], p["kernel"]))
     U = unroll_conv_input(img, p["kernel"], p["stride"])
     kvec = kern.ravel()
-    op = PrivateMatrixOp(sess, U, step="conv", tag_rows=False,
-                         precompute=[("rows", kvec)])
+    op = PrivateMatrixOp(sess, U, step="conv", vectors=[kvec])
     return ring.trunc_array(op.matvec(kvec))
 
 

@@ -166,16 +166,10 @@ class TestPrivateMatrixOp:
         assert op.matvec(w).tolist() == [3, 7]
         assert op.matvec_t(w).tolist() == [4, 6]
 
-    def test_precompute_without_static_vectors_rejected(self):
-        sess = session("pim_precompute")
-        with pytest.raises(ConfigError):
-            PrivateMatrixOp(sess, self.X)
-
     def test_precompute_with_static_vectors(self):
         w = np.asarray([1, 1], dtype=np.uint32)
         sess = session("pim_precompute")
-        op = PrivateMatrixOp(sess, self.X, precompute=[("rows", w)],
-                             tag_rows=False)
+        op = PrivateMatrixOp(sess, self.X, vectors=[w])
         assert op.matvec(w).tolist() == [3, 7]
         assert sess.online.host_mac_ops == 0
 
@@ -184,27 +178,52 @@ class TestPrivateMatrixOp:
     def test_precompute_offline_prf_is_split_plus_seals(self, k, verify):
         """R = X - C is derived once from the share: the offline keystream
         cost is the split of X plus one seal per precomputed resCPU (plus
-        the two tag seals), with no per-vector regeneration of R."""
+        the column-tag seal), with no per-vector regeneration of R."""
         X = np.arange(30, dtype=np.uint32).reshape(6, 5)
-        vecs = [("rows", np.ones(5, dtype=np.uint32)),
-                ("cols", np.ones(6, dtype=np.uint32))] * 2
         sess = session("pim_precompute", verify=verify)
         before = sess.offline.host_prf_calls
-        PrivateMatrixOp(sess, X, precompute=vecs[:k])
-        expect = blocks(X.size) + sum(
-            blocks(6 if direction == "rows" else 5)
-            for direction, _ in vecs[:k])
-        if verify:  # column and row tags, two words per residue
-            expect += blocks(2 * 5) + blocks(2 * 6)
+        PrivateMatrixOp(sess, X, vectors=[np.ones(5, dtype=np.uint32)] * k)
+        expect = blocks(X.size) + k * blocks(6)
+        if verify:  # column tags only, two words per residue
+            expect += blocks(2 * 5)
         assert sess.offline.host_prf_calls - before == expect
 
     def test_precompute_exhausted_is_config_error(self):
         w = np.asarray([1, 1], dtype=np.uint32)
-        op = PrivateMatrixOp(session("pim_precompute"), self.X,
-                             precompute=[("rows", w)], tag_rows=False)
+        op = PrivateMatrixOp(session("pim_precompute"), self.X, vectors=[w])
         op.matvec(w)
         with pytest.raises(ConfigError, match="no precomputed resCPU left"):
             op.matvec(w)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_static_vectors_have_no_transpose(self, scheme):
+        """An op built with ``vectors`` has no row tags, so an unverified
+        X.T @ e is refused rather than returned."""
+        w = np.asarray([1, 1], dtype=np.uint32)
+        sess = session(scheme, verify=True)
+        op = PrivateMatrixOp(sess, self.X, vectors=[w])
+        sess.device.arm_tamper(TamperSpec("device_result"))
+        with pytest.raises(ConfigError, match="matvec_t"):
+            op.matvec_t(w)
+        assert sess.device.tamper_log == []
+
+    def test_precompute_without_vectors_keeps_r_in_trusted_memory(self):
+        """Without static vectors pim_precompute gives pim_runtime's words
+        in both directions; its online PRF calls are the tag opens alone."""
+        X = np.arange(30, dtype=np.uint32).reshape(6, 5)
+        w = np.arange(5, dtype=np.uint32)
+        e = np.arange(6, dtype=np.uint32)
+        runs = {}
+        for scheme in ("pim_runtime", "pim_precompute"):
+            sess = session(scheme, verify=True)
+            op = PrivateMatrixOp(sess, X)
+            before = sess.online.host_prf_calls
+            words = (op.matvec(w).tolist(), op.matvec_t(e).tolist())
+            runs[scheme] = words, sess.online.host_prf_calls - before
+            assert [ev["ok"] for ev in sess.verification_events] == [True] * 2
+        assert runs["pim_precompute"][0] == runs["pim_runtime"][0]
+        assert runs["pim_precompute"][1] == blocks(2 * 5) + blocks(2 * 6) == 6
+        assert runs["pim_runtime"][1] == 6 + 2 * blocks(X.size) == 22
 
     def test_share_mode_compensation_vs_plaintext(self):
         rng = np.random.default_rng(1)

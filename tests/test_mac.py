@@ -22,9 +22,8 @@ def poly_oracle(values, s, q):
                for i, v in enumerate(values)) % q
 
 
-def tags_oracle(matrix, s, q, axis="columns"):
-    M = matrix if axis == "columns" else matrix.T
-    return [poly_oracle(M[:, j], s, q) for j in range(M.shape[1])]
+def tags_oracle(matrix, s, q):
+    return [poly_oracle(matrix[:, j], s, q) for j in range(matrix.shape[1])]
 
 
 class TestGenTags:
@@ -42,13 +41,15 @@ class TestGenTags:
         tags = mac.gen_tags(np.asarray([[7]], dtype=np.uint32), s=10, q=97)
         assert tags.residues.tolist() == [7 * 10 % 97]
 
-    def test_rows_axis_is_transpose(self):
+    def test_transpose_tags_the_rows(self):
         rng = np.random.default_rng(0)
         M = rng.integers(0, 1 << 32, size=(6, 4), dtype=np.uint32)
         s = 123456789
-        rows = mac.gen_tags(M, s, axis=mac.AXIS_ROWS)
-        cols_of_t = mac.gen_tags(np.ascontiguousarray(M.T), s)
-        assert np.array_equal(rows.residues, cols_of_t.residues)
+        rows = mac.gen_tags(M.T, s)
+        assert rows.residues.tolist() == [poly_oracle(row, s, mac.Q)
+                                          for row in M]
+        assert np.array_equal(
+            rows.residues, mac.gen_tags(np.ascontiguousarray(M.T), s).residues)
 
     @settings(max_examples=30)
     @given(st.integers(min_value=0, max_value=2**32 - 1),
@@ -107,7 +108,7 @@ class TestLift:
         rng = np.random.default_rng(9)
         words = rng.integers(0, 1 << 32, size=(5, 7), dtype=np.uint32)
         words[0, :2] = [1 << 31, (1 << 31) - 1]
-        # gen_tags(axis=rows) lifts the transpose; a strided slice is not contiguous either
+        # row tags lift the transpose; a strided slice is not contiguous either
         for view in (words, words.T, words[:, ::2]):
             lifted = mac.lift(view)
             assert np.shares_memory(lifted, view)

@@ -1,13 +1,14 @@
 """Every definition in ``src/securepim`` has a caller outside the tests.
 
-Collects each module-level function and class and each non-dunder method
-with ``ast``, then every name the program mentions: a ``Name`` or an
-attribute in ``src/``, ``tools/``, ``benchmarks/`` or ``perfbench/``, and
-the dotted strings of perfbench's ``TRACED``, which patches functions by
-name.  A definition whose name appears only inside its own body is reached
-by the tests alone and should be deleted, or moved into the tests that need
-it.  A method that overrides one of a base class outside the package counts
-as called by that base.
+Collects each module-level function, class and non-dunder name bound by an
+assignment, and each non-dunder method, with ``ast``, then every name the
+program mentions: a ``Name`` or an attribute in ``src/``, ``tools/``,
+``benchmarks/`` or ``perfbench/``, and the dotted strings of perfbench's
+``TRACED``, which patches functions by name; an import is not a use.  A
+definition whose name appears only inside its own body or assignment is
+reached by the tests alone and should be deleted, or moved into the tests
+that need it.  A method that overrides one of a base class outside the
+package counts as called by that base.
 """
 
 import ast
@@ -30,6 +31,14 @@ def definitions():
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 yield path, module, node.name, node
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                for name in sorted({n.id for t in targets
+                                    for n in ast.walk(t)
+                                    if isinstance(n, ast.Name)}):
+                    if not name.startswith("__"):
+                        yield path, module, name, node
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if (isinstance(item, ast.FunctionDef)

@@ -175,7 +175,7 @@ class TestGemmConv:
         I_enc = np.diag([ring.ONE] * 6).astype(np.uint32)
         sess = Session(SchemeConfig("pim_runtime"), seed=0)
         cols = [np.ascontiguousarray(I_enc[:, j]) for j in range(6)]
-        op = PrivateMatrixOp(sess, A, tag_rows=False)
+        op = PrivateMatrixOp(sess, A, vectors=cols)
         out = np.stack([ring.trunc_array(op.matvec(c)) for c in cols], axis=1)
         assert np.array_equal(out, A)
 
@@ -205,7 +205,7 @@ class TestGemmConv:
         kern = np.full((2, 2), one, dtype=np.uint32)
         U = unroll_conv_input(img, 2, 2)
         sess = Session(SchemeConfig("pim_runtime"), seed=0)
-        op = PrivateMatrixOp(sess, U, tag_rows=False)
+        op = PrivateMatrixOp(sess, U, vectors=[kern.ravel()])
         out = ring.trunc_array(op.matvec(kern.ravel()))
         assert out.tolist() == [ring.fx_encode(4.0)] * 4
 

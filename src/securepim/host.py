@@ -62,7 +62,7 @@ class Session:
         self.offline = CostReport()
         self.online = CostReport()
         self.tamper = Tamper(seed)
-        self.device = PimDevice(report=self.online, tamper=self.tamper,
+        self.device = PimDevice(report=self.offline, tamper=self.tamper,
                                 secure_mode=cfg.scheme in SHARE_SCHEMES)
         self._version = 0
         self._names = 0
@@ -72,9 +72,11 @@ class Session:
         self.a2y_scalars = 0
         self.a2y_labels_transferred = 0
         self.a2y_labels_stored = 0
-        self._mac_ctx = self.alloc_ctx()
-        self.s = self.ks.derive_mac_secret(self._mac_ctx, mac.Q,
-                                           on_prf=self._off_prf)
+        self.s = self.ks.derive_mac_secret(self.alloc_ctx(), mac.Q, self._prf)
+        self.device.report = self.online
+
+    # the phase now charged, host and device alike (offline: see ``_offline``)
+    ledger = property(lambda self: self.device.report)
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -82,11 +84,8 @@ class Session:
         self._version += 1
         return OtpContext(self.key_id, self._version)
 
-    def _on_prf(self, n):
-        self.online.host_prf_calls += n
-
-    def _off_prf(self, n):
-        self.offline.host_prf_calls += n
+    def _prf(self, n):
+        self.ledger.host_prf_calls += n
 
     def _next_name(self, prefix: str) -> str:
         self._names += 1
@@ -97,7 +96,7 @@ class Session:
             self.leaks.append(what)
 
     def check_verified(self, step: str, ftag_e: int, ftag_r: int) -> None:
-        self.online.verify_ops += 1
+        self.ledger.verify_ops += 1
         ok = mac.verify(ftag_e, ftag_r)
         self.verification_events.append({"step": step, "ok": ok})
         if not ok:
@@ -117,24 +116,24 @@ class Session:
         """Tag the columns of M and seal the tags; None unless verifying."""
         if not self.cfg.verify:
             return None
-        self.offline.host_mac_ops += M.size
+        self.ledger.host_mac_ops += M.size
         return self.seal_tag_store(mac.gen_tags(M, self.s))
 
     def seal_precomputed(self, res_cpu: np.ndarray, cost: int):
         """Seal a resCPU that took ``cost`` host MACs to compute; returns
         the (context, words) pair that ``KeyStore.open`` takes back."""
-        self.offline.host_mac_ops += cost
+        self.ledger.host_mac_ops += cost
         ctx = self.alloc_ctx()
-        return ctx, self.ks.seal(ctx, res_cpu, on_prf=self._off_prf)
+        return ctx, self.ks.seal(ctx, res_cpu, on_prf=self._prf)
 
     def seal_tag_store(self, tags: mac.TagVector):
         ctx = self.alloc_ctx()
-        return ctx, mac.seal_tags(tags, ctx, self.ks, on_prf=self._off_prf)
+        return ctx, mac.seal_tags(tags, ctx, self.ks, on_prf=self._prf)
 
     def open_tag_store(self, store) -> mac.TagVector:
         ctx, sealed = store
         sealed = self.tamper.hit("sealed_tags", sealed)
-        return mac.open_tags(sealed, ctx, self.ks, on_prf=self._on_prf)
+        return mac.open_tags(sealed, ctx, self.ks, on_prf=self._prf)
 
     # -- nonlinear offload --------------------------------------------------
 
@@ -145,7 +144,7 @@ class Session:
         the activations (declared leak), host stores both labels per C bit."""
         words = np.asarray(p, dtype=np.uint32).ravel()
         ctx = self.alloc_ctx()
-        c = sharing.split(words, ctx, self.ks, on_prf=self._on_prf)
+        c = sharing.split(words, ctx, self.ks, on_prf=self._prf)
         r = words - c
         pad = self.ks.otp_words(ctx, 4 * words.size, stream_id=STREAM_GC)
         seeds = pad.view("<u8").reshape(-1, 2)   # each seed's (low, high) words
@@ -162,16 +161,27 @@ class Session:
         return bits_to_words(bits.T).reshape(p.shape)
 
 
+def _offline(init):
+    """Charge all an op constructor does, device loads included, offline."""
+    @functools.wraps(init)
+    def build(self, session, *args, **kwargs):
+        session.device.report = session.offline
+        try:
+            init(self, session, *args, **kwargs)
+        finally:
+            session.device.report = session.online
+    return build
+
+
 class _PrivateOperand:
     """A private operand held where the scheme keeps it: the one placement
     and merge path of every op.  A private matrix is placed once, offline;
     PublicMatrixOp holds its private vector afresh on every call."""
 
-    def _protect(self, M: np.ndarray, on_prf, ctx=None,
-                 reshare: bool = False) -> np.ndarray:
+    def _protect(self, M: np.ndarray, ctx=None, reshare=False) -> np.ndarray:
         """M as the scheme keeps it outside trusted memory: plain, sealed
         under a fresh context, or the share C = M - R under ``ctx`` (fresh
-        if None; a ``reshare`` is counted).  PRF calls go to ``on_prf``."""
+        if None; a ``reshare`` is counted)."""
         s = self.sess
         scheme = s.cfg.scheme
         self.shape = M.shape
@@ -179,10 +189,10 @@ class _PrivateOperand:
         if scheme in SHARE_SCHEMES:
             self.ctx = s.alloc_ctx() if ctx is None else ctx
             s.reshare_events += reshare
-            return sharing.split(M, self.ctx, s.ks, on_prf=on_prf)
+            return sharing.split(M, self.ctx, s.ks, on_prf=s._prf)
         if scheme in SEALED_SCHEMES:
             self.ctx = s.alloc_ctx()
-            return s.ks.seal(self.ctx, M, on_prf=on_prf)
+            return s.ks.seal(self.ctx, M, on_prf=s._prf)
         return M
 
     def _place(self, M: np.ndarray, prefix: str, vectors=None) -> None:
@@ -192,7 +202,7 @@ class _PrivateOperand:
         in trusted memory, so the online phase needs no PRF calls.  Either
         way R = M - C is taken from the share, at no keystream cost."""
         s = self.sess
-        data = self._protect(M, s._off_prf)
+        data = self._protect(M)
         self._r = self._pre = None
         if s.cfg.scheme == "pim_precompute":
             r = M - data
@@ -227,23 +237,23 @@ class _PrivateOperand:
         if scheme not in DEVICE_SCHEMES:
             M = self._held
             if scheme in SEALED_SCHEMES:
-                M = s.ks.open(self.ctx, M, on_prf=s._on_prf)
-            s.online.host_mac_ops += cost
+                M = s.ks.open(self.ctx, M, on_prf=s._prf)
+            s.ledger.host_mac_ops += cost
             return host_fn(M, *args)
         if scheme in SEALED_SCHEMES:
             ctx_out = s.alloc_ctx()
             y = sealed_fn(self._held, *args, s.ks, self.ctx, ctx_out)
-            return s.ks.open(ctx_out, y, on_prf=s._on_prf)
+            return s.ks.open(ctx_out, y, on_prf=s._prf)
         res_pim = device_fn(self._held, *args)
         if scheme not in SHARE_SCHEMES:
             return res_pim
         if res_sealed is not None:
             ctx, sealed = res_sealed
             sealed = s.tamper.hit("sealed_precompute", sealed)
-            return res_pim + s.ks.open(ctx, sealed, on_prf=s._on_prf)
+            return res_pim + s.ks.open(ctx, sealed, on_prf=s._prf)
         r = self._r if self._r is not None else sharing.host_share(
-            self.ctx, self.shape, s.ks, on_prf=s._on_prf)
-        s.online.host_mac_ops += cost
+            self.ctx, self.shape, s.ks, on_prf=s._prf)
+        s.ledger.host_mac_ops += cost
         return res_pim + host_fn(r, *args)
 
 
@@ -255,6 +265,7 @@ class PublicMatrixOp(_PrivateOperand):
     under the context that use shares its vector with.
     """
 
+    @_offline
     def __init__(self, session: Session, W: np.ndarray, uses: int = 1,
                  step: str = "gemv"):
         self.sess = session
@@ -270,8 +281,7 @@ class PublicMatrixOp(_PrivateOperand):
             self._pre = []
             for _ in range(uses):
                 ctx = s.alloc_ctx()
-                r = sharing.host_share(ctx, (self.W.shape[1],), s.ks,
-                                       on_prf=s._off_prf)
+                r = sharing.host_share(ctx, (self.W.shape[1],), s.ks, s._prf)
                 res_cpu = kernels.gemv(self.W, r)
                 self._pre.append((ctx, s.seal_precomputed(res_cpu, self.W.size)))
 
@@ -281,7 +291,7 @@ class PublicMatrixOp(_PrivateOperand):
         s = self.sess
         x = np.ascontiguousarray(x, dtype=np.uint32)
         ctx, res_sealed = self._next_use()
-        self._held = self._protect(x, s._on_prf, ctx, reshare)
+        self._held = self._protect(x, ctx, reshare)
         dev = s.device
         y = self._merge(lambda v: kernels.gemv(self.W, v),
                         lambda v: dev.gemv(self.handle, v),
@@ -302,6 +312,7 @@ class PrivateMatrixOp(_PrivateOperand):
     R = X - C in trusted memory, as EmbeddingOp does.
     """
 
+    @_offline
     def __init__(self, session: Session, X: np.ndarray, step: str = "mat",
                  vectors=None):
         self.sess = session
@@ -347,6 +358,7 @@ class EmbeddingOp(_PrivateOperand):
     cost drops to zero while the host reduce cost matches the runtime scheme.
     """
 
+    @_offline
     def __init__(self, session: Session, table: np.ndarray, step: str = "emb"):
         self.sess = session
         self.table = np.ascontiguousarray(table, dtype=np.uint32)

@@ -18,8 +18,11 @@ re-recorded a third time, with ``tools/golden_diff.py --allow
 host_prf_calls``, when every additive share began to come from one
 ``sharing.split`` and R was derived once per operand: only
 ``host_prf_calls`` moved, in the five ``gemm``/``conv`` ``pim_precompute``
-cases (offline) and the two A2Y cases (online).  The
-shapes are small to keep the sweep fast; the acceptance suite covers the
+cases (offline) and the two A2Y cases (online).  They were re-recorded a
+fourth time, with ``--allow bytes_h2d``, when op constructors began to run
+in the offline phase: the device loads of placed operands moved from online
+to offline ``bytes_h2d`` in 50 cases, and each case's offline plus online
+total of every counter held.  The shapes are small to keep the sweep fast; the acceptance suite covers the
 default ones.
 """
 

@@ -102,20 +102,23 @@ class TestPublicMatrixOp:
     # verified applies of one 5x7 matrix; pim_precompute shares each vector
     # under the context its resCPU was precomputed with
     TAG_OFFLINE = CostReport(host_mac_ops=35, host_prf_calls=5)
-    DEVICE_ONLINE = dict(bytes_h2d=476, bytes_d2h=60, device_mac_ops=105,
+    DEVICE_OFFLINE = CostReport(host_mac_ops=35, host_prf_calls=5,
+                                bytes_h2d=140)
+    DEVICE_ONLINE = dict(bytes_h2d=336, bytes_d2h=60, device_mac_ops=105,
                          verify_ops=3)
     REPEATED = {
         "cpu_insecure": (TAG_OFFLINE, CostReport(
             host_mac_ops=105, host_prf_calls=12, verify_ops=3), 0),
         "cpu_secure": (TAG_OFFLINE, CostReport(
             host_mac_ops=105, host_prf_calls=24, verify_ops=3), 0),
-        "pim_insecure": (TAG_OFFLINE, CostReport(
+        "pim_insecure": (DEVICE_OFFLINE, CostReport(
             host_prf_calls=12, **DEVICE_ONLINE), 0),
-        "pim_enc_dec": (TAG_OFFLINE, CostReport(
+        "pim_enc_dec": (DEVICE_OFFLINE, CostReport(
             host_prf_calls=24, device_prf_calls=12, **DEVICE_ONLINE), 0),
-        "pim_runtime": (TAG_OFFLINE, CostReport(
+        "pim_runtime": (DEVICE_OFFLINE, CostReport(
             host_mac_ops=105, host_prf_calls=24, **DEVICE_ONLINE), 2),
-        "pim_precompute": (CostReport(host_mac_ops=140, host_prf_calls=17),
+        "pim_precompute": (CostReport(host_mac_ops=140, host_prf_calls=17,
+                                      bytes_h2d=140),
                            CostReport(host_prf_calls=24, **DEVICE_ONLINE), 2),
     }
 

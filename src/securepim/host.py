@@ -132,7 +132,9 @@ class Session:
 
     def open_tag_store(self, store) -> mac.TagVector:
         ctx, sealed = store
-        sealed = self.tamper.hit("sealed_tags", sealed)
+        hit = self.tamper.hit("sealed_tags", sealed)
+        if hit is not sealed:   # a fired tamper persists, as on the device
+            sealed[...] = hit
         return mac.open_tags(sealed, ctx, self.ks, on_prf=self._prf)
 
     # -- nonlinear offload --------------------------------------------------
@@ -210,20 +212,23 @@ class _PrivateOperand:
                 self._r = r
             else:
                 self._pre = [(None, s.seal_precomputed(kernels.gemv(r, v),
-                                                       M.size))
+                                                       M.size), np.array(v))
                              for v in vectors]
         self._held = s.device.load(s._next_name(prefix), data,
                                    secret_plaintext=data is M) \
             if s.cfg.scheme in DEVICE_SCHEMES else data
 
-    def _next_use(self):
-        """The (share context or None, sealed resCPU) that pim_precompute
-        planned for the next use; (None, None) without precomputation."""
+    def _next_use(self, vec=None):
+        """The (share context or None, sealed resCPU) planned for the next
+        use, checked against ``vec``; (None, None) without precomputation."""
         if self._pre is None:
             return None, None
         if not self._pre:
             raise ConfigError("pim_precompute: no precomputed resCPU left")
-        return self._pre.pop(0)
+        planned = self._pre[0][2]
+        if planned is not None and not np.array_equal(vec, planned):
+            raise ConfigError("pim_precompute: vector is not the one planned")
+        return self._pre.pop(0)[:2]
 
     def _merge(self, host_fn, device_fn, sealed_fn, args: tuple, cost: int,
                res_sealed=None) -> np.ndarray:
@@ -283,7 +288,8 @@ class PublicMatrixOp(_PrivateOperand):
                 ctx = s.alloc_ctx()
                 r = sharing.host_share(ctx, (self.W.shape[1],), s.ks, s._prf)
                 res_cpu = kernels.gemv(self.W, r)
-                self._pre.append((ctx, s.seal_precomputed(res_cpu, self.W.size)))
+                sealed = s.seal_precomputed(res_cpu, self.W.size)
+                self._pre.append((ctx, sealed, None))
 
     def apply(self, x: np.ndarray, reshare: bool = False) -> np.ndarray:
         """Merged raw GEMV result (pre-truncation), verified if configured;
@@ -329,7 +335,8 @@ class PrivateMatrixOp(_PrivateOperand):
         sealed), merged with the next use's resCPU if precomputed, and
         verified against ``store``."""
         vec = np.ascontiguousarray(vec, dtype=np.uint32)
-        y = self._merge(*kernel_fns, (vec,), self.X.size, self._next_use()[1])
+        y = self._merge(*kernel_fns, (vec,), self.X.size,
+                        self._next_use(vec)[1])
         self.sess.verify_gemv(f"{self.step}:{step}", store, vec, y)
         return y
 

@@ -78,6 +78,18 @@ class TestSealedTargets:
         with pytest.raises(ConfigError, match="sealed_precompute"):
             Campaign(trials=1, targets=["sealed_precompute"])
 
+    @pytest.mark.parametrize("workload, detected", [("linreg", 28),
+                                                    ("logreg", 26)])
+    def test_sealed_tags_hit_persists_into_later_iterations(self, workload,
+                                                            detected):
+        """A spec fires on the first tag open, which checks X @ w with
+        w = 0, where any tag times 0 is 0; the hit stays in the sealed store,
+        so a later iteration's check catches it.  Counts as measured."""
+        rep = run_campaign(Campaign(trials=30, targets=["sealed_tags"],
+                                    seed=0, workload=workload))
+        assert rep["detected"] == detected
+        assert rep["detected"] + rep["benign"] == rep["trials"]
+
     @pytest.mark.parametrize("workload", ["gemm", "conv"])
     def test_campaigns_over_precomputed_workloads(self, workload):
         camp = Campaign(trials=6, targets=["sealed_tags", "sealed_precompute"],

@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 
 from securepim import host, kernels, mac, ring
 from securepim.crypto import STREAM_GC, OtpContext
-from securepim.errors import ConfigError, GcEvaluationFault, VerificationError
+from securepim.errors import (
+    CapacityError,
+    ConfigError,
+    GcEvaluationFault,
+    VerificationError,
+)
 from securepim.host import (
     SCHEMES,
     EmbeddingOp,
@@ -190,6 +195,18 @@ class TestPrivateMatrixOp:
         if verify:  # column tags only, two words per residue
             expect += blocks(2 * 5)
         assert sess.offline.host_prf_calls - before == expect
+
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_unplanned_vector_is_config_error(self, verify):
+        """A use planned for a static vector refuses another one before any
+        device call, rather than merging the wrong resCPU; the plan stays."""
+        sess = session("pim_precompute", verify=verify)
+        op = PrivateMatrixOp(sess, self.X, vectors=[[1, 1]])
+        with pytest.raises(ConfigError, match="planned"):
+            op.matvec(np.asarray([2, 0], dtype=np.uint32))
+        assert sess.online == CostReport()
+        assert sess.verification_events == []
+        assert op.matvec(np.asarray([1, 1], dtype=np.uint32)).tolist() == [3, 7]
 
     def test_precompute_exhausted_is_config_error(self):
         w = np.asarray([1, 1], dtype=np.uint32)
@@ -441,6 +458,37 @@ class TestA2YActivation:
         assert sess.a2y_scalars == 3
         assert sess.a2y_labels_transferred == 3 * 32
         assert sess.a2y_labels_stored == 3 * 64
+
+
+class TestPhases:
+    """An op's constructor is the offline phase: every charge it makes, device
+    loads included, goes to the offline ledger."""
+
+    M = np.arange(16, dtype=np.uint32).reshape(4, 4)
+    BUILD = {
+        "public": lambda s, M: PublicMatrixOp(s, M, uses=2),
+        "private": lambda s, M: PrivateMatrixOp(s, M),
+        "static": lambda s, M: PrivateMatrixOp(s, M, vectors=[M[0], M[1]]),
+        "embedding": lambda s, M: EmbeddingOp(s, M),
+    }
+
+    @pytest.mark.parametrize("verify", [False, True])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("op", sorted(BUILD))
+    def test_building_an_op_charges_offline_only(self, op, scheme, verify):
+        sess = session(scheme, verify=verify)
+        self.BUILD[op](sess, self.M)
+        assert sess.online == CostReport()
+        assert sess.ledger is sess.online
+        assert sess.offline.bytes_h2d == (
+            self.M.nbytes if scheme in host.DEVICE_SCHEMES else 0)
+
+    def test_failed_build_leaves_the_online_phase(self):
+        sess = session("pim_runtime")
+        sess.device.topology.mram_bytes_per_dpu = 8
+        with pytest.raises(CapacityError):
+            PrivateMatrixOp(sess, self.M)
+        assert sess.ledger is sess.online
 
 
 class TestLedgers:

@@ -10,11 +10,19 @@ import pytest
 
 from securepim import ring
 from securepim.errors import ConfigError
-from securepim.host import SCHEMES, PrivateMatrixOp, SchemeConfig, Session
+from securepim.host import (
+    DEVICE_SCHEMES,
+    SCHEMES,
+    PrivateMatrixOp,
+    SchemeConfig,
+    Session,
+)
 from securepim.workloads import (
     LOGREG_DEFAULTS,
+    TRAINING_WORKLOADS,
     WORKLOADS,
     _raw,
+    merged_params,
     run_workload,
     unroll_conv_input,
 )
@@ -263,3 +271,20 @@ class TestDispatch:
     def test_precompute_rejected_for_training(self, name):
         with pytest.raises(ConfigError):
             run_workload(name, SchemeConfig("pim_precompute"), 0)
+
+
+class TestPhases:
+    DEVICE_RUNS = [(name, scheme) for name in sorted(WORKLOADS)
+                   for scheme in sorted(DEVICE_SCHEMES)
+                   if not (name in TRAINING_WORKLOADS
+                           and scheme == "pim_precompute")]
+
+    @pytest.mark.parametrize("verify", [False, True])
+    @pytest.mark.parametrize("name, scheme", DEVICE_RUNS)
+    def test_placed_operands_load_offline(self, name, scheme, verify):
+        """Every default device scenario loads its placed matrices in the
+        offline phase: offline bytes_h2d is their size, nothing else."""
+        _, sess = run_workload(name, SchemeConfig(scheme, verify=verify), 0)
+        matrices = WORKLOADS[name][2](merged_params(name, None))[0]
+        assert sess.offline.bytes_h2d == 4 * sum(n * w for n, w in matrices)
+        assert sess.offline.bytes_h2d > 0

@@ -14,6 +14,7 @@ def load_tool():
 
 
 compare = load_tool().compare
+phase_totals = load_tool().phase_totals
 
 
 def ledger(prf=3, macs=16, digest="ab"):
@@ -70,3 +71,12 @@ def test_field_that_appears_fails():
                         {"host_prf_calls"})
     assert not ok
     assert "a: error ConfigError -> <absent>" in lines
+
+
+def test_phase_totals_list_only_moved_totals():
+    old = {"moved": ledger(prf=3), "kept": ledger(prf=3), "err": {"error": 1}}
+    old["kept"]["online"] = {"host_prf_calls": 1}
+    new = {"moved": ledger(prf=2), "kept": ledger(prf=4), "err": {"error": 1}}
+    new["kept"]["online"] = {"host_prf_calls": 0}
+    assert phase_totals(old, new) == [
+        "moved: total host_prf_calls 3 -> 2", "1 phase totals moved"]

@@ -5,8 +5,10 @@ Loads ``tests/test_golden_ledger.py`` by path, records every case in its
 ``case: field old -> new``, where ``field`` is a dotted path such as
 ``online.host_prf_calls``.  Exits 1 if a case was added or removed, or if a
 field moved that no ``--allow`` names (by its dotted path or its last
-component).  With ``--write`` it rewrites ``tests/golden_ledger.json``, but
-only when that check passes.
+component).  It also prints, per case, each counter whose offline plus
+online total moved, and one summary line: a change that only moves a cost
+between the phases keeps every total.  With ``--write`` it rewrites
+``tests/golden_ledger.json``, but only when the field check passes.
 
     PYTHONPATH=src python tools/golden_diff.py [--allow FIELD ...] [--write]
 """
@@ -55,6 +57,23 @@ def compare(old: dict, new: dict, allow=()) -> tuple:
     return lines, ok
 
 
+def phase_totals(old: dict, new: dict) -> list:
+    """One line per case and counter whose offline+online total moved, then
+    a summary line; a rejected configuration, with no ledger, has none."""
+    def totals(case):
+        off, on = case.get("offline", {}), case.get("online", {})
+        return {k: off.get(k, 0) + on.get(k, 0) for k in off.keys() | on.keys()}
+
+    lines = []
+    for case in sorted(old.keys() & new.keys()):
+        was, now = totals(old[case]), totals(new[case])
+        for counter in sorted(was.keys() | now.keys()):
+            a, b = was.get(counter, ABSENT), now.get(counter, ABSENT)
+            if a != b:
+                lines.append(f"{case}: total {counter} {a} -> {b}")
+    return lines + [f"{len(lines)} phase totals moved"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--allow", action="append", default=[],
@@ -67,7 +86,7 @@ def main(argv=None) -> int:
     new = {name: json.loads(json.dumps(tests.ledger(*case)))
            for name, case in tests.CASES.items()}
     lines, ok = compare(old, new, set(args.allow))
-    for line in lines:
+    for line in lines + phase_totals(old, new):
         print(line)
     print(f"{len(new)} cases, {len(lines)} differences: "
           f"{'ok' if ok else 'REJECTED'}")

@@ -164,7 +164,7 @@ class Session:
 
 
 def _offline(init):
-    """Charge all an op constructor does, device loads included, offline."""
+    """Run an op constructor in the offline phase, its device loads too."""
     @functools.wraps(init)
     def build(self, session, *args, **kwargs):
         session.device.report = session.offline

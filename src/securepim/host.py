@@ -20,7 +20,6 @@ from . import kernels, mac, sharing
 from .crypto import STREAM_GC, KeyStore, OtpContext
 from .errors import ConfigError, GcEvaluationFault, VerificationError
 from .pimsim import CostReport, PimDevice, Tamper
-from .yao.circuit import bits_to_words
 from .yao.switch import prepare_switch
 
 SCHEMES = ("cpu_insecure", "cpu_secure", "pim_insecure", "pim_enc_dec",
@@ -152,7 +151,7 @@ class Session:
         seeds = pad.view("<u8").reshape(-1, 2)   # each seed's (low, high) words
         gcirc, labels, _ot, stats = prepare_switch(r, c, seeds)
         try:
-            bits = self.device.evaluate_garbled(gcirc, labels)
+            out = self.device.evaluate_garbled(gcirc, labels)
         except GcEvaluationFault as exc:
             exc.session = self
             raise
@@ -160,7 +159,7 @@ class Session:
         self.a2y_labels_transferred += stats.evaluator_labels_transferred
         self.a2y_labels_stored += stats.host_labels_stored
         self.record_leak("a2y_activation_revealed_to_device")
-        return bits_to_words(bits.T).reshape(p.shape)
+        return out.reshape(p.shape)
 
 
 def _offline(init):

@@ -4,16 +4,19 @@ a host-device channel, and deterministic cost counters.
 Kernels run over whichever words are resident (ciphertext shares in secure
 schemes, plaintext in the baselines); partitioning across DPUs never changes
 the math, only the byte accounting.  Every untrusted surface consults the
-session's one ``Tamper``: a spec mutates one word at its target on the next
-matching access or transfer.
+session's one ``Tamper``: a spec mutates one 32-bit word at its target on
+the next matching access or transfer.  Every byte charged to the channel
+crosses it through ``_h2d`` or ``_d2h``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from . import kernels
 from .errors import CapacityError, DimensionError, TaintViolation
+from .yao.circuit import bits_to_words
 from .yao.garble import evaluate as gc_evaluate
 
 # the device and its channel, then what the host seals into untrusted host
@@ -74,17 +77,15 @@ class Tamper:
                 return self._armed.pop(i)
         return None
 
-    def _fired(self, spec: TamperSpec, index: int) -> None:
-        self.log.append(
-            {"target": spec.target, "mutation": spec.mutation, "index": index})
-
     def hit(self, target: str, arr: np.ndarray) -> np.ndarray:
-        """``arr`` itself, or a copy with one word mutated by a ``target`` spec."""
-        spec = self._take(target)
+        """``arr`` itself, or a copy with one 32-bit word mutated by a
+        ``target`` spec; a uint64 array counts as twice as many uint32
+        words.  An empty ``arr`` leaves the spec armed."""
+        spec = self._take(target) if arr.size else None
         if spec is None:
             return arr
         out = arr.copy()
-        flat = out.reshape(-1)
+        flat = out.reshape(-1).view(np.uint32)
         idx = (int(self._rng.integers(0, flat.size)) if spec.position == "random"
                else int(spec.position) % flat.size)
         word = new = int(flat[idx])
@@ -93,28 +94,9 @@ class Tamper:
         while new == word:
             new = int(self._rng.integers(0, 1 << 32))
         flat[idx] = new
-        self._fired(spec, idx)
+        self.log.append(
+            {"target": spec.target, "mutation": spec.mutation, "index": idx})
         return out
-
-    def row_hook(self):
-        """A ``gc_table`` spec's ``row_tamper`` for one garbled evaluation, or
-        None; it mutates the first row it sees, logged as ``gate_id*4 + row``."""
-        spec = self._take("gc_table")
-
-        def row_tamper(gid, ridx, rows):
-            nonlocal spec
-            if spec is None:
-                return rows
-            if spec.mutation == "bit_flip":
-                bit = int(self._rng.integers(0, 256))
-                rows[0, bit // 64] ^= np.uint64(1 << bit % 64)
-            else:
-                rows[0] = np.frombuffer(self._rng.bytes(32), dtype="<u8")
-            self._fired(spec, gid * 4 + int(ridx[0]))
-            spec = None
-            return rows
-
-        return None if spec is None else row_tamper
 
 
 @dataclass
@@ -195,13 +177,12 @@ class PimDevice:
         return kernels.gemv_t(X, vec) if transpose else kernels.gemv(X, vec)
 
     def _embedding(self, table, ids, weights, batch, pf):
-        ids = np.ascontiguousarray(ids, dtype=np.int64)
+        ids = np.ascontiguousarray(ids, dtype=np.uint32)
         weights = np.ascontiguousarray(weights, dtype=np.uint32)
         if ids.size != batch * pf or weights.size != ids.size:
             raise DimensionError("embedding: |ids| must equal batch * PF")
-        if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-            raise IndexError("embedding id out of range")
-        self.report.bytes_h2d += ids.size * 4  # indices travel in clear
+        # the ids travel in clear, and whatever arrives indexes some row
+        ids = self._h2d(ids, False) % table.shape[0]
         weights = self._h2d(weights, False)
         self.report.device_mac_ops += ids.size * table.shape[1]
         return kernels.embedding(table, ids, weights, batch, pf)
@@ -252,13 +233,13 @@ class PimDevice:
         self.report.device_prf_calls += n
 
     def evaluate_garbled(self, gc, input_labels):
-        """Evaluate a batch of garbled circuits device-side; tables and input
-        labels count as transfer, and each copy's output bits come back."""
+        """Evaluate a batch of garbled circuits device-side: the tables and
+        input labels cross the channel, a ``gc_table`` spec hits the rows
+        each AND stage decrypts, and each copy's output bits come back
+        packed into one uint32 word."""
         self.report.gc_ciphertexts += gc.ciphertext_count
         self.report.gc_bytes += gc.table_bytes
-        self.report.bytes_h2d += gc.table_bytes + input_labels.nbytes
-        # an empty batch has no row to tamper with, so its spec stays armed
-        row_tamper = self.tamper.row_hook() if gc.batch else None
-        bits = gc_evaluate(gc, input_labels, row_tamper=row_tamper)
-        self.report.bytes_d2h += gc.batch * max(1, bits.shape[1] // 8)
-        return bits
+        gc = replace(gc, tables=self._h2d(gc.tables, False))
+        bits = gc_evaluate(gc, self._h2d(input_labels, False),
+                           row_tamper=partial(self.tamper.hit, "gc_table"))
+        return self._d2h(bits_to_words(bits.T))

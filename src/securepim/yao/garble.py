@@ -190,10 +190,10 @@ def evaluate(gc: GarbledCircuit, input_labels, transcript: EvalTranscript = None
     label: the first in stage order, which on a general circuit can be a
     different gate from the first in gate order (on the A2Y circuit the
     two agree).
-    ``row_tamper(gate_id, row_indices, rows) -> rows`` lets the simulator
-    mutate the ciphertexts actually being decrypted, once per AND gate in
-    stage order: ``rows[k]`` holds the four words, low first, of copy k's
-    row at table index ``row_indices[k]`` (tamper-at-access semantics).
+    ``row_tamper(rows) -> rows`` lets the simulator mutate the ciphertexts
+    actually being decrypted (tamper-at-access), called once per AND stage
+    with its (gates, copies, 4) uint64 rows: ``rows[j, k]`` holds the four
+    words, low first, of the row that copy k decrypts at the stage's gate j.
     """
     circ = gc.circuit
     inputs = circ.garbler_inputs + circ.evaluator_inputs
@@ -225,8 +225,7 @@ def evaluate(gc: GarbledCircuit, input_labels, transcript: EvalTranscript = None
                 transcript.row_matches.extend(ok.ravel().tolist())
             rows = rows_of.take((step.tables * 4 + r) * n + copies, axis=0)
             if row_tamper is not None:
-                for j, gid in enumerate(step.gids):
-                    rows[j] = row_tamper(gid, r[j], rows[j])
+                rows = row_tamper(rows)
             bad = rows[..., :2] != h[0]
             if bad.any():
                 gid = step.gids[bad.any(axis=(1, 2)).argmax()]

@@ -28,6 +28,15 @@ class TestDetection:
         rep = run_campaign(camp)
         assert all(t["kind"] == "gc_fault" for t in rep["log"])
 
+    def test_gc_table_bit_flip_at_criterion_3_standard(self):
+        """A ``gc_table`` spec flips one bit of the rows the first AND stage
+        decrypts; in a check half or an output-label half, it ends as a
+        garbled-table fault (criterion 3 runs ``word_randomize``)."""
+        rep = run_campaign(Campaign(trials=1000, targets=["gc_table"], seed=42,
+                                    mutation="bit_flip"))
+        assert rep["detected"] == 1000
+        assert {t["kind"] for t in rep["log"]} == {"gc_fault"}
+
     def test_linear_trials_surface_as_verify_failures(self):
         camp = Campaign(trials=10, targets=["device_result"], seed=4)
         rep = run_campaign(camp)

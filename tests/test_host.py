@@ -351,6 +351,32 @@ class TestEmbeddingOp:
         assert sess.device.tamper_log[0]["index"] == 5
         assert [e["ok"] for e in sess.verification_events] == [False]
 
+    @pytest.mark.parametrize("scheme", sorted(host.DEVICE_SCHEMES))
+    def test_tampered_id_fails_verification(self, scheme):
+        """The ids are the lookup's first h2d transfer.  The host MACs with
+        its own ids, so a tampered id ends as VerificationError, never as
+        IndexError: with three rows, no flipped bit (a power of two, never
+        0 mod 3) leaves the id on its row."""
+        sess = session(scheme, verify=True)
+        op = EmbeddingOp(sess, self.T)
+        hit, offered = sess.tamper.hit, []
+
+        def record(target, arr):
+            if target == "channel_h2d":
+                offered.append(arr)
+            return hit(target, arr)
+
+        sess.tamper.hit = record
+        sess.tamper.arm(TamperSpec("channel_h2d", "bit_flip", position=1))
+        ids = np.asarray([0, 2, 1, 1])
+        with pytest.raises(VerificationError):
+            op.lookup(ids, np.asarray([1, 2, 3, 1], dtype=np.uint32),
+                      batch=2, pf=2)
+        assert sess.tamper.log[0]["target"] == "channel_h2d"
+        assert sess.tamper.log[0]["index"] == 1
+        assert offered[0].dtype == np.uint32
+        assert offered[0].tolist() == ids.tolist()
+
     def test_index_leak_declared(self):
         sess = session("pim_runtime")
         op = EmbeddingOp(sess, self.T)

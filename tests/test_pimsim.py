@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from securepim import ring
 from securepim.crypto import KeyStore
 from securepim.errors import (
     CapacityError,
@@ -14,15 +15,17 @@ from securepim.errors import (
     GcEvaluationFault,
     TaintViolation,
 )
-from securepim.host import SchemeConfig, Session
+from securepim.host import DEVICE_SCHEMES, SchemeConfig, Session
 from securepim.pimsim import (
+    MUTATIONS,
+    TAMPER_TARGETS,
     CostReport,
     DeviceTopology,
     PimDevice,
     Tamper,
     TamperSpec,
 )
-from securepim.workloads import run_workload
+from securepim.workloads import TRAINING_WORKLOADS, WORKLOADS, run_workload
 
 from conftest import TEST_KEY, ctx, rand_words
 
@@ -115,12 +118,15 @@ class TestKernels:
                             np.asarray([1], dtype=np.uint32), batch=1, pf=1)
         assert out.tolist() == [[7, 5]]
 
-    def test_embedding_index_out_of_range(self):
+    def test_embedding_ids_wrap_modulo_rows(self):
+        """The ids cross the channel in clear, so the device indexes with
+        whatever arrives: an id past the table wraps, never IndexError."""
         dev = fresh_device()
-        dev.load("T", np.zeros((2, 2), dtype=np.uint32))
-        with pytest.raises(IndexError):
-            dev.embedding("T", np.asarray([5]),
-                          np.asarray([1], dtype=np.uint32), batch=1, pf=1)
+        dev.load("T", np.asarray([[9, 9], [7, 5]], dtype=np.uint32))
+        out = dev.embedding("T", np.asarray([5]),
+                            np.asarray([1], dtype=np.uint32), batch=1, pf=1)
+        assert out.tolist() == [[7, 5]]
+        assert dev.report.bytes_h2d == 16 + 4 + 4   # table, id, weight
 
 
 class TestEncDecKernels:
@@ -237,30 +243,75 @@ class TestTamperPoint:
             i == 2 for i in range(8)]
         assert t.log[0]["index"] == 2
 
-    @pytest.mark.parametrize("mutation", ["bit_flip", "word_randomize"])
-    def test_row_hook_mutates_only_the_first_row(self, mutation):
+    @pytest.mark.parametrize("position", [0, 5, 21, 2 * 3 * 8 + 9])
+    def test_uint64_words_are_two_uint32_words(self, position):
+        """A uint64 array is hit as its uint32 words, low word first, and a
+        position wraps modulo their count."""
+        rows = np.arange(1, 25, dtype=np.uint64).reshape(2, 3, 4) * 0x100000001
         t = Tamper()
-        assert t.row_hook() is None
-        t.arm(TamperSpec("gc_table", mutation))
-        hook = t.row_hook()
-        assert t.row_hook() is None   # the spec belongs to this evaluation
-        rows = np.zeros((3, 4), dtype=np.uint64)
-        out = hook(7, np.asarray([2, 0, 1]), rows.copy())
-        assert out[0].any() and not out[1:].any()
-        if mutation == "bit_flip":
-            assert sum(bin(int(w)).count("1") for w in out.ravel()) == 1
-        assert not hook(9, np.asarray([1, 1, 1]), rows.copy()).any()
-        assert t.log == [{"target": "gc_table", "mutation": mutation,
-                          "index": 7 * 4 + 2}]
+        t.arm(TamperSpec("gc_table", "bit_flip", position))
+        out = t.hit("gc_table", rows)
+        words, hit = rows.view(np.uint32).ravel(), out.view(np.uint32).ravel()
+        assert np.flatnonzero(words != hit).tolist() == [position % 48]
+        assert np.unpackbits((words ^ hit).view(np.uint8)).sum() == 1
+        assert t.log[0]["index"] == position % 48
 
-    def test_empty_a2y_vector_leaves_gc_spec_armed(self):
+    @pytest.mark.parametrize("target", TAMPER_TARGETS)
+    def test_empty_array_leaves_the_spec_armed(self, target):
+        t = Tamper()
+        t.arm(TamperSpec(target))
+        for empty in (np.empty(0, dtype=np.uint32),
+                      np.empty((3, 0, 4), dtype=np.uint64)):
+            assert t.hit(target, empty) is empty
+        assert t.log == []
+        assert t.hit(target, self.WORDS) is not self.WORDS
+        assert [e["target"] for e in t.log] == [target]
+
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    @pytest.mark.parametrize("position", [1, 13, 29])
+    def test_gc_table_spec_hits_word_k_of_the_first_stage(self, mutation,
+                                                           position):
+        """A ``gc_table`` spec at position k mutates 32-bit word k of the
+        rows the first AND stage decrypts (one gate, four copies, eight
+        words a row) and logs k: in a check half (k = 1, 29) the row check
+        fails there, in an output-label half (k = 13) at a later gate."""
         sess = Session(SchemeConfig("pim_runtime", variant="A2Y"), 0)
-        sess.tamper.arm(TamperSpec("gc_table"))
+        seen = []
+        hit = sess.tamper.hit
+
+        def record(target, arr):
+            out = hit(target, arr)
+            if target == "gc_table":
+                seen.append((arr, out))
+            return out
+
+        sess.tamper.hit = record
+        sess.tamper.arm(TamperSpec("gc_table", mutation, position))
+        with pytest.raises(GcEvaluationFault):
+            sess.a2y_activation(np.arange(4, dtype=np.uint32) * 1000)
+        rows, hit_rows = seen[0]
+        assert rows.shape == (1, 4, 4)
+        words = rows.view(np.uint32).ravel()
+        hit_words = hit_rows.view(np.uint32).ravel()
+        assert np.flatnonzero(words != hit_words).tolist() == [position]
+        assert sess.tamper.log == [{"target": "gc_table", "mutation": mutation,
+                                    "index": position}]
+
+    @pytest.mark.parametrize("target", ["gc_table", "device_result"])
+    def test_empty_a2y_vector_leaves_gc_spec_armed(self, target):
+        """An empty batch offers empty rows and an empty result, so neither
+        spec fires until a vector with a scalar arrives."""
+        sess = Session(SchemeConfig("pim_runtime", variant="A2Y"), 0)
+        sess.tamper.arm(TamperSpec(target))
         assert sess.a2y_activation(np.empty(0, dtype=np.uint32)).size == 0
         assert sess.tamper.log == []
-        with pytest.raises(GcEvaluationFault):
-            sess.a2y_activation(np.asarray([2048], dtype=np.uint32))
-        assert [e["target"] for e in sess.tamper.log] == ["gc_table"]
+        x = np.asarray([2048], dtype=np.uint32)
+        if target == "gc_table":
+            with pytest.raises(GcEvaluationFault):
+                sess.a2y_activation(x)
+        else:   # the returned word is not authenticated yet
+            assert sess.a2y_activation(x)[0] != ring.clamp_unit_array(x)[0]
+        assert [e["target"] for e in sess.tamper.log] == [target]
 
     def test_session_device_shares_the_tamper_log(self):
         sess = Session(SchemeConfig("pim_runtime"), 0)
@@ -296,3 +347,51 @@ class TestCostDeterminism:
             dev.gemv("W", np.arange(8, dtype=np.uint32))
             reports.append(dataclasses.asdict(dev.report))
         assert reports[0] == reports[1]
+
+
+def _scenarios():
+    """Every verified default device scenario: each workload x device
+    scheme that ``check_scheme`` allows, and A2Y ``logreg`` likewise."""
+    allowed = [(w, s) for w in sorted(WORKLOADS) for s in sorted(DEVICE_SCHEMES)
+               if not (w in TRAINING_WORKLOADS and s == "pim_precompute")]
+    return ([(w, s, "A") for w, s in allowed]
+            + [(w, s, "A2Y") for w, s in allowed if w == "logreg"])
+
+
+class TestChannelInvariant:
+    """The bytes the ledger charges to the channel are the bytes offered to
+    the ``channel_*`` hooks, a broadcast once per DPU: a transfer that skips
+    the tamper point fails here."""
+
+    SCENARIOS = _scenarios()
+
+    def test_covers_every_default_device_scenario(self):
+        assert len(self.SCENARIOS) == 25
+
+    @pytest.mark.parametrize("workload, scheme, variant", SCENARIOS)
+    def test_hooks_see_every_charged_byte(self, monkeypatch, workload, scheme,
+                                          variant):
+        offered = {"channel_h2d": 0, "channel_d2h": 0}
+        copies = [1]
+        hit, broadcast = Tamper.hit, PimDevice._broadcast
+
+        def counting_hit(self, target, arr):
+            if target in offered:
+                offered[target] += arr.nbytes * copies[0]
+            return hit(self, target, arr)
+
+        def counting_broadcast(self, vec):
+            copies[0] = self.topology.dpu_count
+            try:
+                return broadcast(self, vec)
+            finally:
+                copies[0] = 1
+
+        monkeypatch.setattr(Tamper, "hit", counting_hit)
+        monkeypatch.setattr(PimDevice, "_broadcast", counting_broadcast)
+        cfg = SchemeConfig(scheme, verify=True, variant=variant)
+        _words, sess = run_workload(workload, cfg, 0)
+        charged = {"channel_h2d": sess.offline.bytes_h2d + sess.online.bytes_h2d,
+                   "channel_d2h": sess.offline.bytes_d2h + sess.online.bytes_d2h}
+        assert offered == charged
+        assert min(charged.values()) > 0

@@ -189,18 +189,22 @@ class TestA2Y:
 
 class TestTamperFault:
     def test_corrupted_selected_row_faults(self):
+        """Bit 64 of the first row the first AND stage decrypts is in its
+        check half, so the fault names that stage's one gate."""
         gc, labels, _ot, _stats = prepare_switch(42, 43, seed=9)
-        hits = []
+        stages = []
 
-        def flip(gid, ridx, rows):
-            if not hits:
-                hits.append(gid)
-                rows[0, 1] ^= np.uint64(1)  # bit 64 of the 256-bit row
+        def flip(rows):
+            if not stages:
+                rows[0, 0, 1] ^= np.uint64(1)  # bit 64 of the 256-bit row
+            stages.append(rows.shape)
             return rows
 
-        with pytest.raises(GcEvaluationFault):
+        first = next(s for s in A2Y.schedule if s.op == "AND")
+        with pytest.raises(GcEvaluationFault,
+                           match=f"AND gate {first.gids[0]}$"):
             evaluate(gc, labels, row_tamper=flip)
-        assert hits
+        assert stages == [(1, 1, 4)]
 
     def test_corrupting_table_directly(self):
         gc, labels, _ot, _stats = prepare_switch(42, 43, seed=10)
@@ -211,6 +215,29 @@ class TestTamperFault:
 
 def label_int(words) -> int:
     return int(words[0]) | int(words[1]) << 64
+
+
+def decrypted_rows(gc, labels):
+    """An honest evaluation's bits, and per AND gate id the (copies,) index
+    of the table row each copy decrypts there.  The row hook is called once
+    per AND stage of ``circuit.schedule``; each stage's gathered rows are
+    matched against the gate's four table rows."""
+    seen = []
+
+    def record(rows):
+        seen.append(rows.copy())
+        return rows
+
+    bits = evaluate(gc, labels, row_tamper=record)
+    stages = [s for s in gc.circuit.schedule if s.op == "AND"]
+    assert len(seen) == len(stages)
+    decrypted = {}
+    for step, rows in zip(stages, seen):
+        for gid, table, got in zip(step.gids, step.tables[:, 0], rows):
+            match = (gc.tables[table] == got).all(axis=-1)  # (4 rows, copies)
+            assert (match.sum(axis=0) == 1).all()
+            decrypted[gid] = match.argmax(axis=0)
+    return bits, decrypted
 
 
 def bigint_double(x: int) -> int:
@@ -294,13 +321,7 @@ class TestBatch:
         gc, labels, _ot, _stats = prepare_switch(rs, cs, list(range(33)))
         j = 5
         gid = [i for i, g in enumerate(A2Y.gates) if g.op == "AND"][j]
-        decrypted = {}
-
-        def record(g, ridx, rows):
-            decrypted[g] = ridx.copy()
-            return rows
-
-        honest = evaluate(gc, labels, row_tamper=record)
+        honest, decrypted = decrypted_rows(gc, labels)
         assert [bits_to_word(b) for b in honest.tolist()] == \
             [clamp_oracle(x) for x in xs]
         gc.tables[j, decrypted[gid][k], k, 0] ^= np.uint64(1)
@@ -508,11 +529,6 @@ class TestStagedEvaluation:
         cs = [rng.getrandbits(32) for _ in range(33)]
         gc, labels, _ot, _stats = prepare_switch(rs, cs, list(range(33)))
         inputs = A2Y.garbler_inputs + A2Y.evaluator_inputs
-        decrypted = {}
-
-        def record(gid, ridx, rows):
-            decrypted[gid] = ridx.copy()
-            return rows
 
         def outcome(run):
             try:
@@ -520,7 +536,7 @@ class TestStagedEvaluation:
             except GcEvaluationFault as e:
                 return str(e)
 
-        evaluate(gc, labels, row_tamper=record)
+        _bits, decrypted = decrypted_rows(gc, labels)
         and_gids = [i for i, g in enumerate(A2Y.gates) if g.op == "AND"]
         downstream = set()
         for j, gid in enumerate(and_gids):
@@ -541,15 +557,17 @@ class TestStagedEvaluation:
         evaluate(gc, labels)
 
     def test_row_tamper_sees_each_and_gate_once(self):
+        """One call per AND stage, in schedule order, with that stage's
+        (gates, copies, 4) rows: together they cover every AND gate once."""
         gc, labels, _ot, _stats = prepare_switch([5, 6], [7, 8], [1, 2])
-        seen = []
+        shapes = []
 
-        def record(gid, ridx, rows):
-            assert rows.shape == (2, 4) and ridx.shape == (2,)
-            seen.append(gid)
+        def record(rows):
+            shapes.append(rows.shape)
             return rows
 
         evaluate(gc, labels, row_tamper=record)
+        stages = [s for s in A2Y.schedule if s.op == "AND"]
+        assert shapes == [(len(s.gids), 2, 4) for s in stages]
         and_gids = [i for i, g in enumerate(A2Y.gates) if g.op == "AND"]
-        assert sorted(seen) == and_gids
-        assert seen[0] == and_gids[0]
+        assert sorted(gid for s in stages for gid in s.gids) == and_gids

@@ -22,8 +22,12 @@ cases (offline) and the two A2Y cases (online).  They were re-recorded a
 fourth time, with ``--allow bytes_h2d``, when op constructors began to run
 in the offline phase: the device loads of placed operands moved from online
 to offline ``bytes_h2d`` in 50 cases, and each case's offline plus online
-total of every counter held.  The shapes are small to keep the sweep fast; the acceptance suite covers the
-default ones.
+total of every counter held.  They were re-recorded a fifth time, with
+``--allow tampers``, when a ``gc_table`` spec began to mutate one 32-bit
+word of the rows the first AND stage decrypts, at its ``position``: only
+the ``gc_table`` case's tamper index moved (5 -> 1), and no phase total.
+The shapes are small to keep the sweep fast; the acceptance suite covers
+the default ones.
 """
 
 import dataclasses

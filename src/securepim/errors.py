@@ -26,22 +26,23 @@ class TaintViolation(SecurePimError):
 
 
 class VerificationError(SecurePimError):
-    """A MAC check failed; carries its step and the session it aborted."""
+    """A MAC check failed; carries its step and, once ``run_workload``
+    re-raises it, the session it aborted."""
 
-    def __init__(self, step, ftag_e, ftag_r, session=None):
+    session = None
+
+    def __init__(self, step, ftag_e, ftag_r):
         super().__init__(f"verification failed at {step!r}: {ftag_e} != {ftag_r}")
         self.step = step
         self.ftag_e = ftag_e
         self.ftag_r = ftag_r
-        self.session = session
 
 
 class GcEvaluationFault(SecurePimError):
-    """A garbled-table row failed its integrity check during evaluation."""
+    """A garbled-table row failed its integrity check during evaluation;
+    ``session`` as for ``VerificationError``."""
 
-    def __init__(self, message, session=None):
-        super().__init__(message)
-        self.session = session
+    session = None
 
 
 class ConfigError(SecurePimError):

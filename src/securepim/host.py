@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernels, mac, sharing
 from .crypto import STREAM_GC, KeyStore, OtpContext
-from .errors import ConfigError, GcEvaluationFault, VerificationError
+from .errors import ConfigError, VerificationError
 from .pimsim import CostReport, PimDevice, Tamper
 from .yao.switch import prepare_switch
 
@@ -99,7 +99,7 @@ class Session:
         ok = mac.verify(ftag_e, ftag_r)
         self.verification_events.append({"step": step, "ok": ok})
         if not ok:
-            raise VerificationError(step, ftag_e, ftag_r, session=self)
+            raise VerificationError(step, ftag_e, ftag_r)
 
     def verify_gemv(self, step: str, store, x, y) -> None:
         """Check y = M @ x against M's sealed tags; a no-op without tags."""
@@ -150,11 +150,7 @@ class Session:
         pad = self.ks.otp_words(ctx, 4 * words.size, stream_id=STREAM_GC)
         seeds = pad.view("<u8").reshape(-1, 2)   # each seed's (low, high) words
         gcirc, labels, _ot, stats = prepare_switch(r, c, seeds)
-        try:
-            out = self.device.evaluate_garbled(gcirc, labels)
-        except GcEvaluationFault as exc:
-            exc.session = self
-            raise
+        out = self.device.evaluate_garbled(gcirc, labels)
         self.a2y_scalars += words.size
         self.a2y_labels_transferred += stats.evaluator_labels_transferred
         self.a2y_labels_stored += stats.host_labels_stored

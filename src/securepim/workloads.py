@@ -13,7 +13,7 @@ from functools import partial
 import numpy as np
 
 from . import ring
-from .errors import ConfigError
+from .errors import ConfigError, GcEvaluationFault, VerificationError
 from .host import (
     DEVICE_SCHEMES,
     EmbeddingOp,
@@ -227,7 +227,8 @@ def run_workload(name: str, cfg: SchemeConfig, seed: int, params=None,
     """The one setup path: check the input, merge the workload's defaults with
     ``params``, seed the input generator, build the session, arm ``tamper`` on
     its ``Tamper`` and run the body ``(cfg, sess, rng, p) -> words``; returns
-    (words, sess).  Malformed input, and a ``tamper`` that the body returned
+    (words, sess).  A check that aborts the body re-raises with ``session``
+    set to ``sess``.  Malformed input, and a ``tamper`` that the body returned
     without firing, raise ConfigError."""
     if not isinstance(name, str) or name not in WORKLOADS:
         raise ConfigError(f"unknown workload {name!r}")
@@ -239,7 +240,11 @@ def run_workload(name: str, cfg: SchemeConfig, seed: int, params=None,
     sess = Session(cfg, seed)
     if tamper is not None:
         sess.tamper.arm(tamper)
-    words = WORKLOADS[name][0](cfg, sess, rng, p)
+    try:
+        words = WORKLOADS[name][0](cfg, sess, rng, p)
+    except (VerificationError, GcEvaluationFault) as exc:
+        exc.session = sess
+        raise
     if tamper is not None and not sess.tamper.log:
         raise ConfigError(f"tamper on {tamper.target!r} never fired in {name}")
     return words, sess

@@ -518,20 +518,37 @@ class TestPhases:
 
 
 class TestLedgers:
+    @staticmethod
+    def assert_aborted_session(error, workload, params, variant, target):
+        """The ``error`` that aborts a verified run of ``workload`` with a
+        ``target`` tamper carries the session the tamper fired in."""
+        cfg = SchemeConfig("pim_runtime", verify=True, variant=variant)
+        with pytest.raises(error) as exc_info:
+            run_workload(workload, cfg, 0, params, tamper=TamperSpec(target))
+        sess = exc_info.value.session
+        assert sess.cfg is cfg
+        assert [e["target"] for e in sess.tamper.log] == [target]
+
     def test_verification_error_carries_session(self):
+        """``run_workload`` sets ``session`` on a check that aborts its body;
+        raised outside it, the error carries none."""
+        self.assert_aborted_session(VerificationError, "mlp", {"depth": 1}, "A",
+                             "channel_d2h")
         sess = session("pim_runtime", verify=True)
         op = PublicMatrixOp(sess, np.eye(4, dtype=np.uint32), uses=1)
-        sess.device.arm_tamper(TamperSpec("channel_d2h"))
+        sess.tamper.arm(TamperSpec("channel_d2h"))
         with pytest.raises(VerificationError) as exc_info:
             op.apply(np.arange(1, 5, dtype=np.uint32))
-        assert exc_info.value.session is sess
+        assert exc_info.value.session is None
 
     def test_gc_fault_carries_session(self):
+        self.assert_aborted_session(GcEvaluationFault, "logreg", {"iterations": 1},
+                             "A2Y", "gc_table")
         sess = session("pim_runtime", variant="A2Y")
-        sess.device.arm_tamper(TamperSpec("gc_table"))
+        sess.tamper.arm(TamperSpec("gc_table"))
         with pytest.raises(GcEvaluationFault) as exc_info:
             sess.a2y_activation(np.asarray([2048], dtype=np.uint32))
-        assert exc_info.value.session is sess
+        assert exc_info.value.session is None
 
     @pytest.mark.parametrize("workload, variant, target, error", [
         ("mlp", "A", "device_result", VerificationError),

@@ -2,13 +2,16 @@
 
 Collects each module-level function, class and non-dunder name bound by an
 assignment, and each non-dunder method, with ``ast``, then every name the
-program mentions: a ``Name`` or an attribute in ``src/``, ``tools/``,
-``benchmarks/`` or ``perfbench/``, and the dotted strings of perfbench's
-``TRACED``, which patches functions by name; an import is not a use.  A
-definition whose name appears only inside its own body or assignment is
-reached by the tests alone and should be deleted, or moved into the tests
-that need it.  A method that overrides one of a base class outside the
-package counts as called by that base.
+program mentions in ``src/``, ``tools/``, ``benchmarks/`` or ``perfbench/``,
+and the dotted strings of perfbench's ``TRACED``, which patches functions by
+name; an import is not a use.  A method counts as used only through an
+attribute (``x.store``).  A module-level definition counts as used through
+an attribute, or as a bare name in its own module or in a module that
+imports it by name (under its alias, if any).  A definition whose name
+appears only inside its own body or assignment is reached by the tests
+alone and should be deleted, or moved into the tests that need it.  A
+method that overrides one of a base class outside the package counts as
+called by that base.
 """
 
 import ast
@@ -58,14 +61,22 @@ def traced_names():
 
 
 def mentions():
-    """(name, path, line) of every name the program code mentions."""
+    """(name, is attribute, path, line) of every name the program code
+    mentions, and per path the {local name: imported name} of its
+    ``from ... import`` statements."""
+    used, imports = [], {}
     for top in PROGRAM:
         for path in sorted((ROOT / top).rglob("*.py")):
+            imports[path] = {}
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Name):
-                    yield node.id, path, node.lineno
+                    used.append((node.id, False, path, node.lineno))
                 elif isinstance(node, ast.Attribute):
-                    yield node.attr, path, node.lineno
+                    used.append((node.attr, True, path, node.lineno))
+                elif isinstance(node, ast.ImportFrom):
+                    imports[path].update((a.asname or a.name, a.name)
+                                         for a in node.names)
+    return used, imports
 
 
 def overrides_foreign_base(module, qualname):
@@ -75,19 +86,30 @@ def overrides_foreign_base(module, qualname):
                if not base.__module__.startswith("securepim"))
 
 
+def reaches(mention, name, method, path, imports):
+    """Whether ``mention`` uses the definition ``name`` made in ``path``:
+    through an attribute always; as a bare name only if it is a module-level
+    definition, in its own module or in one that imports it by name."""
+    word, attr, where, _line = mention
+    if attr or method:
+        return attr and word == name
+    return word == name if where == path else imports[where].get(word) == name
+
+
 def test_every_definition_has_a_program_caller():
-    used = list(mentions())
+    used, imports = mentions()
     traced = traced_names()
     orphans = []
     for path, module, qualname, node in definitions():
         name = qualname.rsplit(".", 1)[-1]
+        method = "." in qualname
         if name in ACCEPTANCE_PINNED or name in traced:
             continue
-        if any(n == name and not (p == path and node.lineno <= line
-                                  <= node.end_lineno)
-               for n, p, line in used):
+        if any(reaches(m, name, method, path, imports)
+               and not (m[2] == path and node.lineno <= m[3] <= node.end_lineno)
+               for m in used):
             continue
-        if "." in qualname and overrides_foreign_base(module, qualname):
+        if method and overrides_foreign_base(module, qualname):
             continue
         orphans.append(f"{module}.{qualname}")
     assert orphans == [], f"reached only by the tests: {orphans}"

@@ -58,8 +58,8 @@ def build_report(scenario: dict, words, sess, aborted=None) -> dict:
         "schema_version": SCHEMA_VERSION,
         "scenario": scenario,
         "digest": result_digest(words) if words is not None else None,
-        "offline": dataclasses.asdict(sess.offline),
-        "online": dataclasses.asdict(sess.online),
+        "offline": dict(vars(sess.offline)),
+        "online": dict(vars(sess.online)),
         "a2y": {
             "scalars": sess.a2y_scalars,
             "labels_transferred": sess.a2y_labels_transferred,

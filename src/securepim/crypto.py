@@ -41,6 +41,9 @@ class KeyStore:
     reconstruction or sealing does not burn the version.
     """
 
+    # block indices 0, 1, ..., shared by every store and grown by doubling
+    _index = np.arange(0, dtype=np.uint64)
+
     def __init__(self):
         self._ciphers = {}
         self._consumed = set()
@@ -67,12 +70,14 @@ class KeyStore:
 
     def _blocks(self, key_id, version, stream_id, first_block, nblocks, on_prf):
         """``nblocks`` keystream blocks from ``first_block`` on, as ring words."""
+        end = first_block + nblocks
+        index = KeyStore._index
+        if index.size < end:
+            index = KeyStore._index = np.arange(max(end, 2 * index.size),
+                                                dtype=np.uint64)
         counters = np.empty((nblocks, 2), dtype="<u8")
-        counters[:, 1] = np.arange(first_block, first_block + nblocks,
-                                   dtype=np.uint64)
-        fields = counters.view("<u4")   # version, stream id, block index (2 words)
-        fields[:, 0] = version
-        fields[:, 1] = stream_id
+        counters[:, 0] = version | stream_id << 32  # the two low words
+        counters[:, 1] = index[first_block:end]
         words = np.empty(4 * nblocks + 4, dtype="<u4")  # room for one spare block
         self._cipher(key_id).update_into(counters.data.cast("B"), words.data.cast("B"))
         if on_prf is not None:

@@ -10,14 +10,14 @@ kernels fold ring words into residues mod the Mersenne prime q = 2^61 - 1.
 A MAC operand is the signed lift of ring words (``mac.lift``, an int32
 view), so every value v has |v| <= 2^31.  The tag of a column is a Horner
 polynomial, ``tag_j = sum_i M[i,j] * s^(m-i) mod q``.  It is folded against
-the power vector ``[s^m, ..., s^1]`` (cached per secret ``s``) split into six
-11-bit limbs: one float64 (BLAS) product ``limbs @ M`` whose terms are each
-below 2^42, so a block of up to 2^11 terms sums exactly below 2^53, in any
-order.  Limb sum k weighs 2^(11k), which mod q is a 61-bit rotate, and is
-brought into [0, q) without a division; a single hash recombines its limb
-sums as Python ints.  ``dot_tags`` splits the tags into
-their eight bytes instead.  The result is the residue Horner's rule gives,
-bit for bit.
+the power vector ``[s^m, ..., s^1]`` (cached per secret ``s``) split into
+the widest w-bit limbs with m * (2^w - 1) * 2^31 < 2^53 (18 bits at m = 16,
+11 from m = 2^11 on, in blocks of 2^11 terms), so one float64 (BLAS) product
+``limbs @ M`` sums exactly, in any order.  Limb sum x_k weighs 2^(wk), which
+mod q is ``((x_k mod 2^b) << wk) + (x_k >> b)`` with b = 61 - wk: no
+division.  A single hash recombines its limb sums as Python ints.
+``dot_tags`` splits the tags into their eight bytes instead.  The result is
+the residue Horner's rule gives, bit for bit.
 """
 
 import functools
@@ -28,9 +28,6 @@ MASK32 = np.uint64(0xFFFFFFFF)
 Q61 = (1 << 61) - 1
 _M61 = np.uint64(Q61)
 _M29 = np.uint64((1 << 29) - 1)
-_LIMB_SHIFTS = np.arange(0, 61, 11, dtype=np.uint64)[:, None]  # 6 limbs
-_ROTATE_BACK = np.uint64(61) - _LIMB_SHIFTS
-_LIMB_MASK = np.uint64((1 << 11) - 1)
 _EXACT_TERMS = 1 << 11  # 2^11 terms below 2^42 sum exactly in float64
 _OFFSET = np.uint64(4 * Q61)  # 2^63 - 4: moves int64 > -2^63 + 3 into uint64
 
@@ -79,16 +76,21 @@ def mulmod61(a, b):
     return _mod61(_fold61(acc))
 
 
-def _limbs11(p: np.ndarray) -> np.ndarray:
-    """Residues (k,) as their 11-bit limbs, float64 (6, k), low limb first."""
-    limbs = (np.asarray(p, dtype=np.uint64) >> _LIMB_SHIFTS) & _LIMB_MASK
-    return limbs.astype(np.float64)
+def _width(m: int) -> int:
+    """The widest w with m * (2^w - 1) * 2^31 < 2^53; 11 past 2^11 terms."""
+    return 22 - min((m - 1).bit_length(), 11)
+
+
+def _limbs(p: np.ndarray, w: int) -> np.ndarray:
+    """Residues (k,) as their w-bit limbs, float64 (ceil(61/w), k), low first."""
+    shifts = np.arange(0, 61, w, dtype=np.uint64)[:, None]
+    return ((p >> shifts) & np.uint64((1 << w) - 1)).astype(np.float64)
 
 
 def _byte_limbs(p: np.ndarray) -> np.ndarray:
     """Residues (k,) as their eight bytes, float64 (8, k), low byte first.
 
-    The byte view costs one conversion pass, where 11-bit limbs need a shift
+    The byte view costs one conversion pass, where w-bit limbs need a shift
     and a mask first; ``dot_tags`` builds these per call.
     """
     octets = np.ascontiguousarray(p, dtype="<u8").view(np.uint8).reshape(-1, 8)
@@ -99,10 +101,10 @@ def _limb_sums(v: np.ndarray, limbs: np.ndarray) -> np.ndarray:
     """``limbs @ v`` along axis 0 as int64, equal mod q, limb axis first.
 
     ``v`` is the signed lift (int32, or int64) with |v| <= 2^31, (m,) or
-    (m, n), and every limb is below 2^11.  Each product is then below 2^42,
-    so a float64 block of up to ``_EXACT_TERMS`` terms sums exactly, whatever
-    order BLAS adds it in.  A one-block fold comes back as the exact sums; a
-    longer one is reduced block by block into [0, 2q).
+    (m, n), and every limb is below 2^_width(m).  A float64 block of up to
+    ``_EXACT_TERMS`` terms then sums exactly, whatever order BLAS adds it in.
+    A one-block fold comes back as the exact sums; a longer one is reduced
+    block by block into [0, 2q).
     """
     v = v.astype(np.float64)
     sums = [(limbs[:, i:i + _EXACT_TERMS] @ v[i:i + _EXACT_TERMS]).astype(np.int64)
@@ -116,29 +118,33 @@ def _residues(sums: np.ndarray) -> np.ndarray:
     return _mod61(sums.view(np.uint64) + _OFFSET)
 
 
-def _recombine(sums: np.ndarray, bits: int) -> int:
-    """sum_k sums[k] * 2^(bits*k) mod q for the limb sums of one fold."""
-    return sum(a << bits * k for k, a in enumerate(sums.tolist())) % Q61
+def _recombine(sums: np.ndarray, w: int) -> int:
+    """sum_k sums[k] * 2^(wk) mod q for the w-bit limb sums of one fold."""
+    return sum(a << w * k for k, a in enumerate(sums.tolist())) % Q61
 
 
 class _PowerCache:
     """Single-slot cache of ``[s^k, ..., s^1]`` and its limbs, for the last ``s``.
 
     The MAC secret is fixed per session, so a run builds its vector once and
-    grows it by doubling; any shorter fold reads a suffix of it.
+    grows it by doubling; any shorter fold reads a suffix of it.  The limbs
+    of each width in use are kept until the vector changes.
     """
 
     def __init__(self):
-        self.s = self.desc = self.limbs = None
+        self.s, self.desc, self.limbs = None, None, {}
 
-    def powers_limbs(self, s: int, m: int) -> np.ndarray:
-        """``_limbs11([s^m, ..., s^1])``."""
+    def powers_limbs(self, s: int, m: int):
+        """``w, _limbs([s^m, ..., s^1], w)`` with ``w = _width(m)``."""
+        w = _width(m)
         if s != self.s or self.desc.size < m:
             desc = self.desc if s == self.s else np.array([s], dtype=np.uint64)
             while desc.size < m:  # [s^2k .. s^(k+1)] = [s^k .. s^1] * s^k
                 desc = np.concatenate((mulmod61(desc, desc[0]), desc))
-            self.s, self.desc, self.limbs = s, desc, _limbs11(desc)
-        return self.limbs[:, self.desc.size - m:]
+            self.s, self.desc, self.limbs = s, desc, {}
+        if w not in self.limbs:
+            self.limbs[w] = _limbs(self.desc, w)
+        return w, self.limbs[w][:, self.desc.size - m:]
 
 
 _POWERS = _PowerCache()
@@ -146,16 +152,20 @@ _POWERS = _PowerCache()
 
 def tag_columns(m_lifted: np.ndarray, s: int) -> np.ndarray:
     """Per-column Horner polynomial: tag_j = sum_i M[i,j] * s^(m-i) mod q."""
-    limbs = _POWERS.powers_limbs(s, m_lifted.shape[0])
-    r = _residues(_limb_sums(m_lifted, limbs))
-    r = ((r << _LIMB_SHIFTS) & _M61) | (r >> _ROTATE_BACK)  # r * 2^(11k) mod q
-    return _mod61(r.sum(axis=0, dtype=np.uint64))
+    w, limbs = _POWERS.powers_limbs(s, m_lifted.shape[0])
+    x = _limb_sums(m_lifted, limbs)
+    shifts = np.arange(0, 61, w)[:, None]
+    # x_k * 2^(wk) = (x_k mod 2^b) * 2^(wk) + (x_k >> b) * 2^61, b = 61 - wk, and
+    # 2^61 = 1 mod q: each term lies in (-2^53, 2^61 + 2^56), and q + their sum
+    # in (0, 2^64), which the int64 sum wraps into and the uint64 view reads
+    terms = ((x & (1 << (61 - shifts)) - 1) << shifts) + (x >> (61 - shifts))
+    return _mod61(terms.sum(axis=0).view(np.uint64) + _M61)
 
 
 def poly_hash(v_lifted: np.ndarray, s: int) -> int:
     """The one-column case of ``tag_columns``."""
-    limbs = _POWERS.powers_limbs(s, v_lifted.shape[0])
-    return _recombine(_limb_sums(v_lifted, limbs), 11)
+    w, limbs = _POWERS.powers_limbs(s, v_lifted.shape[0])
+    return _recombine(_limb_sums(v_lifted, limbs), w)
 
 
 def dot_tags(tags: np.ndarray, x_lifted: np.ndarray) -> int:

@@ -8,9 +8,10 @@ fits a signed word; desk-scale workloads are sized to guarantee that.
 
 For q = 2^61 - 1 the tags and hashes come from ``kernels``, which take the
 lift as the zero-copy int32 view of the ring words (``lift``) and fold it,
-as float64, against 11-bit limbs of the cached powers ``[s^m, ..., s^1]`` or
-the bytes of the tags, exactly per block of 2^11 terms.  Other moduli use
-the big-int Horner loop below.
+as float64, against limbs of the cached powers ``[s^m, ..., s^1]``, as wide
+as the fold length m keeps exact (four 18-bit limbs at m = 16, 11 bits from
+m = 2^11 on), or against the bytes of the tags, exactly per block of 2^11
+terms.  Other moduli use the big-int Horner loop below.
 """
 
 from dataclasses import dataclass

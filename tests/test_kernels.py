@@ -1,9 +1,9 @@
 """Hot kernels against big-int oracles.  The uint32 ring kernels are checked
 at the most wraps, on int64 and list operands and on empty ones.  The MAC
-fold is checked at the edges of its float64 limbs: the 2^11-term exact block,
-the most negative ring word against all-(q-1) tags, all-maximal limbs against
-odd words, extreme secrets, empty operands and the cached power limbs across
-secrets and lengths.
+fold is checked at the edges of its float64 limbs: the limb width chosen per
+fold length, the 2^11-term exact block, the most negative ring word against
+all-(q-1) tags, all-maximal limbs against odd words, extreme secrets, empty
+operands and the cached power limbs across secrets, lengths and widths.
 
 MAC operands are what the callers pass: ``mac.lift`` of uint32 ring words
 (their signed int32 view); tags are residues in [0, q).
@@ -251,15 +251,54 @@ def test_power_cache_reuse():
 
 
 def test_limb_cache_follows_the_secret():
-    """Cached limbs belong to the current secret even when the length repeats."""
+    """Cached limbs of every width belong to the current secret and power
+    vector, even when the length or the width repeats."""
     rng = np.random.default_rng(5)
     s1, s2 = 0x0DEF_ACED_BEEF_123, 3
     steps = [(s1, 1), (s2, 1), (s1, 1), (s1, 64), (s2, 64), (s1, 64),
-             (s1, 300), (s2, 300), (s2, 2), (s1, 2), (s2, 1)]
+             (s1, 300), (s2, 300), (s2, 2), (s1, 2), (s2, 1),
+             (s1, 16), (s1, 700), (s1, 16), (s1, 3000), (s1, 16), (s2, 16),
+             (s2, 33), (s1, 16)]
     for s, m in steps:
         M = rand_lifted(rng, (m, 3))
         assert kernels.tag_columns(M, s).tolist() == horner_columns(M, s), (s, m)
         assert kernels.poly_hash(M[:, 0], s) == horner(M[:, 0], s), (s, m)
+        cache = kernels._POWERS
+        assert cache.s == s and kernels._width(m) in cache.limbs
+        for w, limbs in cache.limbs.items():
+            shifts = np.arange(0, 61, w, dtype=np.uint64)[:, None]
+            assert limbs.shape == (shifts.size, cache.desc.size)
+            assert ((limbs.astype(np.uint64) << shifts).sum(axis=0)
+                    == cache.desc).all(), (s, m, w)
+
+
+def test_width_is_the_widest_exact_one():
+    """m * (2^w - 1) * 2^31 < 2^53 at the chosen width and not one bit wider."""
+    for m in range(1, EDGE + 1):
+        w = kernels._width(m)
+        assert m * ((1 << w) - 1) << 31 < 1 << 53, m
+        assert m * ((1 << w + 1) - 1) << 31 >= 1 << 53, m
+    assert [kernels._width(m) for m in (EDGE + 1, 1 << 16)] == [11, 11]
+    limb_counts = {m: -(-61 // kernels._width(m)) for m in (16, 32, 384, 768)}
+    assert limb_counts == {16: 4, 32: 4, 384: 5, 768: 6}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 15, 16, 17, 31, 32, 33, 383, 384, 767,
+                               768, 1023, 1024, 1025, EDGE - 1, EDGE, EDGE + 1])
+def test_extreme_operands_at_every_width(m):
+    """All -2^31 and all 2^31 - 1 against s = 1, q - 1 and a random secret,
+    and all-maximal limbs of the chosen width summing exactly."""
+    v = mac.lift(np.array([[MIN_WORD, MIN_WORD - 1]] * m, dtype=np.uint32))
+    for s in (1, mac.Q - 1, int(np.random.default_rng(m).integers(1, mac.Q))):
+        expect = horner_columns(v, s)
+        assert kernels.tag_columns(v, s).tolist() == expect, s
+        assert [kernels.poly_hash(v[:, j], s) for j in (0, 1)] == expect, s
+    w = kernels._width(m)
+    limbs = np.full((-(-61 // w), m), (1 << w) - 1, dtype=np.float64)
+    for j in (0, 1):
+        want = m * ((1 << w) - 1) * int(v[0, j]) % mac.Q
+        assert [a % mac.Q for a in kernels._limb_sums(v[:, j], limbs).tolist()] \
+            == [want] * limbs.shape[0]
 
 
 def test_benchmark_script_smoke(tmp_path, capsys):

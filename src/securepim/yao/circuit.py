@@ -1,4 +1,4 @@
-"""Boolean circuits: builder, plaintext evaluation, and the stock circuits.
+"""Boolean circuits: builder, evaluation order, bit codecs and the stock circuits.
 
 Words are LSB-first wire lists.  Adders use the single-AND full adder
 (carry' = c ^ ((a^c) & (b^c))); adding a known constant needs no constant
@@ -117,24 +117,6 @@ class BoolCircuit:
             free=tuple((g.a, self.n_wires if g.op == NOT else g.b, g.out)
                        for g in self.gates if g.op != AND),
             outputs=np.array(self.outputs, dtype=np.intp))
-
-    def eval_plain(self, garbler_bits, evaluator_bits):
-        """Reference evaluation on plain bits; the oracle for garbling tests."""
-        if len(garbler_bits) != len(self.garbler_inputs):
-            raise ValueError("garbler arity mismatch")
-        if len(evaluator_bits) != len(self.evaluator_inputs):
-            raise ValueError("evaluator arity mismatch")
-        vals = {}
-        vals.update(zip(self.garbler_inputs, garbler_bits))
-        vals.update(zip(self.evaluator_inputs, evaluator_bits))
-        for g in self.gates:
-            if g.op == XOR:
-                vals[g.out] = vals[g.a] ^ vals[g.b]
-            elif g.op == AND:
-                vals[g.out] = vals[g.a] & vals[g.b]
-            else:
-                vals[g.out] = vals[g.a] ^ 1
-        return [vals[w] for w in self.outputs]
 
 
 class CircuitBuilder:

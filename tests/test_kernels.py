@@ -9,10 +9,6 @@ MAC operands are what the callers pass: ``mac.lift`` of uint32 ring words
 (their signed int32 view); tags are residues in [0, q).
 """
 
-import importlib.util
-import json
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -299,22 +295,3 @@ def test_extreme_operands_at_every_width(m):
         want = m * ((1 << w) - 1) * int(v[0, j]) % mac.Q
         assert [a % mac.Q for a in kernels._limb_sums(v[:, j], limbs).tolist()] \
             == [want] * limbs.shape[0]
-
-
-def test_benchmark_script_smoke(tmp_path, capsys):
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "benchmark_kernels.py"
-    spec = importlib.util.spec_from_file_location("benchmark_kernels", path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    out = tmp_path / "kernels.json"
-    assert bench.main(["--size", "16", "--repeat", "1", "--json", str(out)]) == 0
-    assert "tag_columns" in capsys.readouterr().out
-    results = json.loads(out.read_text())
-    rows = results["kernels"]
-    assert set(rows) == {"gemv", "gemv_t", "embedding", "tag_columns", "poly_hash",
-                         "dot_tags", "gen_tags", "gen_tags_rows"}
-    assert all(r["numpy_ms"] > 0 and r["python_ms"] > 0 for r in rows.values())
-    garbling = results["garbling"]
-    assert set(garbling) == {"garble", "evaluate", "prepare_switch"}
-    assert all(set(row) == {"1", "32", "64", "256"} and min(row.values()) > 0
-               for row in garbling.values())

@@ -2,9 +2,9 @@
 
 Collects each module-level function, class and non-dunder name bound by an
 assignment, and each non-dunder method, with ``ast``, then every name the
-program mentions in ``src/``, ``tools/``, ``benchmarks/`` or ``perfbench/``,
-and the dotted strings of perfbench's ``TRACED``, which patches functions by
-name; an import is not a use.  A method counts as used only through an
+program mentions in ``src/``, ``tools/`` or ``perfbench/``, and the dotted
+strings of perfbench's ``TRACED``, which patches functions by name; an
+import is not a use.  A method counts as used only through an
 attribute (``x.store``).  A module-level definition counts as used through
 an attribute, or as a bare name in its own module or in a module that
 imports it by name (under its alias, if any).  A definition whose name
@@ -20,7 +20,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "securepim"
-PROGRAM = ("src", "tools", "benchmarks", "perfbench")
+PROGRAM = ("src", "tools", "perfbench")
 # the acceptance tests call these, and they stay whatever else calls them
 ACCEPTANCE_PINNED = {"build_add_mod_circuit", "build_sigmoid_circuit",
                      "clean_run_suite"}

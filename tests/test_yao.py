@@ -1,11 +1,11 @@
 """Garbled circuits: builder correctness, free XOR, one-label discipline,
 tamper faults, batches, and the arithmetic-to-Yao switch.
 
-Oracles: BoolCircuit.eval_plain for garbling, big-int ring arithmetic for
-the adder, the piecewise clamp for the activation, a big-int fixed-key-AES
-seed expansion and GF(2^128) row hash for the labels and tables, a
-gate-order big-int evaluator for the staged one, and per-seed scalar
-garbling for batches.
+Oracles: ``eval_plain`` (gate-by-gate evaluation on plain bits) for
+garbling, big-int ring arithmetic for the adder, the piecewise clamp for
+the activation, a big-int fixed-key-AES seed expansion and GF(2^128) row
+hash for the labels and tables, a gate-order big-int evaluator for the
+staged one, and per-seed scalar garbling for batches.
 """
 
 import hashlib
@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 from securepim import ring
 from securepim.errors import GcEvaluationFault
 from securepim.yao.circuit import (
+    AND,
+    XOR,
     CircuitBuilder,
     bits_to_word,
     bits_to_words,
@@ -52,8 +54,27 @@ def switch_and_decode(r_word, c_word, seed, transcript=None):
     return bits_to_word(evaluate(gc, labels, transcript=transcript))
 
 
+def eval_plain(circ, garbler_bits, evaluator_bits):
+    """Reference evaluation of ``circ`` on plain bits, gate by gate; the
+    oracle for garbling tests."""
+    if len(garbler_bits) != len(circ.garbler_inputs):
+        raise ValueError("garbler arity mismatch")
+    if len(evaluator_bits) != len(circ.evaluator_inputs):
+        raise ValueError("evaluator arity mismatch")
+    vals = dict(zip(circ.garbler_inputs, garbler_bits))
+    vals.update(zip(circ.evaluator_inputs, evaluator_bits))
+    for g in circ.gates:
+        if g.op == XOR:
+            vals[g.out] = vals[g.a] ^ vals[g.b]
+        elif g.op == AND:
+            vals[g.out] = vals[g.a] & vals[g.b]
+        else:
+            vals[g.out] = vals[g.a] ^ 1
+    return [vals[w] for w in circ.outputs]
+
+
 def plain_add(r, c):
-    bits = ADD.eval_plain(word_to_bits(r, 32), word_to_bits(c, 32))
+    bits = eval_plain(ADD, word_to_bits(r, 32), word_to_bits(c, 32))
     return bits_to_word(bits)
 
 
@@ -87,12 +108,12 @@ class TestSigmoidCircuit:
         ((1 << 31) - 1, ring.ONE),      # x + 1/2 wraps to negative here
     ])
     def test_piecewise_anchors(self, x, expect):
-        bits = SIG.eval_plain([], word_to_bits(x, 32))
+        bits = eval_plain(SIG, [], word_to_bits(x, 32))
         assert bits_to_word(bits) == expect
 
     @given(words)
     def test_matches_piecewise_oracle(self, x):
-        bits = SIG.eval_plain([], word_to_bits(x, 32))
+        bits = eval_plain(SIG, [], word_to_bits(x, 32))
         assert bits_to_word(bits) == clamp_oracle(x)
 
     def test_branch_exclusivity(self):
@@ -183,7 +204,7 @@ class TestA2Y:
         for _ in range(200):
             r, x = rng.getrandbits(32), rng.getrandbits(32)
             c = (x - r) & ring.MASK
-            bits = A2Y.eval_plain(word_to_bits(r, 32), word_to_bits(c, 32))
+            bits = eval_plain(A2Y, word_to_bits(r, 32), word_to_bits(c, 32))
             assert bits_to_word(bits) == clamp_oracle(x)
 
 
@@ -516,7 +537,7 @@ class TestStagedEvaluation:
         for k, v in enumerate(bits):
             ref = reference_evaluate(
                 gc, k, {w: label_int(labels[i, k]) for i, w in enumerate(inputs)})
-            assert got[k] == ref == circ.eval_plain(v[:ng], v[ng:])
+            assert got[k] == ref == eval_plain(circ, v[:ng], v[ng:])
 
     def test_fault_names_every_and_gate(self):
         """For each of the 102 AND gates, corrupt one copy's decrypted row in

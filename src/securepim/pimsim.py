@@ -1,4 +1,4 @@
-"""The untrusted device: DPU topology, ring kernels over resident shares,
+"""The untrusted device: DPU geometry, ring kernels over resident shares,
 a host-device channel, and deterministic cost counters.
 
 Kernels run over whichever words are resident (ciphertext shares in secure
@@ -27,10 +27,13 @@ TAMPER_TARGETS = DEVICE_TARGETS + ("sealed_tags", "sealed_precompute")
 MUTATIONS = ("bit_flip", "word_randomize")
 
 
-@dataclass
-class DeviceTopology:
-    dpu_count: int = 4
-    mram_bytes_per_dpu: int = 4 << 20   # scaled-down stand-in for 64 MiB MRAM
+DPU_COUNT = 4
+MRAM_BYTES_PER_DPU = 4 << 20   # scaled-down stand-in for 64 MiB MRAM
+
+
+def per_dpu_bytes(nbytes: int) -> int:
+    """The bytes each DPU holds of ``nbytes`` split evenly over the DPUs."""
+    return -(-nbytes // DPU_COUNT)
 
 
 @dataclass
@@ -106,11 +109,9 @@ class _Resident:
 
 
 class PimDevice:
-    def __init__(self, topology: DeviceTopology = None, report: CostReport = None,
-                 tamper: Tamper = None, secure_mode: bool = False):
-        self.topology = topology or DeviceTopology()
-        self.report = report if report is not None else CostReport()
-        self.tamper = tamper or Tamper()
+    def __init__(self, report: CostReport, tamper: Tamper, secure_mode: bool):
+        self.report = report
+        self.tamper = tamper
         self.secure_mode = secure_mode
         self._resident = {}
 
@@ -125,7 +126,7 @@ class PimDevice:
     def _h2d(self, arr: np.ndarray, secret_plaintext: bool, replicate: bool = False):
         if self.secure_mode and secret_plaintext:
             raise TaintViolation("plaintext private buffer on the h2d channel")
-        copies = self.topology.dpu_count if replicate else 1
+        copies = DPU_COUNT if replicate else 1
         self.report.bytes_h2d += arr.nbytes * copies
         return self.tamper.hit("channel_h2d", arr)
 
@@ -140,10 +141,9 @@ class PimDevice:
              secret_plaintext: bool = False) -> str:
         """Make ``array`` resident, its rows split evenly over the DPUs."""
         array = np.ascontiguousarray(array, dtype=np.uint32)
-        dpus = self.topology.dpu_count
-        per_dpu = -(-array.nbytes // dpus)
-        used = sum(-(-r.data.nbytes // dpus) for r in self._resident.values())
-        if used + per_dpu > self.topology.mram_bytes_per_dpu:
+        per_dpu = per_dpu_bytes(array.nbytes)
+        used = sum(per_dpu_bytes(r.data.nbytes) for r in self._resident.values())
+        if used + per_dpu > MRAM_BYTES_PER_DPU:
             raise CapacityError(f"{name}: {per_dpu} B/DPU over budget")
         data = self._h2d(array, secret_plaintext)
         self._resident[name] = _Resident(data.copy(), secret_plaintext)

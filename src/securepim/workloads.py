@@ -12,7 +12,7 @@ from functools import partial
 
 import numpy as np
 
-from . import ring
+from . import pimsim, ring
 from .errors import ConfigError, GcEvaluationFault, VerificationError
 from .host import (
     DEVICE_SCHEMES,
@@ -22,7 +22,6 @@ from .host import (
     SchemeConfig,
     Session,
 )
-from .pimsim import DeviceTopology
 
 MLP_DEFAULTS = {"depth": 10, "dim": 16}
 DLRM_DEFAULTS = {"tables": 4, "rows": 32, "cols": 8, "batch": 8, "pf": 4}
@@ -176,19 +175,18 @@ def _encodable(v) -> bool:
 def _check_budget(name: str, p: dict) -> None:
     """Operands that could not fit the simulated device are rejected on every
     scheme, before any input is drawn: the placed matrices together, each
-    split by rows over the DPUs as ``PimDevice.load`` splits it, and every
-    other array on its own under the same split."""
-    topo = DeviceTopology()
+    split over the DPUs by ``pimsim.per_dpu_bytes`` as ``PimDevice.load``
+    splits it, and every other array on its own under the same split."""
     matrices, others = WORKLOADS[name][2](p)
 
     def per_dpu(words):
-        return -(-4 * words // topo.dpu_count)
+        return pimsim.per_dpu_bytes(4 * words)
 
     need = max([sum(n * per_dpu(words) for n, words in matrices),
                 *map(per_dpu, others)])
-    if need > topo.mram_bytes_per_dpu:
+    if need > pimsim.MRAM_BYTES_PER_DPU:
         raise ConfigError(f"{name} operands need {need} B per DPU, over the "
-                          f"{topo.mram_bytes_per_dpu} B device budget")
+                          f"{pimsim.MRAM_BYTES_PER_DPU} B device budget")
 
 
 def merged_params(name: str, params) -> dict:

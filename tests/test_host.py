@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from securepim import host, kernels, mac, ring
+from securepim import host, kernels, mac, pimsim, ring
 from securepim.crypto import STREAM_GC, OtpContext
 from securepim.errors import (
     CapacityError,
@@ -509,9 +509,9 @@ class TestPhases:
         assert sess.offline.bytes_h2d == (
             self.M.nbytes if scheme in host.DEVICE_SCHEMES else 0)
 
-    def test_failed_build_leaves_the_online_phase(self):
+    def test_failed_build_leaves_the_online_phase(self, monkeypatch):
         sess = session("pim_runtime")
-        sess.device.topology.mram_bytes_per_dpu = 8
+        monkeypatch.setattr(pimsim, "MRAM_BYTES_PER_DPU", 8)
         with pytest.raises(CapacityError):
             PrivateMatrixOp(sess, self.M)
         assert sess.ledger is sess.online

@@ -7,10 +7,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from securepim import ring
+from securepim import pimsim, ring
 from securepim.crypto import KeyStore
 from securepim.errors import (
     CapacityError,
+    ConfigError,
     DimensionError,
     GcEvaluationFault,
     TaintViolation,
@@ -20,19 +21,22 @@ from securepim.pimsim import (
     MUTATIONS,
     TAMPER_TARGETS,
     CostReport,
-    DeviceTopology,
     PimDevice,
     Tamper,
     TamperSpec,
 )
-from securepim.workloads import TRAINING_WORKLOADS, WORKLOADS, run_workload
+from securepim.workloads import (
+    TRAINING_WORKLOADS,
+    WORKLOADS,
+    merged_params,
+    run_workload,
+)
 
 from conftest import TEST_KEY, ctx, rand_words
 
 
 def fresh_device(secure=False):
-    return PimDevice(DeviceTopology(), CostReport(),
-                     secure_mode=secure)
+    return PimDevice(CostReport(), Tamper(), secure_mode=secure)
 
 
 class TestLoadAccounting:
@@ -47,19 +51,31 @@ class TestLoadAccounting:
         dev.gemv("W", np.zeros(8, dtype=np.uint32))
         assert dev.report.bytes_h2d == 8 * 8 * 4 + 4 * (8 * 4)
 
-    def test_capacity_enforced(self):
-        dev = PimDevice(DeviceTopology(dpu_count=1, mram_bytes_per_dpu=64),
-                        CostReport())
+    def test_capacity_enforced(self, monkeypatch):
+        monkeypatch.setattr(pimsim, "DPU_COUNT", 1)
+        monkeypatch.setattr(pimsim, "MRAM_BYTES_PER_DPU", 64)
         with pytest.raises(CapacityError):
-            dev.load("big", np.zeros(32, dtype=np.uint32))
+            fresh_device().load("big", np.zeros(32, dtype=np.uint32))
 
-    def test_capacity_counts_the_row_split_per_dpu(self):
+    def test_capacity_counts_the_row_split_per_dpu(self, monkeypatch):
         """64 words over 4 DPUs fill 64 B on each; one word more does not fit."""
-        dev = PimDevice(DeviceTopology(dpu_count=4, mram_bytes_per_dpu=64),
-                        CostReport())
+        monkeypatch.setattr(pimsim, "MRAM_BYTES_PER_DPU", 64)
+        dev = fresh_device()
         dev.load("W", np.zeros((8, 8), dtype=np.uint32))
         with pytest.raises(CapacityError):
             dev.load("x", np.zeros(1, dtype=np.uint32))
+
+    def test_budget_boundary_is_one_rule(self, monkeypatch):
+        """A placed 16 x 4 matrix fills exactly 64 B on each of the 4 DPUs:
+        the workload check and the device load both accept it, and both
+        reject one more row."""
+        monkeypatch.setattr(pimsim, "MRAM_BYTES_PER_DPU", 64)
+        merged_params("linreg", {"samples": 16, "features": 4})
+        fresh_device().load("X", np.zeros((16, 4), dtype=np.uint32))
+        with pytest.raises(ConfigError, match="device budget"):
+            merged_params("linreg", {"samples": 17, "features": 4})
+        with pytest.raises(CapacityError):
+            fresh_device().load("X", np.zeros((17, 4), dtype=np.uint32))
 
 
 class TestKernels:
@@ -381,7 +397,7 @@ class TestChannelInvariant:
             return hit(self, target, arr)
 
         def counting_broadcast(self, vec):
-            copies[0] = self.topology.dpu_count
+            copies[0] = pimsim.DPU_COUNT
             try:
                 return broadcast(self, vec)
             finally:

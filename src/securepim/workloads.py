@@ -71,10 +71,16 @@ def run_dlrm(cfg: SchemeConfig, sess: Session, rng, p):
 
 def _regression(cfg: SchemeConfig, sess: Session, rng, p, logistic: bool):
     n, d = p["samples"], p["features"]
-    X = _raw(rng, -0.25, 0.25, (n, d))
     if logistic:
-        y = (rng.integers(0, 2, size=n) * ring.ONE).astype(np.uint32)
+        # each feature plants its row's label, +1/8 or -1/8, under noise in
+        # +-1/16, so X stays inside +-1/4 and X.T @ e is negative at w = 0:
+        # any lr > 0 with a non-zero Q12 code moves w off zero at once
+        labels = rng.integers(0, 2, size=n)
+        plant = ring.from_signed_array((2 * labels - 1) * (ring.ONE // 8))
+        X = _raw(rng, -1 / 16, 1 / 16, (n, d)) + plant[:, None]
+        y = (labels * ring.ONE).astype(np.uint32)
     else:
+        X = _raw(rng, -0.25, 0.25, (n, d))
         y = _raw(rng, -1, 1, n)
     lr_raw = ring.fx_encode_nearest(p["lr"])
     op = PrivateMatrixOp(sess, X, step="iter")

@@ -88,7 +88,7 @@ class TestSealedTargets:
             Campaign(trials=1, targets=["sealed_precompute"])
 
     @pytest.mark.parametrize("workload, detected", [("linreg", 28),
-                                                    ("logreg", 26)])
+                                                    ("logreg", 30)])
     def test_sealed_tags_hit_persists_into_later_iterations(self, workload,
                                                             detected):
         """A spec fires on the first tag open, which checks X @ w with

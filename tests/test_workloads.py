@@ -137,6 +137,20 @@ class TestRegression:
         x = np.zeros(4, dtype=np.uint32)
         assert ring.clamp_unit_array(x).tolist() == [2048] * 4
 
+    @pytest.mark.parametrize("seed", [940402, 2000072, 2920275, 3520722,
+                                      4130012])
+    def test_logreg_weights_leave_zero(self, seed):
+        """Seeds whose two-step 32 x 2 run ended at w = 0 when the features
+        were drawn apart from the labels.  With the label planted in every
+        feature, X.T @ e < 0 at w = 0, so one step makes every weight
+        positive."""
+        shape = {"samples": 32, "features": 2, "iterations": 2, "lr": 0.05}
+        cfg = SchemeConfig("cpu_insecure")
+        first, _ = run_workload("logreg", cfg, seed, {**shape, "iterations": 1})
+        assert (signed(first) > 0).all()
+        w, _ = run_workload("logreg", cfg, seed, shape)
+        assert w.any()
+
     def test_verification_two_per_iteration(self):
         for name in ("linreg", "logreg"):
             _, sess = run_workload(

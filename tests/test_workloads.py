@@ -138,7 +138,7 @@ class TestRegression:
         assert ring.clamp_unit_array(x).tolist() == [2048] * 4
 
     @pytest.mark.parametrize("seed", [940402, 2000072, 2920275, 3520722,
-                                      4130012])
+                                      4030480, 4130012])
     def test_logreg_weights_leave_zero(self, seed):
         """Seeds whose two-step 32 x 2 run ended at w = 0 when the features
         were drawn apart from the labels.  With the label planted in every

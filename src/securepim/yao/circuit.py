@@ -1,4 +1,4 @@
-"""Boolean circuits: builder, evaluation order, bit codecs and the stock circuits.
+"""Boolean circuits: builder, evaluation plans, bit codecs, stock circuits.
 
 Words are LSB-first wire lists.  Adders use the single-AND full adder
 (carry' = c ^ ((a^c) & (b^c))); adding a known constant needs no constant

@@ -4,9 +4,9 @@ Collects each module-level function, class and non-dunder name bound by an
 assignment, and each non-dunder method, with ``ast``, then every name the
 program mentions in ``src/``, ``tools/`` or ``perfbench/``, and the dotted
 strings of perfbench's ``TRACED``, which patches functions by name; an
-import is not a use.  A method counts as used only through an
-attribute (``x.store``).  A module-level definition counts as used through
-an attribute, or as a bare name in its own module or in a module that
+import is not a use.  A method counts as used only through an attribute
+(``x.store``).  A module-level definition counts as used through an
+attribute, or as a bare name in its own module or in a module that
 imports it by name (under its alias, if any).  A definition whose name
 appears only inside its own body or assignment is reached by the tests
 alone and should be deleted, or moved into the tests that need it.  A

@@ -182,17 +182,18 @@ def compare_reports(a: dict, b: dict) -> dict:
         if not (isinstance(rep, dict) and isinstance(rep.get("scenario"), dict)
                 and "digest" in rep):
             raise ConfigError("not a securepim report")
+        if not all(isinstance(led, dict) and all(type(v) is int for v in led.values())
+                   for led in (rep.get("offline", {}), rep.get("online", {}))):
+            raise ConfigError("offline and online must be objects of int counters")
     for key in ("workload", "seed", "params"):
         if a["scenario"].get(key) != b["scenario"].get(key):
             raise ConfigError(f"scenario mismatch on {key!r}")
-    diff = {}
+    diff, ratios = {}, {}
     if a["digest"] != b["digest"]:
         diff["digest"] = [a["digest"], b["digest"]]
-    ratios = {}
     for phase in ("offline", "online"):
         for key in (f.name for f in dataclasses.fields(CostReport)):
-            va = a.get(phase, {}).get(key)
-            vb = b.get(phase, {}).get(key)
+            va, vb = a.get(phase, {}).get(key), b.get(phase, {}).get(key)
             if va is None or vb is None:
                 continue
             if va != vb:

@@ -101,13 +101,13 @@ class Session:
         if not ok:
             raise VerificationError(step, ftag_e, ftag_r)
 
-    def verify_gemv(self, step: str, store, x, y) -> None:
-        """Check y = M @ x against M's sealed tags; a no-op without tags."""
-        if store is None:
-            return
-        tags = self.open_tag_store(store)
-        self.check_verified(step, mac.tag_kernel_gemv(tags, x),
-                            mac.hash_result(y, self.s))
+    def verify_gemv(self, step: str, store, x, y, gather=None) -> None:
+        """Check y = M @ x: the GEMV over M's column tags (``store`` opened,
+        then ``gather``-ed) against the hash of all of y; None: no check."""
+        if store is not None:
+            tags = self.open_tag_store(store)
+            self.check_verified(step, mac.tag_kernel_gemv(
+                gather(tags) if gather else tags, x), mac.hash_result(y, self.s))
 
     # -- sealed offline artefacts in untrusted memory (tags: MAC-then-encrypt)
 
@@ -355,9 +355,10 @@ class PrivateMatrixOp(_PrivateOperand):
 class EmbeddingOp(_PrivateOperand):
     """Private embedding table; weighted gather-reduce with public indices.
 
-    pim_precompute materializes the table's OTP words in the offline phase
-    (the index-dependent reduce itself cannot be precomputed), so online PRF
-    cost drops to zero while the host reduce cost matches the runtime scheme.
+    A lookup verifies as the GEMV of a (batch * cols) x |ids| matrix, whose
+    column tags are the ids' row tags weighed by their bags' places.
+    pim_precompute keeps R = T - C in trusted memory (the index-dependent
+    reduce cannot be precomputed), so its online phase makes no PRF call.
     """
 
     @_offline
@@ -379,12 +380,14 @@ class EmbeddingOp(_PrivateOperand):
         out = self._merge(kernels.embedding, s.device.embedding,
                           s.device.embedding_enc, (ids, weights, batch, pf),
                           ids.size * self.table.shape[1])
-        if self.row_tag_store is not None:
-            # one check for the whole batch: the sum over batch rows of each
-            # row's GEMV-over-tags against the sum of its result hashes
-            tags = s.open_tag_store(self.row_tag_store)
-            ftag_e = kernels.dot_tags(tags.residues[ids], mac.lift(weights))
-            row_hashes = kernels.tag_columns(mac.lift(out.T), s.s)
-            ftag_r = sum(int(h) for h in row_hashes) % mac.Q
-            s.check_verified(self.step, ftag_e, ftag_r)
+        s.verify_gemv(self.step, self.row_tag_store, weights, out,
+                      functools.partial(self._bag_tags, ids, batch, pf))
         return out
+
+    def _bag_tags(self, ids, batch: int, pf: int, tags) -> mac.TagVector:
+        """Each id's row tag times s^(cols * (batch - 1 - b)), b its bag."""
+        s_cols, pw = pow(self.sess.s, self.table.shape[1], mac.Q), [1] * batch
+        for b in range(batch - 2, -1, -1):
+            pw[b] = pw[b + 1] * s_cols % mac.Q
+        pw = np.repeat(np.asarray(pw, dtype=np.uint64), pf)
+        return mac.TagVector(kernels.mulmod61(tags.residues[ids], pw))

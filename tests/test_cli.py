@@ -258,6 +258,26 @@ class TestCompare:
         assert main(["compare", str(good), str(bad)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
 
+    # each phase must be an object of int counters: a list was an
+    # AttributeError, "3" against 3 a TypeError, and "7" against 0 exited 0
+    # with a null ratio
+    @pytest.mark.parametrize("phase,bad,other", [
+        ("offline", [], None), ("online", "3", 3), ("online", "7", 0),
+        ("offline", True, 1)], ids=["list", "str", "str-vs-0", "bool"])
+    def test_malformed_ledger_is_config_error(self, tmp_path, capsys, phase,
+                                              bad, other):
+        a = self.report(tmp_path, "pim_runtime")
+        b = json.loads(json.dumps(a))
+        if other is None:
+            b[phase] = bad
+        else:
+            a[phase]["verify_ops"], b[phase]["verify_ops"] = other, bad
+        good, bad_path = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps(a))
+        bad_path.write_text(json.dumps(b))
+        assert main(["compare", str(good), str(bad_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_mismatched_scenarios_rejected(self, tmp_path):
         a = self.report(tmp_path, "pim_runtime", seed="1")
         b = self.report(tmp_path, "pim_runtime", seed="2")

@@ -329,12 +329,16 @@ class TestEmbeddingOp:
                 acc = (acc + lift(w)) * sess.s % mac.Q
             return acc
 
+        # bag k's terms weigh s^(cols * (batch - 1 - k)), its place in the
+        # flattened (batch, cols) result that the hash runs over
         tags = [horner(row) for row in table]
         ftag_e = ftag_r = 0
         for k in range(3):
-            ftag_e += sum(tags[ids[k * 2 + j]] * lift(ws[k * 2 + j])
-                          for j in range(2)) % mac.Q
-            ftag_r += horner(out[k])
+            bag = pow(sess.s, 4 * (2 - k), mac.Q)
+            ftag_e += bag * sum(tags[ids[k * 2 + j]] * lift(ws[k * 2 + j])
+                                for j in range(2)) % mac.Q
+            ftag_r += bag * horner(out[k])
+        assert ftag_r % mac.Q == horner(out.ravel())
         assert seen == [(ftag_e % mac.Q, ftag_r % mac.Q)]
         assert seen[0][0] == seen[0][1]
 
@@ -376,6 +380,56 @@ class TestEmbeddingOp:
         assert sess.tamper.log[0]["index"] == 1
         assert offered[0].dtype == np.uint32
         assert offered[0].tolist() == ids.tolist()
+
+    @pytest.mark.parametrize("tamper", ["swap_bags", "shift_column"])
+    @pytest.mark.parametrize("scheme", sorted(host.DEVICE_SCHEMES))
+    def test_tampers_that_keep_column_sums_abort(self, monkeypatch, scheme,
+                                                 tamper):
+        """Swapping bags 0 and 1 of the returned result, or adding delta to
+        one column of bag 0 and taking it from bag 1, keeps every column's
+        sum over the bags, so a check that sees only those sums passes."""
+        d2h = pimsim.PimDevice._d2h
+
+        def tampered(device, arr):
+            out = d2h(device, arr).copy()
+            if tamper == "swap_bags":
+                out[[0, 1]] = out[[1, 0]]
+            else:
+                out[:2, 1] += np.asarray([4096, -4096]).astype(np.uint32)
+            return out
+
+        monkeypatch.setattr(pimsim.PimDevice, "_d2h", tampered)
+        for seed in range(20):
+            with pytest.raises(VerificationError):
+                run_workload("dlrm", SchemeConfig(scheme, verify=True), seed)
+
+    @pytest.mark.parametrize("scheme", sorted(host.DEVICE_SCHEMES))
+    def test_flip_at_every_result_word_aborts(self, scheme):
+        ids = np.asarray([0, 2, 1, 1, 2, 0])
+        ws = np.asarray([1, 2, 3, 1, 1, 1], dtype=np.uint32)
+        for position in range(6):   # every word of the (3, 2) result
+            sess = session(scheme, verify=True)
+            op = EmbeddingOp(sess, self.T)
+            sess.tamper.arm(TamperSpec("device_result", "bit_flip", position))
+            with pytest.raises(VerificationError):
+                op.lookup(ids, ws, batch=3, pf=2)
+            assert sess.tamper.log[0]["index"] == position
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("batch,pf,rows,cols", [
+        (1, 3, 4, 3), (3, 1, 4, 3), (3, 2, 1, 3), (3, 2, 4, 1), (1, 1, 1, 1),
+        (0, 2, 4, 3)])
+    def test_honest_lookup_edges_verify(self, scheme, batch, pf, rows, cols):
+        """A bag, an id per bag, a row or a column of one, and an empty
+        lookup (batch 0) all pass the check."""
+        rng = np.random.default_rng(batch * 1000 + pf * 100 + rows * 10 + cols)
+        table = ring.from_signed_array(rng.integers(-4000, 4000, (rows, cols)))
+        ids = rng.integers(0, rows, batch * pf)
+        ws = rng.integers(1, 4, batch * pf).astype(np.uint32)
+        sess = session(scheme, verify=True)
+        out = EmbeddingOp(sess, table).lookup(ids, ws, batch=batch, pf=pf)
+        assert np.array_equal(out, kernels.embedding(table, ids, ws, batch, pf))
+        assert sess.verification_events == [{"step": "emb", "ok": True}]
 
     def test_index_leak_declared(self):
         sess = session("pim_runtime")

@@ -62,9 +62,12 @@ class Campaign:
             if target == "gc_table" and name != "logreg":
                 raise ConfigError(f"gc_table needs a workload that garbles "
                                   f"(logreg or gemv16), got {name!r}")
-            if target == "sealed_precompute" and self.scheme != "pim_precompute":
+            # EmbeddingOp keeps R in trusted memory, so dlrm seals no resCPU
+            if target == "sealed_precompute" and (
+                    self.scheme != "pim_precompute" or name == "dlrm"):
                 raise ConfigError(f"sealed_precompute needs scheme "
-                                  f"pim_precompute, got {self.scheme!r}")
+                                  f"pim_precompute and a workload other than "
+                                  f"dlrm, got {self.scheme!r} on {name!r}")
             check_scheme(name, self.scheme)
 
     def body(self, target: str):

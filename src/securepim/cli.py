@@ -29,6 +29,12 @@ EXIT_OK = 0
 EXIT_ABORT = 2
 EXIT_CONFIG = 3
 
+# Every key of a scenario, whether a ``--config`` object or the flags of
+# ``run``, with the value it takes when missing or null.
+SCENARIO = {"workload": None, "scheme": "pim_runtime", "variant": "A",
+            "verify": False, "seed": 0, "params": {}, "tamper": None,
+            "campaign": None, "out": None}
+
 
 def result_digest(words: np.ndarray) -> str:
     return hashlib.sha256(
@@ -92,11 +98,19 @@ def _emit(report: dict, out_path):
 
 
 def cmd_run(args) -> int:
-    scenarios = [vars(args)] if not args.config else _load_config(args.config)
-    code = EXIT_OK
-    for sc in scenarios:
-        code = max(code, _run_scenario(sc))
-    return code
+    """Run the flags' scenario or each ``--config`` one; keys are checked first."""
+    flags = {k: v for k, v in vars(args).items()
+             if k in SCENARIO and v is not None}
+    if args.config is None:
+        objs = [flags]
+    elif flags:
+        raise ConfigError("--config takes no scenario flags, got "
+                          + ", ".join(f"--{k}" for k in flags))
+    else:
+        data = _read_json(args.config, "config")
+        objs = data if isinstance(data, list) else [data]
+    scenarios = [_scenario(obj) for obj in objs]
+    return max((_run_scenario(sc) for sc in scenarios), default=EXIT_OK)
 
 
 def _read_json(path, what: str):
@@ -107,73 +121,57 @@ def _read_json(path, what: str):
         raise ConfigError(f"cannot read {what} {path!r}: {exc}") from None
 
 
-def _load_config(path):
-    data = _read_json(path, "config")
-    scenarios = data if isinstance(data, list) else [data]
-    if not all(isinstance(sc, dict) for sc in scenarios):
-        raise ConfigError("config must hold a scenario object or a list of them")
-    return scenarios
+def _check_keys(what: str, obj, keys, required=()):
+    """Name a bad shape or an unknown or missing key in the config's terms."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be an object with keys among "
+                          f"{keys}, got {obj!r}")
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ConfigError(f"{what} has unknown keys {unknown}; its keys "
+                          f"are among {keys}")
+    missing = [k for k in required if k not in obj]
+    if missing:
+        raise ConfigError(f"{what} is missing the required keys {missing}")
+
+
+def _scenario(obj) -> dict:
+    """The scenario object with every missing or null key at its default."""
+    _check_keys("scenario", obj, list(SCENARIO))
+    return {k: default if obj.get(k) is None else obj[k]
+            for k, default in SCENARIO.items()}
 
 
 def _campaign(spec) -> Campaign:
-    """The Campaign of a config object; a bad shape or a key that is
-    unknown or missing is named before Campaign checks the values."""
     fields = dataclasses.fields(Campaign)
-    keys = [f.name for f in fields]
-    if not isinstance(spec, dict):
-        raise ConfigError(f"campaign must be an object with keys among "
-                          f"{keys}, got {spec!r}")
-    unknown = sorted(set(spec) - set(keys))
-    if unknown:
-        raise ConfigError(f"campaign has unknown keys {unknown}; its keys "
-                          f"are among {keys}")
-    missing = [f.name for f in fields if f.name not in spec
-               and f.default is f.default_factory is dataclasses.MISSING]
-    if missing:
-        raise ConfigError(f"campaign is missing the required keys {missing}")
+    _check_keys("campaign", spec, [f.name for f in fields],
+                [f.name for f in fields
+                 if f.default is f.default_factory is dataclasses.MISSING])
     return Campaign(**spec)
 
 
 def _run_scenario(sc) -> int:
     """Run one scenario; malformed fields raise ConfigError before it runs
     (run_workload checks the workload, seed and params)."""
-    workload = sc.get("workload")
-    scheme = sc.get("scheme")
-    verify = sc.get("verify")
-    if verify is not None and not isinstance(verify, bool):
-        raise ConfigError(f"verify must be true or false, got {verify!r}")
-    out = sc.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError(f"out must be a path, got {out!r}")
-    variant = sc.get("variant")
-    cfg = SchemeConfig(scheme=scheme, verify=bool(verify),
-                       variant="A" if variant is None else variant)
-    seed = 0 if sc.get("seed") is None else sc["seed"]
-    params = sc.get("params")
-    tamper = sc.get("tamper")
-    spec = None if tamper is None else parse_tamper(tamper)
-    campaign = sc.get("campaign")
-    campaign = None if campaign is None else _campaign(campaign)
-    scenario_echo = {
-        "workload": workload,
-        "scheme": scheme,
-        "variant": cfg.variant,
-        "verify": cfg.verify,
-        "seed": seed,
-        "params": params or {},
-        "tamper": tamper,
-    }
-    aborted = None
-    words = None
+    if not isinstance(sc["verify"], bool):
+        raise ConfigError(f"verify must be true or false, got {sc['verify']!r}")
+    if sc["out"] is not None and not isinstance(sc["out"], str):
+        raise ConfigError(f"out must be a path, got {sc['out']!r}")
+    cfg = SchemeConfig(sc["scheme"], sc["verify"], sc["variant"])
+    spec = None if sc["tamper"] is None else parse_tamper(sc["tamper"])
+    campaign = None if sc["campaign"] is None else _campaign(sc["campaign"])
+    aborted = words = None
     try:
-        words, sess = run_workload(workload, cfg, seed, params, tamper=spec)
+        words, sess = run_workload(sc["workload"], cfg, sc["seed"],
+                                   sc["params"], tamper=spec)
     except (VerificationError, GcEvaluationFault) as exc:
         aborted = {"reason": type(exc).__name__, "detail": str(exc)}
         sess = exc.session
-    report = build_report(scenario_echo, words, sess, aborted)
+    echo = {k: v for k, v in sc.items() if k not in ("campaign", "out")}
+    report = build_report(echo, words, sess, aborted)
     if campaign is not None:
         report["campaign"] = run_campaign(campaign)
-    _emit(report, out)
+    _emit(report, sc["out"])
     return EXIT_OK if aborted is None else EXIT_ABORT
 
 
@@ -199,7 +197,8 @@ def compare_reports(a: dict, b: dict) -> dict:
             if va != vb:
                 diff[f"{phase}.{key}"] = [va, vb]
             ratios[f"{phase}.{key}"] = va / vb if vb else (0.0 if not va else None)
-    return {"digest_equal": a["digest"] == b["digest"], "diff": diff,
+    return {"digest_equal": a["digest"] is not None
+            and a["digest"] == b["digest"], "diff": diff,
             "ratios": ratios}
 
 
@@ -226,11 +225,11 @@ def make_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute a scenario and emit a report")
     run.add_argument("--workload", choices=sorted(WORKLOADS))
-    run.add_argument("--scheme", default="pim_runtime")
-    run.add_argument("--variant", choices=VARIANTS, default="A")
-    run.add_argument("--verify", action="store_true")
+    run.add_argument("--scheme")
+    run.add_argument("--variant", choices=VARIANTS)
+    run.add_argument("--verify", action="store_true", default=None)
     run.add_argument("--tamper", help="target[:mutation[:position]]")
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=int)
     run.add_argument("--config", help="JSON scenario file (dict or list)")
     run.add_argument("--out", help="report path (default: stdout)")
     run.set_defaults(func=cmd_run)

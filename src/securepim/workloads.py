@@ -116,12 +116,8 @@ def run_gemm(cfg: SchemeConfig, sess: Session, rng, p):
 
 def unroll_conv_input(img: np.ndarray, k: int, stride: int) -> np.ndarray:
     """im2col: one row per output position, kernel-sized patches flattened."""
-    h, w = img.shape
-    rows = []
-    for i in range(0, h - k + 1, stride):
-        for j in range(0, w - k + 1, stride):
-            rows.append(img[i:i + k, j:j + k].ravel())
-    return np.stack(rows)
+    windows = np.lib.stride_tricks.sliding_window_view(img, (k, k))
+    return windows[::stride, ::stride].reshape(-1, k * k)
 
 
 def run_conv(cfg: SchemeConfig, sess: Session, rng, p):

@@ -131,6 +131,8 @@ class TestCampaignParams:
         {"scheme": "pim_precompute", "workload": "linreg"},
         {"scheme": "pim_precompute", "workload": "logreg",
          "targets": ["gc_table"]},
+        {"scheme": "pim_precompute", "workload": "dlrm",  # seals no resCPU
+         "targets": ["sealed_precompute"]},
     ], ids=repr)
     def test_bad_params_rejected_before_any_trial(self, kwargs):
         with pytest.raises(ConfigError):

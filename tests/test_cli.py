@@ -212,6 +212,64 @@ class TestReportSchema:
         assert json.loads(out.read_text())["scenario"]["workload"] == "conv"
 
 
+class TestScenarioSchema:
+    """Flags and config objects are one scenario schema: one key check and
+    one table of defaults."""
+
+    def write_config(self, tmp_path, obj):
+        cfg_path = tmp_path / "scenario.json"
+        cfg_path.write_text(json.dumps(obj))
+        return str(cfg_path)
+
+    def test_misspelt_key_is_named(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = self.write_config(tmp_path, [
+            {"workload": "mlp", "out": "first.json"},
+            {"workload": "mlp", "verfy": True, "sed": 5, "out": "second.json"}])
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "'verfy'" in err and "'sed'" in err, err
+        assert out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+    @pytest.mark.parametrize("flag", [
+        ["--workload", "mlp"], ["--scheme", "pim_runtime"],
+        ["--variant", "A"], ["--verify"], ["--tamper", "device_result"],
+        ["--seed", "5"], ["--out", "report.json"]], ids=repr)
+    def test_config_takes_no_scenario_flag(self, tmp_path, capsys,
+                                           monkeypatch, flag):
+        monkeypatch.chdir(tmp_path)
+        cfg = self.write_config(tmp_path, {"workload": "mlp"})
+        assert main(["run", "--config", cfg, *flag]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert flag[0] in err, err
+        assert out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+    @pytest.mark.parametrize("obj,flags", [
+        ({"workload": "mlp"}, ["--workload", "mlp"]),
+        ({"workload": "dlrm", "scheme": None, "variant": None, "verify": None,
+          "seed": None, "params": None, "tamper": None, "campaign": None},
+         ["--workload", "dlrm"]),
+        ({"workload": "mlp", "scheme": "pim_precompute", "verify": True,
+          "seed": 7, "tamper": "device_result:bit_flip:3"},
+         ["--workload", "mlp", "--scheme", "pim_precompute", "--verify",
+          "--seed", "7", "--tamper", "device_result:bit_flip:3"]),
+        ({"workload": "logreg", "variant": "A2Y", "seed": 1, "params": {}},
+         ["--workload", "logreg", "--variant", "A2Y", "--seed", "1"]),
+    ], ids=["no-scheme", "nulls", "tampered", "a2y"])
+    def test_config_and_flags_write_one_report(self, tmp_path, obj, flags):
+        by_config, by_flags = tmp_path / "config.json", tmp_path / "flags.json"
+        cfg = self.write_config(tmp_path, {**obj, "out": str(by_config)})
+        code = main(["run", "--config", cfg])
+        assert main(["run", *flags, "--out", str(by_flags)]) == code
+        assert by_config.read_bytes() == by_flags.read_bytes()
+        scheme = json.loads(by_flags.read_text())["scenario"]["scheme"]
+        assert scheme == (obj.get("scheme") or "pim_runtime")
+
+
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path):
         a = tmp_path / "a.json"
@@ -283,6 +341,18 @@ class TestCompare:
         b = self.report(tmp_path, "pim_runtime", seed="2")
         with pytest.raises(ConfigError):
             compare_reports(a, b)
+
+    def test_aborted_reports_have_no_equal_digest(self, tmp_path):
+        """Two aborted runs have no result: their null digests are not
+        equal results."""
+        reports = [run_cli(tmp_path, "run", "--workload", "dlrm", "--verify",
+                           "--scheme", scheme, "--tamper", target)
+                   for scheme, target in (("pim_runtime", "device_result"),
+                                          ("pim_insecure", "channel_d2h"))]
+        assert [code for code, _ in reports] == [EXIT_ABORT, EXIT_ABORT]
+        a, b = (rep for _, rep in reports)
+        assert a["digest"] is None and b["digest"] is None
+        assert not compare_reports(a, b)["digest_equal"]
 
     def test_precompute_ratio_vs_runtime(self, tmp_path):
         pre = self.report(tmp_path, "pim_precompute")

@@ -4,9 +4,12 @@ A keystream block is AES-128(key) applied to a 128-bit counter laid out as
 little-endian fields ``version(32) || stream_id(32) || block_index(64)``;
 each block yields four ring words.  A context is ``(key, version)``; its
 stream is addressable by block, so regeneration is bit-exact, and a share
-takes the first words of its context's stream.
+takes the first words of its context's stream.  A share or sealed array
+laid out in rows can also be regenerated or opened row by row
+(``otp_rows``): only the blocks those rows touch are encrypted and charged.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,16 +71,14 @@ class KeyStore:
             raise VersionReuseError(f"context already consumed: {mark}")
         self._consumed.add(mark)
 
-    def _blocks(self, key_id, version, stream_id, first_block, nblocks, on_prf):
-        """``nblocks`` keystream blocks from ``first_block`` on, as ring words."""
-        end = first_block + nblocks
-        index = KeyStore._index
-        if index.size < end:
-            index = KeyStore._index = np.arange(max(end, 2 * index.size),
-                                                dtype=np.uint64)
+    def _blocks(self, key_id, version, stream_id, index, nblocks, on_prf):
+        """The keystream blocks at the ``nblocks`` distinct block indices
+        ``index``, as ring words, block by block."""
+        if not nblocks:
+            return np.empty(0, dtype=np.uint32)
         counters = np.empty((nblocks, 2), dtype="<u8")
         counters[:, 0] = version | stream_id << 32  # the two low words
-        counters[:, 1] = index[first_block:end]
+        counters[:, 1] = index
         words = np.empty(4 * nblocks + 4, dtype="<u4")  # room for one spare block
         self._cipher(key_id).update_into(counters.data.cast("B"), words.data.cast("B"))
         if on_prf is not None:
@@ -89,14 +90,51 @@ class KeyStore:
         """The first ``count`` ring words of the context's stream."""
         if count < 0:
             raise ValueError("count must be >= 0")
-        if count == 0:
-            return np.empty(0, dtype=np.uint32)
         nblocks = -(-count // WORDS_PER_BLOCK)
-        return self._blocks(ctx.key_id, ctx.version, stream_id, 0, nblocks,
-                            on_prf)[:count]
+        index = KeyStore._index
+        if index.size < nblocks:
+            index = KeyStore._index = np.arange(max(nblocks, 2 * index.size),
+                                                dtype=np.uint64)
+        return self._blocks(ctx.key_id, ctx.version, stream_id, index[:nblocks],
+                            nblocks, on_prf)[:count]
 
-    def seal(self, ctx: OtpContext, words: np.ndarray, on_prf=None) -> np.ndarray:
-        """XOR with the sealing stream; an involution, so also unseals."""
+    def otp_rows(self, ctx: OtpContext, rows: np.ndarray, width: int,
+                 stream_id: int = STREAM_SHARE, on_prf=None) -> np.ndarray:
+        """Rows ``rows`` (ascending, distinct) of the stream laid out
+        ``width`` words a row: ``otp_words(ctx, n * width).reshape(n,
+        width)[rows]`` for any ``n`` past the last row, from the blocks those
+        rows touch, each encrypted and charged once.
+
+        The stream is read in units of ``u = gcd(width, 4)`` words, so no
+        unit straddles a block and a block holds ``4 / u`` of them.  A row
+        of whole blocks (``u = 4``) is its own blocks, in order.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        unit = math.gcd(width, WORDS_PER_BLOCK)
+        per_row, per_block = width // unit, WORDS_PER_BLOCK // unit
+        units = (rows[:, None] * per_row + np.arange(per_row)).ravel()
+        if per_block == 1:
+            return self._blocks(ctx.key_id, ctx.version, stream_id, units,
+                                units.size, on_prf).reshape(rows.size, width)
+        # ascending units: a unit starts a new block where its block index steps
+        block = units // per_block
+        first = np.ones(block.size, dtype=bool)
+        first[1:] = block[1:] != block[:-1]
+        index = block[first]
+        pad = self._blocks(ctx.key_id, ctx.version, stream_id, index, index.size,
+                           on_prf).reshape(-1, unit)
+        slot = np.searchsorted(index, block) * per_block + units % per_block
+        return pad[slot].reshape(rows.size, width)
+
+    def seal(self, ctx: OtpContext, words: np.ndarray, on_prf=None,
+             rows=None) -> np.ndarray:
+        """XOR with the sealing stream; an involution, so also unseals.
+        With ``rows`` (ascending, distinct), ``words`` holds only those rows
+        of a 2-D array, and only their pad is taken (``otp_rows``)."""
+        if rows is not None:
+            words = np.asarray(words, dtype=np.uint32)
+            return words ^ self.otp_rows(ctx, rows, words.shape[1], STREAM_SEAL,
+                                         on_prf)
         flat = np.ascontiguousarray(words, dtype=np.uint32).ravel()
         pad = self.otp_words(ctx, flat.size, stream_id=STREAM_SEAL, on_prf=on_prf)
         return (flat ^ pad).reshape(np.shape(words))
@@ -105,5 +143,5 @@ class KeyStore:
 
     def derive_mac_secret(self, ctx: OtpContext, q: int, on_prf=None) -> int:
         """s in [1, q-1] from the first MAC-stream block of this context."""
-        words = self._blocks(ctx.key_id, ctx.version, STREAM_MAC, 0, 1, on_prf)
-        return int(words[:2].view("<u8")[0]) % (q - 1) + 1
+        words = self.otp_words(ctx, 2, STREAM_MAC, on_prf)
+        return int(words.view("<u8")[0]) % (q - 1) + 1

@@ -225,21 +225,35 @@ class _PrivateOperand:
             raise ConfigError("pim_precompute: vector is not the one planned")
         return self._pre.pop(0)[:2]
 
+    def _host_part(self, rows=None) -> np.ndarray:
+        """The host's part of M, or only its ``rows`` (ascending, distinct):
+        M itself off the device (held plain, or opened), R = M - C under
+        the share schemes (kept, or regenerated from the keystream)."""
+        s = self.sess
+        scheme = s.cfg.scheme
+        if scheme in SHARE_SCHEMES and self._r is None:
+            return sharing.host_share(self.ctx, self.shape, s.ks, s._prf, rows)
+        part = self._r if scheme in SHARE_SCHEMES else self._held
+        if rows is not None:
+            part = part[rows]
+        if scheme in SEALED_SCHEMES:
+            return s.ks.open(self.ctx, part, on_prf=s._prf, rows=rows)
+        return part
+
     def _merge(self, host_fn, device_fn, sealed_fn, args: tuple, cost: int,
-               res_sealed=None) -> np.ndarray:
+               res_sealed=None, rows=None) -> np.ndarray:
         """Merge one linear kernel of the held operand M with public
         ``args``: host only (``host_fn(M, *args)``, ``cost`` host MACs),
         device only (``device_fn(held, *args)``), sealed device
         (``sealed_fn(held, *args, ks, ctx, ctx_out)``), or the device share
-        plus the runtime R-kernel or the opened ``res_sealed`` resCPU."""
+        plus the runtime R-kernel or the opened ``res_sealed`` resCPU.
+        With ``rows``, ``host_fn`` reads only those rows of M, and gets
+        the host part of them alone, in their order (``_host_part``)."""
         s = self.sess
         scheme = s.cfg.scheme
         if scheme not in DEVICE_SCHEMES:
-            M = self._held
-            if scheme in SEALED_SCHEMES:
-                M = s.ks.open(self.ctx, M, on_prf=s._prf)
             s.ledger.host_mac_ops += cost
-            return host_fn(M, *args)
+            return host_fn(self._host_part(rows), *args)
         if scheme in SEALED_SCHEMES:
             ctx_out = s.alloc_ctx()
             y = sealed_fn(self._held, *args, s.ks, self.ctx, ctx_out)
@@ -251,10 +265,8 @@ class _PrivateOperand:
             ctx, sealed = res_sealed
             sealed = s.tamper.hit("sealed_precompute", sealed)
             return res_pim + s.ks.open(ctx, sealed, on_prf=s._prf)
-        r = self._r if self._r is not None else sharing.host_share(
-            self.ctx, self.shape, s.ks, on_prf=s._prf)
         s.ledger.host_mac_ops += cost
-        return res_pim + host_fn(r, *args)
+        return res_pim + host_fn(self._host_part(rows), *args)
 
 
 class PublicMatrixOp(_PrivateOperand):
@@ -359,6 +371,9 @@ class EmbeddingOp(_PrivateOperand):
     column tags are the ids' row tags weighed by their bags' places.
     pim_precompute keeps R = T - C in trusted memory (the index-dependent
     reduce cannot be precomputed), so its online phase makes no PRF call.
+    The host part of a lookup (R, or the opened table) is built from the
+    distinct rows its ids read, never from the whole table; the row tags
+    are opened whole, which costs less than picking out their blocks.
     """
 
     @_offline
@@ -377,9 +392,12 @@ class EmbeddingOp(_PrivateOperand):
         if ids.size and (ids.min() < 0 or ids.max() >= rows):
             raise ConfigError(f"embedding ids must lie in [0, {rows})")
         s.record_leak("dlrm_indices_in_clear")
-        out = self._merge(kernels.embedding, s.device.embedding,
-                          s.device.embedding_enc, (ids, weights, batch, pf),
-                          ids.size * self.table.shape[1])
+        read, inv = kernels.distinct_rows(ids, rows)
+        out = self._merge(
+            lambda part, _ids, *rest: kernels.embedding(part, inv, *rest),
+            s.device.embedding, s.device.embedding_enc,
+            (ids, weights, batch, pf), ids.size * self.table.shape[1],
+            rows=read)
         s.verify_gemv(self.step, self.row_tag_store, weights, out,
                       functools.partial(self._bag_tags, ids, batch, pf))
         return out

@@ -53,6 +53,18 @@ def embedding(table, ids, weights, batch, pf):
     return np.einsum("kjc,kj->kc", rows, _words(weights).reshape(batch, pf))
 
 
+def distinct_rows(ids, rows: int):
+    """The distinct ``ids`` of a table of ``rows`` rows, ascending, and each
+    id's place among them: ``embedding(table[d], inv, ...)`` equals
+    ``embedding(table, ids, ...)`` for ``d, inv = distinct_rows(ids, rows)``."""
+    seen = np.zeros(rows, dtype=bool)
+    seen[ids] = True
+    distinct = seen.nonzero()[0]
+    place = np.empty(rows, dtype=np.intp)
+    place[distinct] = np.arange(distinct.size)
+    return distinct, place[ids]
+
+
 def _fold61(x):
     return (x & _M61) + (x >> np.uint64(61))
 

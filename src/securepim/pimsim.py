@@ -176,7 +176,9 @@ class PimDevice:
         self.report.device_mac_ops += X.size
         return kernels.gemv_t(X, vec) if transpose else kernels.gemv(X, vec)
 
-    def _embedding(self, table, ids, weights, batch, pf):
+    def _embedding(self, table, ids, weights, batch, pf, open_rows=None):
+        """The lookup over ``table``; a sealed one is gathered from the
+        distinct rows it reads, which ``open_rows(words, rows=rows)`` opens."""
         ids = np.ascontiguousarray(ids, dtype=np.uint32)
         weights = np.ascontiguousarray(weights, dtype=np.uint32)
         if ids.size != batch * pf or weights.size != ids.size:
@@ -185,6 +187,9 @@ class PimDevice:
         ids = self._h2d(ids, False) % table.shape[0]
         weights = self._h2d(weights, False)
         self.report.device_mac_ops += ids.size * table.shape[1]
+        if open_rows is not None:
+            read, ids = kernels.distinct_rows(ids, table.shape[0])
+            table = open_rows(table[read], rows=read)
         return kernels.embedding(table, ids, weights, batch, pf)
 
     def gemv(self, name: str, x: np.ndarray) -> np.ndarray:
@@ -208,26 +213,29 @@ class PimDevice:
     # -- enc/dec baseline: the device holds the key, decrypts, computes on
     # plaintext, and reseals the result before it leaves (Fig. 12 style).
 
-    def _sealed(self, ks, ctx_in, sealed, ctx_out, compute):
-        """Open ``sealed`` with the device-held key, ``compute`` on the
-        plaintext, and reseal the result under ``ctx_out`` on its way out."""
-        plain = ks.open(ctx_in, sealed, on_prf=self._count_device_prf)
-        y = ks.seal(ctx_out, compute(plain), on_prf=self._count_device_prf)
-        return self._d2h(y)
+    def _sealed(self, ks, ctx_in, ctx_out, compute):
+        """``compute(open)``, where ``open(words, rows=None)`` opens what it
+        reads under ``ctx_in`` with the device-held key, and reseal the
+        result under ``ctx_out`` on its way out."""
+        y = compute(partial(ks.open, ctx_in, on_prf=self._count_device_prf))
+        return self._d2h(ks.seal(ctx_out, y, on_prf=self._count_device_prf))
 
     def gemv_enc(self, name, sealed_x, ks, ctx_in, ctx_out):
         W = self._access(name)
-        return self._sealed(ks, ctx_in, self._broadcast(sealed_x), ctx_out,
-                            lambda x: self._gemv(W, x))
+        x = self._broadcast(sealed_x)
+        return self._sealed(ks, ctx_in, ctx_out,
+                            lambda open_: self._gemv(W, open_(x)))
 
     def matvec_enc(self, name, vec, ks, ctx_mat, ctx_out, transpose=False):
         vec = self._broadcast(vec)
-        return self._sealed(ks, ctx_mat, self._access(name), ctx_out,
-                            lambda X: self._gemv(X, vec, transpose))
+        X = self._access(name)
+        return self._sealed(ks, ctx_mat, ctx_out,
+                            lambda open_: self._gemv(open_(X), vec, transpose))
 
     def embedding_enc(self, name, ids, weights, batch, pf, ks, ctx_tab, ctx_out):
-        return self._sealed(ks, ctx_tab, self._access(name), ctx_out,
-                            lambda T: self._embedding(T, ids, weights, batch, pf))
+        T = self._access(name)
+        return self._sealed(ks, ctx_tab, ctx_out, lambda open_: self._embedding(
+            T, ids, weights, batch, pf, open_))
 
     def _count_device_prf(self, n):
         self.report.device_prf_calls += n

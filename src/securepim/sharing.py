@@ -4,7 +4,9 @@ A plaintext P is split as C = P - R mod 2^32, where R is the first words
 of a fresh OtpContext's stream; the device only ever holds C.  The host
 regenerates R on demand instead of storing it, with one exception: under
 pim_precompute an operand with no static vectors (an embedding table) keeps
-R = P - C in trusted memory, so its online phase needs no PRF calls.
+R = P - C in trusted memory, so its online phase needs no PRF calls.  A
+lookup that reads only some rows of a share regenerates R for those rows
+alone, from the keystream blocks they touch (``KeyStore.otp_rows``).
 """
 
 import numpy as np
@@ -12,8 +14,12 @@ import numpy as np
 from .crypto import KeyStore, OtpContext
 
 
-def host_share(ctx: OtpContext, shape, ks: KeyStore, on_prf=None) -> np.ndarray:
-    """Regenerate R for a share of the given shape."""
+def host_share(ctx: OtpContext, shape, ks: KeyStore, on_prf=None,
+               rows=None) -> np.ndarray:
+    """Regenerate R for a share of the given shape, or only ``R[rows]``
+    (ascending, distinct) of a 2-D one."""
+    if rows is not None:
+        return ks.otp_rows(ctx, rows, shape[1], on_prf=on_prf)
     size = int(np.prod(shape, dtype=np.int64)) if shape else 1
     return ks.otp_words(ctx, size, on_prf=on_prf).reshape(shape)
 

@@ -35,6 +35,11 @@ def aes_block_oracle(key_hex, version, stream_id, block_index):
     return enc.update(counter) + enc.finalize()
 
 
+
+def blocks_of(words):
+    """Keystream blocks (PRF calls) that ``words`` ring words take."""
+    return -(-words // 4)
+
 class TestOtpWords:
     def test_deterministic(self, ks):
         a = ks.otp_words(ctx(), 64)
@@ -88,6 +93,67 @@ class TestOtpWords:
         ks.otp_words(ctx(), 9, on_prf=calls.append)
         # words 0..7 fill blocks 0..1; a ninth word needs block 2
         assert calls == [2, 3]
+
+
+
+class TestOtpRows:
+    """Rows of a stream laid out ``width`` words a row, against the slices
+    of the whole stream, charged one PRF call per distinct block."""
+
+    N = 40   # rows of the full stream each case slices
+
+    @staticmethod
+    def touched_blocks(rows, width):
+        return {w // 4 for r in rows for w in range(r * width, (r + 1) * width)}
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 16])
+    @pytest.mark.parametrize("rows", [
+        [], [0], [39], [0, 39], [0, 1], [4, 5, 6, 7], [1, 2, 3, 20, 21, 38],
+        list(range(40))])
+    def test_rows_equal_slices_of_the_stream(self, ks, width, rows):
+        calls = []
+        got = ks.otp_rows(ctx(), np.asarray(rows, dtype=np.int64), width,
+                          on_prf=calls.append)
+        full = ks.otp_words(ctx(), self.N * width).reshape(self.N, width)
+        assert got.dtype == np.uint32
+        assert got.shape == (len(rows), width)
+        assert np.array_equal(got, full[rows])
+        assert sum(calls) == len(self.touched_blocks(rows, width))
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 16])
+    def test_every_row_charges_the_whole_stream(self, ks, width):
+        calls = []
+        ks.otp_rows(ctx(), np.arange(self.N), width, on_prf=calls.append)
+        assert sum(calls) == blocks_of(self.N * width)
+
+    def test_adjacent_rows_share_a_block(self, ks):
+        """Width 2 packs two rows in a block and width 3 straddles blocks:
+        a block two rows touch is encrypted and charged once."""
+        calls = []
+        ks.otp_rows(ctx(), np.asarray([2, 3]), 2, on_prf=calls.append)
+        ks.otp_rows(ctx(), np.asarray([1, 2]), 3, on_prf=calls.append)
+        # block 1 (words 4..7); words 3..5 and 6..8 both touch block 1
+        assert calls == [1, 3]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.intp, np.uint32])
+    def test_row_index_dtypes(self, ks, dtype):
+        """NumPy 1.x promotes uint64 with int64 to float64: rows of any
+        integer dtype address the blocks exactly."""
+        rows = np.asarray([3, 17, 38], dtype=dtype)
+        full = ks.otp_words(ctx(), self.N * 5).reshape(self.N, 5)
+        assert np.array_equal(ks.otp_rows(ctx(), rows, 5), full[[3, 17, 38]])
+
+    def test_open_rows_of_a_sealed_array(self, ks):
+        x = np.arange(24, dtype=np.uint32).reshape(8, 3)
+        sealed = ks.seal(ctx(), x)
+        rows = np.asarray([1, 6, 7])
+        assert np.array_equal(ks.open(ctx(), sealed[rows], rows=rows), x[rows])
+
+    def test_rows_follow_the_stream_id(self, ks):
+        rows = np.asarray([2, 5])
+        full = ks.otp_words(ctx(), 32, stream_id=STREAM_SEAL).reshape(8, 4)
+        assert np.array_equal(ks.otp_rows(ctx(), rows, 4, STREAM_SEAL),
+                              full[rows])
 
 
 class TestSealOpen:

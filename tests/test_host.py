@@ -431,6 +431,75 @@ class TestEmbeddingOp:
         assert np.array_equal(out, kernels.embedding(table, ids, ws, batch, pf))
         assert sess.verification_events == [{"step": "emb", "ok": True}]
 
+    # an 8 x 3 table read at rows 0, 1 and 7: words 0..5 and 21..23 touch
+    # keystream blocks 0, 1 and 5 of its six
+    T8 = np.arange(24, dtype=np.uint32).reshape(8, 3)
+    IDS = np.asarray([0, 1, 7, 7])
+    WS = np.asarray([1, 2, 3, 1], dtype=np.uint32)
+    # online (host, device) PRF calls of that lookup, unverified; a verified
+    # one opens the whole tag store (16 words, four blocks) on the host
+    ROW_PRF = {"cpu_insecure": (0, 0), "cpu_secure": (3, 0),
+               "pim_insecure": (0, 0), "pim_enc_dec": (2, 3 + 2),
+               "pim_runtime": (3, 0), "pim_precompute": (0, 0)}
+
+    @staticmethod
+    def online_prf(sess):
+        return sess.online.host_prf_calls, sess.online.device_prf_calls
+
+    @pytest.mark.parametrize("verify", [False, True])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_lookup_charges_only_the_rows_it_reads(self, scheme, verify):
+        """The host part (R, or the opened table) and the sealed device's
+        open come from the distinct rows read; the enc/dec host and device
+        also open and seal the 2 x 3 result (two blocks)."""
+        sess = session(scheme, verify=verify)
+        op = EmbeddingOp(sess, self.T8)
+        before = self.online_prf(sess)
+        out = op.lookup(self.IDS, self.WS, batch=2, pf=2)
+        assert out.tolist() == [[6, 9, 12], [84, 88, 92]]
+        host, device = self.ROW_PRF[scheme]
+        assert self.online_prf(sess) == (before[0] + host + 4 * verify,
+                                         before[1] + device)
+
+    @pytest.mark.parametrize("verify", [False, True])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_lookup_of_every_row_charges_the_whole_table(self, scheme, verify):
+        """Ids that read every row charge the whole table's six blocks, no
+        more; the enc/dec result is 15 words, four blocks."""
+        full_prf = {**self.ROW_PRF, "cpu_secure": (6, 0),
+                    "pim_enc_dec": (4, 6 + 4), "pim_runtime": (6, 0)}
+        sess = session(scheme, verify=verify)
+        op = EmbeddingOp(sess, self.T8)
+        before = self.online_prf(sess)
+        ids = np.asarray([3, 0, 7, 1, 6, 2, 5, 4, 0, 7])
+        ws = np.ones(10, dtype=np.uint32)
+        out = op.lookup(ids, ws, batch=5, pf=2)
+        assert np.array_equal(out, kernels.embedding(self.T8, ids, ws, 5, 2))
+        host, device = full_prf[scheme]
+        assert self.online_prf(sess) == (before[0] + host + 4 * verify,
+                                         before[1] + device)
+
+    @pytest.mark.parametrize("scheme", ["pim_runtime", "pim_enc_dec"])
+    @pytest.mark.parametrize("position,read", [(12, False), (14, False),
+                                               (0, True), (22, True)])
+    def test_resident_hit_counts_only_on_a_read_row(self, scheme, position,
+                                                    read):
+        """A ``resident_share`` hit on row 4 (words 12..14) changes no word
+        the lookup reads, so it is benign; one on row 0 or 7 is detected."""
+        sess = session(scheme, verify=True)
+        op = EmbeddingOp(sess, self.T8)
+        sess.tamper.arm(TamperSpec("resident_share", "word_randomize", position))
+        if read:
+            with pytest.raises(VerificationError):
+                op.lookup(self.IDS, self.WS, batch=2, pf=2)
+        else:
+            out = op.lookup(self.IDS, self.WS, batch=2, pf=2)
+            assert out.tolist() == [[6, 9, 12], [84, 88, 92]]
+            assert sess.verification_events == [{"step": "emb", "ok": True}]
+        assert sess.tamper.log == [{"target": "resident_share",
+                                    "mutation": "word_randomize",
+                                    "index": position}]
+
     def test_index_leak_declared(self):
         sess = session("pim_runtime")
         op = EmbeddingOp(sess, self.T)

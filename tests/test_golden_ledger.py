@@ -26,6 +26,11 @@ total of every counter held.  They were re-recorded a fifth time, with
 ``--allow tampers``, when a ``gc_table`` spec began to mutate one 32-bit
 word of the rows the first AND stage decrypts, at its ``position``: only
 the ``gc_table`` case's tamper index moved (5 -> 1), and no phase total.
+They were re-recorded a sixth time, with ``--allow host_prf_calls --allow
+device_prf_calls``, when an embedding lookup began to regenerate and open
+only the rows its ids read: only the six ``dlrm`` cases on ``cpu_secure``,
+``pim_enc_dec`` and ``pim_runtime`` moved, each in its online PRF calls
+(host 16 -> 7 and 24 -> 15, device 20 -> 11), and no phase total rose.
 The shapes are small to keep the sweep fast; the acceptance suite covers
 the default ones.
 """

@@ -109,6 +109,9 @@ def cmd_run(args) -> int:
     else:
         data = _read_json(args.config, "config")
         objs = data if isinstance(data, list) else [data]
+        if not objs:
+            raise ConfigError(f"config {args.config!r} is an empty batch: "
+                              f"it names no scenario to run")
     scenarios = [_scenario(obj) for obj in objs]
     return max((_run_scenario(sc) for sc in scenarios), default=EXIT_OK)
 

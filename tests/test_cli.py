@@ -211,6 +211,16 @@ class TestReportSchema:
         assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
         assert json.loads(out.read_text())["scenario"]["workload"] == "conv"
 
+    def test_empty_config_batch_is_config_error(self, tmp_path, capsys):
+        """A batch that names no scenario runs nothing, so it is not a
+        success: it exits 3 and says the batch is empty."""
+        cfg_path = tmp_path / "empty.json"
+        cfg_path.write_text("[]")
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "empty batch" in err and "empty.json" in err
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
 
 class TestScenarioSchema:
     """Flags and config objects are one scenario schema: one key check and

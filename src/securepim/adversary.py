@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import ConfigError, GcEvaluationFault, VerificationError
 from .host import DEVICE_SCHEMES, SchemeConfig
-from .pimsim import MUTATIONS, TAMPER_TARGETS, TamperSpec
-from .workloads import WORKLOADS, check_scheme, merged_params, run_workload
+from .pimsim import TamperSpec
+from .workloads import check_int, merged_params, run_workload
 
 GEMV16 = {"linear": ("mlp", {"depth": 1, "dim": 16}),
           "gc_table": ("logreg", {"samples": 1, "features": 1,
@@ -33,32 +33,24 @@ class Campaign:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        """Reject bad fields and tampers that cannot fire before any trial."""
-        for key in ("trials", "seed"):
-            val = getattr(self, key)
-            if isinstance(val, bool) or not isinstance(val, int) or val < 0:
-                raise ConfigError(f"campaign {key} must be an integer >= 0, "
-                                  f"got {val!r}")
-        if not (isinstance(self.targets, (list, tuple)) and self.targets
-                and all(t in TAMPER_TARGETS for t in self.targets)):
-            raise ConfigError(f"campaign targets must be a non-empty list of "
-                              f"{TAMPER_TARGETS}, got {self.targets!r}")
-        if self.mutation not in MUTATIONS:
-            raise ConfigError(f"unknown mutation {self.mutation!r}")
-        SchemeConfig(self.scheme)  # an unknown scheme is a ConfigError
+        """Reject bad fields and tampers that cannot fire before any trial;
+        each field is checked by the type or function that takes it."""
+        check_int("campaign trials", self.trials)
+        check_int("campaign seed", self.seed)
+        if not (isinstance(self.targets, (list, tuple)) and self.targets):
+            raise ConfigError(f"campaign targets must be a non-empty list, "
+                              f"got {self.targets!r}")
+        SchemeConfig(self.scheme)
         if self.scheme not in DEVICE_SCHEMES:
             raise ConfigError(f"campaign scheme must be one of "
                               f"{sorted(DEVICE_SCHEMES)}, got {self.scheme!r}")
-        if self.workload == "gemv16":
-            if self.params:
-                raise ConfigError(f"campaign workload gemv16 takes no params, "
-                                  f"got {self.params!r}")
-        elif isinstance(self.workload, str) and self.workload in WORKLOADS:
-            merged_params(self.workload, self.params or None)
-        else:
-            raise ConfigError(f"unknown campaign workload {self.workload!r}")
+        if self.workload == "gemv16" and self.params not in (None, {}):
+            raise ConfigError(f"campaign workload gemv16 takes no params, "
+                              f"got {self.params!r}")
         for target in self.targets:
-            name = self.body(target)[0]
+            TamperSpec(target, self.mutation)
+            name, params = self.body(target)
+            merged_params(name, params, self.scheme)
             if target == "gc_table" and name != "logreg":
                 raise ConfigError(f"gc_table needs a workload that garbles "
                                   f"(logreg or gemv16), got {name!r}")
@@ -68,12 +60,11 @@ class Campaign:
                 raise ConfigError(f"sealed_precompute needs scheme "
                                   f"pim_precompute and a workload other than "
                                   f"dlrm, got {self.scheme!r} on {name!r}")
-            check_scheme(name, self.scheme)
 
     def body(self, target: str):
         """The (workload, params) that a trial on ``target`` runs."""
         if self.workload != "gemv16":
-            return self.workload, self.params or None
+            return self.workload, self.params
         return GEMV16["gc_table" if target == "gc_table" else "linear"]
 
 

@@ -45,5 +45,5 @@ class GcEvaluationFault(SecurePimError):
     session = None
 
 
-class ConfigError(SecurePimError):
+class ConfigError(SecurePimError, ValueError):
     """Invalid scenario or scheme configuration."""

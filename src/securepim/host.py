@@ -44,6 +44,8 @@ class SchemeConfig:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
+        if not isinstance(self.verify, bool):
+            raise ConfigError(f"verify must be true or false, got {self.verify!r}")
 
 
 def derive_key_hex(seed: int) -> str:

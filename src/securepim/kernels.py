@@ -4,8 +4,9 @@ Ring kernels are native uint32 ``einsum`` products: an integer einsum
 accumulates in its operands' dtype, and uint32 arithmetic wraps mod 2^32,
 which is exactly ring arithmetic, so no operand is widened.  Other integer
 inputs are cast to uint32 first, which wraps them into the ring.  Integer
-``@`` wraps alike but runs a plain loop, 2-5x slower at 384 x 384.  MAC
-kernels fold ring words into residues mod the Mersenne prime q = 2^61 - 1.
+``@`` wraps alike but runs a plain loop, 2-5x slower at 384 x 384.  Every
+scheme runs these kernels, so their ``DimensionError`` is the one operand
+shape rule.  MAC kernels fold ring words into residues mod q = 2^61 - 1.
 
 A MAC operand is the signed lift of ring words (``mac.lift``, an int32
 view), so every value v has |v| <= 2^31.  The tag of a column is a Horner
@@ -24,6 +25,8 @@ import functools
 
 import numpy as np
 
+from .errors import DimensionError
+
 MASK32 = np.uint64(0xFFFFFFFF)
 Q61 = (1 << 61) - 1
 _M61 = np.uint64(Q61)
@@ -39,16 +42,24 @@ def _words(a) -> np.ndarray:
 
 def gemv(W: np.ndarray, x: np.ndarray) -> np.ndarray:
     """y = W @ x over Z_{2^32}; W is (m, n) uint32, x is (n,) uint32."""
-    return np.einsum("ij,j->i", _words(W), _words(x))
+    W, x = _words(W), _words(x)
+    if x.ndim != 1 or W.shape[1] != x.size:   # einsum broadcasts a size of 1
+        raise DimensionError(f"gemv: {W.shape} x {x.shape}")
+    return np.einsum("ij,j->i", W, x)
 
 
 def gemv_t(W: np.ndarray, e: np.ndarray) -> np.ndarray:
     """g = W.T @ e over the ring."""
-    return np.einsum("ij,i->j", _words(W), _words(e))
+    W, e = _words(W), _words(e)
+    if e.ndim != 1 or W.shape[0] != e.size:
+        raise DimensionError(f"gemv_t: {W.shape}.T x {e.shape}")
+    return np.einsum("ij,i->j", W, e)
 
 
 def embedding(table, ids, weights, batch, pf):
     """Weighted gather-reduce: out[k] = sum_j w[k*pf+j] * table[ids[k*pf+j]]."""
+    if not np.size(ids) == np.size(weights) == batch * pf:
+        raise DimensionError("embedding: |ids| and |weights| must equal batch * pf")
     rows = _words(table)[np.reshape(ids, (batch, pf))]
     return np.einsum("kjc,kj->kc", rows, _words(weights).reshape(batch, pf))
 

@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from . import kernels
-from .errors import CapacityError, DimensionError, TaintViolation
+from .errors import CapacityError, ConfigError, DimensionError, TaintViolation
 from .yao.circuit import bits_to_words
 from .yao.garble import evaluate as gc_evaluate
 
@@ -57,9 +57,12 @@ class TamperSpec:
 
     def __post_init__(self):
         if self.target not in TAMPER_TARGETS:
-            raise ValueError(f"unknown tamper target {self.target!r}")
+            raise ConfigError(f"unknown tamper target {self.target!r}")
         if self.mutation not in MUTATIONS:
-            raise ValueError(f"unknown mutation {self.mutation!r}")
+            raise ConfigError(f"unknown mutation {self.mutation!r}")
+        if not (type(self.position) is int or self.position == "random"):
+            raise ConfigError(f"tamper position must be 'random' or an "
+                              f"integer, got {self.position!r}")
 
 
 class Tamper:
@@ -90,7 +93,7 @@ class Tamper:
         out = arr.copy()
         flat = out.reshape(-1).view(np.uint32)
         idx = (int(self._rng.integers(0, flat.size)) if spec.position == "random"
-               else int(spec.position) % flat.size)
+               else spec.position % flat.size)
         word = new = int(flat[idx])
         if spec.mutation == "bit_flip":
             new ^= 1 << int(self._rng.integers(0, 32))
@@ -102,18 +105,12 @@ class Tamper:
         return out
 
 
-@dataclass
-class _Resident:
-    data: np.ndarray
-    secret_plaintext: bool
-
-
 class PimDevice:
     def __init__(self, report: CostReport, tamper: Tamper, secure_mode: bool):
         self.report = report
         self.tamper = tamper
         self.secure_mode = secure_mode
-        self._resident = {}
+        self._resident = {}   # name -> resident words
 
     # delegates to the session's Tamper, kept for the names tracers patch
     def arm_tamper(self, spec: TamperSpec) -> None:
@@ -142,25 +139,24 @@ class PimDevice:
         """Make ``array`` resident, its rows split evenly over the DPUs."""
         array = np.ascontiguousarray(array, dtype=np.uint32)
         per_dpu = per_dpu_bytes(array.nbytes)
-        used = sum(per_dpu_bytes(r.data.nbytes) for r in self._resident.values())
+        used = sum(per_dpu_bytes(d.nbytes) for d in self._resident.values())
         if used + per_dpu > MRAM_BYTES_PER_DPU:
             raise CapacityError(f"{name}: {per_dpu} B/DPU over budget")
-        data = self._h2d(array, secret_plaintext)
-        self._resident[name] = _Resident(data.copy(), secret_plaintext)
+        self._resident[name] = self._h2d(array, secret_plaintext).copy()
         return name
 
     def store(self, name: str, array: np.ndarray) -> None:
-        """Overwrite resident words in place (layer-to-layer refresh)."""
-        r = self._resident[name]
-        if r.data.shape != array.shape:
+        """Overwrite resident words in place (layer-to-layer refresh); secret
+        plaintext is resident only on a device whose channel takes it."""
+        if self._resident[name].shape != array.shape:
             raise DimensionError("store shape mismatch")
-        r.data = self._h2d(np.ascontiguousarray(array, dtype=np.uint32),
-                           r.secret_plaintext)
+        self._resident[name] = self._h2d(
+            np.ascontiguousarray(array, dtype=np.uint32), False)
 
     def _access(self, name: str) -> np.ndarray:
-        r = self._resident[name]
-        r.data = self.tamper.hit("resident_share", r.data)
-        return r.data
+        self._resident[name] = self.tamper.hit("resident_share",
+                                               self._resident[name])
+        return self._resident[name]
 
     # -- kernels ------------------------------------------------------------
 
@@ -171,8 +167,6 @@ class PimDevice:
 
     def _gemv(self, X, vec, transpose=False):
         """X @ vec (X.T @ vec if ``transpose``) over device-side operands."""
-        if X.shape[0 if transpose else 1] != vec.size:
-            raise DimensionError(f"gemv: {X.shape} x {vec.shape}")
         self.report.device_mac_ops += X.size
         return kernels.gemv_t(X, vec) if transpose else kernels.gemv(X, vec)
 
@@ -181,8 +175,6 @@ class PimDevice:
         distinct rows it reads, which ``open_rows(words, rows=rows)`` opens."""
         ids = np.ascontiguousarray(ids, dtype=np.uint32)
         weights = np.ascontiguousarray(weights, dtype=np.uint32)
-        if ids.size != batch * pf or weights.size != ids.size:
-            raise DimensionError("embedding: |ids| must equal batch * PF")
         # the ids travel in clear, and whatever arrives indexes some row
         ids = self._h2d(ids, False) % table.shape[0]
         weights = self._h2d(weights, False)

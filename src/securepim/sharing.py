@@ -20,7 +20,7 @@ def host_share(ctx: OtpContext, shape, ks: KeyStore, on_prf=None,
     (ascending, distinct) of a 2-D one."""
     if rows is not None:
         return ks.otp_rows(ctx, rows, shape[1], on_prf=on_prf)
-    size = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    size = int(np.prod(shape, dtype=np.int64))
     return ks.otp_words(ctx, size, on_prf=on_prf).reshape(shape)
 
 

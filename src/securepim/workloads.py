@@ -45,7 +45,7 @@ def _raw(rng, lo, hi, shape):
                         dtype=np.int32).view(np.uint32)
 
 
-def run_mlp(cfg: SchemeConfig, sess: Session, rng, p):
+def run_mlp(sess: Session, rng, p):
     depth, dim = p["depth"], p["dim"]
     # growth factor dim * |w|max <= 1/2 keeps activations and raw sums bounded
     weights = [_raw(rng, -1 / 32, 1 / 32, (dim, dim)) for _ in range(depth)]
@@ -58,7 +58,7 @@ def run_mlp(cfg: SchemeConfig, sess: Session, rng, p):
     return x
 
 
-def run_dlrm(cfg: SchemeConfig, sess: Session, rng, p):
+def run_dlrm(sess: Session, rng, p):
     outs = []
     for t in range(p["tables"]):
         table = _raw(rng, -1, 1, (p["rows"], p["cols"]))
@@ -69,7 +69,7 @@ def run_dlrm(cfg: SchemeConfig, sess: Session, rng, p):
     return np.concatenate([o.ravel() for o in outs])
 
 
-def _regression(cfg: SchemeConfig, sess: Session, rng, p, logistic: bool):
+def _regression(sess: Session, rng, p, logistic: bool):
     n, d = p["samples"], p["features"]
     if logistic:
         # each feature plants its row's label, +1/8 or -1/8, under noise in
@@ -85,15 +85,15 @@ def _regression(cfg: SchemeConfig, sess: Session, rng, p, logistic: bool):
     lr_raw = ring.fx_encode_nearest(p["lr"])
     op = PrivateMatrixOp(sess, X, step="iter")
     w = np.zeros(d, dtype=np.uint32)
+    a2y = sess.cfg.variant == "A2Y" and sess.cfg.scheme in DEVICE_SCHEMES
     for _ in range(p["iterations"]):
         pred = ring.trunc_array(op.matvec(w))
-        if logistic:
-            if cfg.variant == "A2Y" and cfg.scheme in DEVICE_SCHEMES:
-                a = sess.a2y_activation(pred)
-            else:
-                a = ring.clamp_unit_array(pred)
-        else:
+        if not logistic:
             a = pred
+        elif a2y:
+            a = sess.a2y_activation(pred)
+        else:
+            a = ring.clamp_unit_array(pred)
         e = a - y  # reconstructed on the host, then revealed to the device
         sess.record_leak("regression_error_vector_revealed")
         g = ring.trunc_array(op.matvec_t(e))
@@ -101,7 +101,7 @@ def _regression(cfg: SchemeConfig, sess: Session, rng, p, logistic: bool):
     return w
 
 
-def run_gemm(cfg: SchemeConfig, sess: Session, rng, p):
+def run_gemm(sess: Session, rng, p):
     """GEMM of a private A with a public B, one GEMV per column of B."""
     n = p["n"]
     A = _raw(rng, -1, 1, (n, n))
@@ -120,7 +120,7 @@ def unroll_conv_input(img: np.ndarray, k: int, stride: int) -> np.ndarray:
     return windows[::stride, ::stride].reshape(-1, k * k)
 
 
-def run_conv(cfg: SchemeConfig, sess: Session, rng, p):
+def run_conv(sess: Session, rng, p):
     """Convolution lowered to a GEMV over the unrolled (private) input."""
     img = _raw(rng, -1, 1, (p["size"], p["size"]))
     kern = _raw(rng, -1, 1, (p["kernel"], p["kernel"]))
@@ -159,8 +159,11 @@ TRAINING_WORKLOADS = frozenset({"linreg", "logreg"})
 MAY_BE_ZERO = frozenset({"depth", "iterations"})
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+def check_int(what: str, val, least: int = 0) -> None:
+    """The integer rule of every scenario field: not a bool, >= ``least``."""
+    if isinstance(val, bool) or not (isinstance(val, numbers.Integral)
+                                     and val >= least):
+        raise ConfigError(f"{what} must be an integer >= {least}, got {val!r}")
 
 
 def _encodable(v) -> bool:
@@ -191,9 +194,12 @@ def _check_budget(name: str, p: dict) -> None:
                           f"{pimsim.MRAM_BYTES_PER_DPU} B device budget")
 
 
-def merged_params(name: str, params) -> dict:
-    """The workload's defaults overridden by ``params``, checked and bounded
-    by the device budget."""
+def merged_params(name: str, params, scheme: str) -> dict:
+    """The workload's defaults overridden by ``params``, after the one check
+    of its name, params, device budget and ``scheme``: pim_precompute needs
+    static public operands, so it refuses training."""
+    if not isinstance(name, str) or name not in WORKLOADS:
+        raise ConfigError(f"unknown workload {name!r}")
     defaults = WORKLOADS[name][1]
     params = {} if params is None else params
     if not isinstance(params, dict) or not set(params) <= set(defaults):
@@ -201,47 +207,37 @@ def merged_params(name: str, params) -> dict:
                           f"{sorted(defaults)}, got {params!r}")
     p = {**defaults, **params}
     for key, val in p.items():
-        if key == "lr":
-            ok, want = _encodable(val), "a number Q12 can encode"
-        else:
-            least = 0 if key in MAY_BE_ZERO else 1
-            ok, want = _is_int(val) and val >= least, f"an integer >= {least}"
-        if not ok:
-            raise ConfigError(f"{name} {key} must be {want}, got {val!r}")
+        if key != "lr":
+            check_int(f"{name} {key}", val, 0 if key in MAY_BE_ZERO else 1)
+        elif not _encodable(val):
+            raise ConfigError(f"{name} lr must be a number Q12 can encode, "
+                              f"got {val!r}")
     if name == "conv" and p["kernel"] > p["size"]:
         raise ConfigError("conv kernel must not exceed size")
     _check_budget(name, p)
-    return p
-
-
-def check_scheme(name: str, scheme: str) -> None:
-    """pim_precompute needs static public operands, so it refuses training."""
     if name in TRAINING_WORKLOADS and scheme == "pim_precompute":
         raise ConfigError(
             "pim_precompute requires static public operands; "
             f"rejected for training workload {name!r}")
+    return p
 
 
 def run_workload(name: str, cfg: SchemeConfig, seed: int, params=None,
                  tamper=None):
     """The one setup path: check the input, merge the workload's defaults with
     ``params``, seed the input generator, build the session, arm ``tamper`` on
-    its ``Tamper`` and run the body ``(cfg, sess, rng, p) -> words``; returns
+    its ``Tamper`` and run the body ``(sess, rng, p) -> words``; returns
     (words, sess).  A check that aborts the body re-raises with ``session``
     set to ``sess``.  Malformed input, and a ``tamper`` that the body returned
     without firing, raise ConfigError."""
-    if not isinstance(name, str) or name not in WORKLOADS:
-        raise ConfigError(f"unknown workload {name!r}")
-    if not (_is_int(seed) and seed >= 0):
-        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
-    p = merged_params(name, params)
-    check_scheme(name, cfg.scheme)
+    check_int("seed", seed)
+    p = merged_params(name, params, cfg.scheme)
     rng = np.random.default_rng(seed)
     sess = Session(cfg, seed)
     if tamper is not None:
         sess.tamper.arm(tamper)
     try:
-        words = WORKLOADS[name][0](cfg, sess, rng, p)
+        words = WORKLOADS[name][0](sess, rng, p)
     except (VerificationError, GcEvaluationFault) as exc:
         exc.session = sess
         raise

@@ -97,6 +97,11 @@ class TestExitCodes:
                       "workload": "mlp", "params": {"depth": 0}}},
         {"campaign": {"trials": 1, "targets": ["gc_table"],
                       "workload": "logreg", "params": {"iterations": 0}}},
+        # a falsy non-object is not an empty params object
+        {"campaign": {"trials": 1, "targets": ["device_result"],
+                      "workload": "mlp", "params": []}},
+        {"campaign": {"trials": 1, "targets": ["device_result"],
+                      "params": 0}},
         # falsy values are not absent: only a missing or null field is
         {"campaign": {}},
         {"campaign": []},
@@ -386,3 +391,16 @@ class TestParseTamper:
     def test_bad_target(self):
         with pytest.raises(ConfigError):
             parse_tamper("bogus")
+
+    @pytest.mark.parametrize("text", ["device_result:bit_flip:x",
+                                      "device_result::1.5",
+                                      "device_result:bit_flip:"])
+    def test_bad_position_is_named(self, text):
+        with pytest.raises(ConfigError, match="tamper position"):
+            parse_tamper(text)
+
+    @pytest.mark.parametrize("text, position", [
+        ("device_result:bit_flip:-2", -2), ("device_result::random", "random"),
+        ("device_result:bit_flip", "random")])
+    def test_position_literal(self, text, position):
+        assert parse_tamper(text).position == position

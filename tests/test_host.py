@@ -15,6 +15,7 @@ from securepim.crypto import STREAM_GC, OtpContext
 from securepim.errors import (
     CapacityError,
     ConfigError,
+    DimensionError,
     GcEvaluationFault,
     VerificationError,
 )
@@ -48,6 +49,12 @@ class TestSchemeConfig:
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):
             SchemeConfig("pim_runtime", variant="B")
+
+    @pytest.mark.parametrize("verify", ["yes", "no", 1, None], ids=repr)
+    def test_verify_must_be_a_bool(self, verify):
+        """A truthy non-bool is not read as a request to verify."""
+        with pytest.raises(ConfigError, match="verify"):
+            SchemeConfig("pim_runtime", verify=verify)
 
 
 class TestPublicMatrixOp:
@@ -638,6 +645,41 @@ class TestPhases:
         with pytest.raises(CapacityError):
             PrivateMatrixOp(sess, self.M)
         assert sess.ledger is sess.online
+
+
+class TestOperandShapes:
+    """One operand-shape rule on every scheme: the ring kernels raise
+    DimensionError, where numpy would broadcast a size-1 vector or raise
+    its own ValueError."""
+
+    X = np.arange(6, dtype=np.uint32).reshape(3, 2)
+    CALLS = {
+        "apply": lambda s, X, v: PublicMatrixOp(s, X).apply(v),
+        "matvec": lambda s, X, v: PrivateMatrixOp(s, X).matvec(v),
+        "matvec_t": lambda s, X, v: PrivateMatrixOp(s, X).matvec_t(v),
+    }
+
+    @pytest.mark.parametrize("verify", [False, True])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("call, shape", [
+        ("apply", (1,)), ("apply", (3,)), ("apply", (2, 1)),
+        ("matvec", (1,)), ("matvec", (3,)), ("matvec", (1, 2)),
+        ("matvec_t", (1,)), ("matvec_t", (2,)), ("matvec_t", (3, 1))])
+    def test_wrong_shape_vector(self, call, shape, scheme, verify):
+        sess = session(scheme, verify=verify)
+        with pytest.raises(DimensionError):
+            self.CALLS[call](sess, self.X, np.ones(shape, dtype=np.uint32))
+
+    @pytest.mark.parametrize("verify", [False, True])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("n_ids, n_weights", [(3, 3), (1, 1), (2, 3),
+                                                  (2, 1)])
+    def test_size_mismatched_lookup(self, n_ids, n_weights, scheme, verify):
+        """batch * pf = 2 ids and weights are wanted."""
+        op = EmbeddingOp(session(scheme, verify=verify), self.X)
+        with pytest.raises(DimensionError):
+            op.lookup(np.zeros(n_ids, dtype=np.int64),
+                      np.ones(n_weights, dtype=np.uint32), batch=1, pf=2)
 
 
 class TestLedgers:

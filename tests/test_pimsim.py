@@ -70,10 +70,11 @@ class TestLoadAccounting:
         the workload check and the device load both accept it, and both
         reject one more row."""
         monkeypatch.setattr(pimsim, "MRAM_BYTES_PER_DPU", 64)
-        merged_params("linreg", {"samples": 16, "features": 4})
+        merged_params("linreg", {"samples": 16, "features": 4}, "pim_runtime")
         fresh_device().load("X", np.zeros((16, 4), dtype=np.uint32))
         with pytest.raises(ConfigError, match="device budget"):
-            merged_params("linreg", {"samples": 17, "features": 4})
+            merged_params("linreg", {"samples": 17, "features": 4},
+                          "pim_runtime")
         with pytest.raises(CapacityError):
             fresh_device().load("X", np.zeros((17, 4), dtype=np.uint32))
 
@@ -206,6 +207,21 @@ class TestTamper:
             TamperSpec("nonsense")
         with pytest.raises(ValueError):
             TamperSpec("device_result", mutation="scramble")
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"target": "nonsense"}, "target"),
+        ({"mutation": "scramble"}, "mutation"),
+        ({"position": "x"}, "position"),
+        ({"position": ""}, "position"),
+        ({"position": 1.5}, "position"),
+        ({"position": True}, "position"),
+        ({"position": None}, "position"),
+    ], ids=repr)
+    def test_bad_spec_is_config_error_at_construction(self, kwargs, field):
+        """Each field is checked when the spec is built, not when it fires,
+        and the error names the field."""
+        with pytest.raises(ConfigError, match=field):
+            TamperSpec(**{"target": "device_result", **kwargs})
 
 
 class TestTamperPoint:
@@ -367,7 +383,7 @@ class TestCostDeterminism:
 
 def _scenarios():
     """Every verified default device scenario: each workload x device
-    scheme that ``check_scheme`` allows, and A2Y ``logreg`` likewise."""
+    scheme that ``merged_params`` allows, and A2Y ``logreg`` likewise."""
     allowed = [(w, s) for w in sorted(WORKLOADS) for s in sorted(DEVICE_SCHEMES)
                if not (w in TRAINING_WORKLOADS and s == "pim_precompute")]
     return ([(w, s, "A") for w, s in allowed]

@@ -299,6 +299,6 @@ class TestPhases:
         """Every default device scenario loads its placed matrices in the
         offline phase: offline bytes_h2d is their size, nothing else."""
         _, sess = run_workload(name, SchemeConfig(scheme, verify=verify), 0)
-        matrices = WORKLOADS[name][2](merged_params(name, None))[0]
+        matrices = WORKLOADS[name][2](merged_params(name, None, scheme))[0]
         assert sess.offline.bytes_h2d == 4 * sum(n * w for n, w in matrices)
         assert sess.offline.bytes_h2d > 0

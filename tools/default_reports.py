@@ -1,12 +1,14 @@
 """Write the report of every default CLI scenario, to diff two commits.
 
-Runs 87 scenarios through ``securepim.cli.main`` at one seed (default 0):
-every workload x scheme with and without ``--verify`` (72), A2Y ``logreg``
-on ``pim_runtime`` and ``pim_enc_dec`` (2), the four linear tamper targets
-on ``mlp``/``pim_runtime``, ``dlrm``/``pim_precompute`` and
-``linreg``/``pim_enc_dec`` (12), and one ``gc_table`` tamper on A2Y
-``logreg`` (1).  Each report goes to ``OUT_DIR/<scenario>.json``, and the
-exit code and stderr of every scenario to ``OUT_DIR/exit_codes.txt``.
+Runs 92 scenarios through ``securepim.cli.main`` at one seed (default 0):
+every workload x scheme with and without ``--verify`` (72, among them the
+refused training runs on ``pim_precompute``), A2Y ``logreg`` on
+``pim_runtime`` and ``pim_enc_dec`` (2), the four linear tamper targets on
+``mlp``/``pim_runtime``, ``dlrm``/``pim_precompute`` and
+``linreg``/``pim_enc_dec`` (12), one ``gc_table`` tamper on A2Y ``logreg``
+(1), and five malformed inputs that must exit 3 (5).  Each report goes to
+``OUT_DIR/<scenario>.json``, and the exit code and stderr of every scenario
+to ``OUT_DIR/exit_codes.txt``; a rejected scenario writes no report.
 
     PYTHONPATH=src python tools/default_reports.py OUT_DIR [--seed N]
 """
@@ -25,6 +27,12 @@ LINEAR_TARGETS = ("resident_share", "channel_h2d", "channel_d2h",
                   "device_result")
 TAMPERED = (("mlp", "pim_runtime"), ("dlrm", "pim_precompute"),
             ("linreg", "pim_enc_dec"))
+# each flag is rejected by the type or function that takes it
+REJECTED = (("tamper-bogus", ["--tamper", "bogus"]),
+            ("tamper-scramble", ["--tamper", "device_result:scramble"]),
+            ("tamper-position-x", ["--tamper", "device_result:bit_flip:x"]),
+            ("scheme-warp", ["--scheme", "warp"]),
+            ("seed-minus-1", ["--seed", "-1"]))
 
 
 def scenarios():
@@ -45,6 +53,10 @@ def scenarios():
     yield ("logreg-pim_runtime-A2Y-tamper-gc_table",
            ["--workload", "logreg", "--scheme", "pim_runtime", "--variant",
             "A2Y", "--verify", "--tamper", "gc_table"])
+    for name, flags in REJECTED:
+        yield (f"mlp-pim_runtime-reject-{name}",
+               ["--workload", "mlp", "--scheme", "pim_runtime", "--verify",
+                *flags])
 
 
 def main(argv=None) -> int:
@@ -57,7 +69,8 @@ def main(argv=None) -> int:
     for name, flags in scenarios():
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = cli.main(["run", *flags, "--seed", str(args.seed),
+            # a scenario's own --seed comes later, so it wins
+            code = cli.main(["run", "--seed", str(args.seed), *flags,
                              "--out", str(args.out_dir / f"{name}.json")])
         lines.append(f"{name} {code} {err.getvalue()!r}\n")
     (args.out_dir / "exit_codes.txt").write_text("".join(lines))

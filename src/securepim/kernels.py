@@ -43,7 +43,7 @@ def _words(a) -> np.ndarray:
 def gemv(W: np.ndarray, x: np.ndarray) -> np.ndarray:
     """y = W @ x over Z_{2^32}; W is (m, n) uint32, x is (n,) uint32."""
     W, x = _words(W), _words(x)
-    if x.ndim != 1 or W.shape[1] != x.size:   # einsum broadcasts a size of 1
+    if x.ndim != 1 or W.shape[1] != x.size:   # einsum would broadcast size 1
         raise DimensionError(f"gemv: {W.shape} x {x.shape}")
     return np.einsum("ij,j->i", W, x)
 

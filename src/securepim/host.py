@@ -133,10 +133,8 @@ class Session:
 
     def open_tag_store(self, store) -> mac.TagVector:
         ctx, sealed = store
-        hit = self.tamper.hit("sealed_tags", sealed)
-        if hit is not sealed:   # a fired tamper persists, as on the device
-            sealed[...] = hit
-        return mac.open_tags(sealed, ctx, self.ks, on_prf=self._prf)
+        return mac.open_tags(self.tamper.hit("sealed_tags", sealed), ctx,
+                             self.ks, on_prf=self._prf)
 
     # -- nonlinear offload --------------------------------------------------
 
@@ -331,20 +329,19 @@ class PrivateMatrixOp(_PrivateOperand):
     def __init__(self, session: Session, X: np.ndarray, step: str = "mat",
                  vectors=None):
         self.sess = session
-        self.X = np.ascontiguousarray(X, dtype=np.uint32)
+        X = np.ascontiguousarray(X, dtype=np.uint32)
         self.step = step
         self.static = vectors is not None
-        s = session
-        self.col_tag_store = s.tag_store(self.X)
-        self.row_tag_store = None if self.static else s.tag_store(self.X.T)
-        self._place(self.X, "X", vectors)
+        self.col_tag_store = session.tag_store(X)
+        self.row_tag_store = None if self.static else session.tag_store(X.T)
+        self._place(X, "X", vectors)
 
     def _product(self, vec, store, step: str, *kernel_fns) -> np.ndarray:
         """The product of X with ``vec`` by ``kernel_fns`` (host, device and
         sealed), merged with the next use's resCPU if precomputed, and
         verified against ``store``."""
         vec = np.ascontiguousarray(vec, dtype=np.uint32)
-        y = self._merge(*kernel_fns, (vec,), self.X.size,
+        y = self._merge(*kernel_fns, (vec,), self.shape[0] * self.shape[1],
                         self._next_use(vec)[1])
         self.sess.verify_gemv(f"{self.step}:{step}", store, vec, y)
         return y
@@ -381,16 +378,16 @@ class EmbeddingOp(_PrivateOperand):
     @_offline
     def __init__(self, session: Session, table: np.ndarray, step: str = "emb"):
         self.sess = session
-        self.table = np.ascontiguousarray(table, dtype=np.uint32)
+        table = np.ascontiguousarray(table, dtype=np.uint32)
         self.step = step
-        self.row_tag_store = session.tag_store(self.table.T)
-        self._place(self.table, "T")
+        self.row_tag_store = session.tag_store(table.T)
+        self._place(table, "T")
 
     def lookup(self, ids, weights, batch: int, pf: int) -> np.ndarray:
         s = self.sess
         ids = np.ascontiguousarray(ids, dtype=np.int64)
         weights = np.ascontiguousarray(weights, dtype=np.uint32)
-        rows = self.table.shape[0]
+        rows, cols = self.shape
         if ids.size and (ids.min() < 0 or ids.max() >= rows):
             raise ConfigError(f"embedding ids must lie in [0, {rows})")
         s.record_leak("dlrm_indices_in_clear")
@@ -398,16 +395,14 @@ class EmbeddingOp(_PrivateOperand):
         out = self._merge(
             lambda part, _ids, *rest: kernels.embedding(part, inv, *rest),
             s.device.embedding, s.device.embedding_enc,
-            (ids, weights, batch, pf), ids.size * self.table.shape[1],
-            rows=read)
+            (ids, weights, batch, pf), ids.size * cols, rows=read)
         s.verify_gemv(self.step, self.row_tag_store, weights, out,
                       functools.partial(self._bag_tags, ids, batch, pf))
         return out
 
     def _bag_tags(self, ids, batch: int, pf: int, tags) -> mac.TagVector:
         """Each id's row tag times s^(cols * (batch - 1 - b)), b its bag."""
-        s_cols, pw = pow(self.sess.s, self.table.shape[1], mac.Q), [1] * batch
-        for b in range(batch - 2, -1, -1):
-            pw[b] = pw[b + 1] * s_cols % mac.Q
-        pw = np.repeat(np.asarray(pw, dtype=np.uint64), pf)
+        cols = self.shape[1]
+        pw = np.append(kernels.powers(self.sess.s, cols * batch), np.uint64(1))
+        pw = np.repeat(pw[cols * np.arange(1, batch + 1)], pf)
         return mac.TagVector(kernels.mulmod61(tags.residues[ids], pw))

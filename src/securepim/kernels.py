@@ -157,20 +157,26 @@ class _PowerCache:
     def __init__(self):
         self.s, self.desc, self.limbs = None, None, {}
 
-    def powers_limbs(self, s: int, m: int):
-        """``w, _limbs([s^m, ..., s^1], w)`` with ``w = _width(m)``."""
-        w = _width(m)
+    def powers(self, s: int, m: int) -> np.ndarray:
+        """The cached ``[s^m, ..., s^1]`` mod q (uint64), a view: read only."""
         if s != self.s or self.desc.size < m:
             desc = self.desc if s == self.s else np.array([s], dtype=np.uint64)
             while desc.size < m:  # [s^2k .. s^(k+1)] = [s^k .. s^1] * s^k
                 desc = np.concatenate((mulmod61(desc, desc[0]), desc))
             self.s, self.desc, self.limbs = s, desc, {}
+        return self.desc[self.desc.size - m:]
+
+    def powers_limbs(self, s: int, m: int):
+        """``w, _limbs([s^m, ..., s^1], w)`` with ``w = _width(m)``."""
+        w = _width(m)
+        self.powers(s, m)
         if w not in self.limbs:
             self.limbs[w] = _limbs(self.desc, w)
         return w, self.limbs[w][:, self.desc.size - m:]
 
 
 _POWERS = _PowerCache()
+powers = _POWERS.powers
 
 
 def tag_columns(m_lifted: np.ndarray, s: int) -> np.ndarray:

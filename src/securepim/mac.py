@@ -22,7 +22,7 @@ from . import kernels, ring
 from .crypto import KeyStore, OtpContext
 from .errors import DimensionError
 
-Q = (1 << 61) - 1  # Mersenne prime: fast reduction, miss probability m/q
+Q = kernels.Q61  # Mersenne prime: fast reduction, miss probability m/q
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,9 @@ a host-device channel, and deterministic cost counters.
 Kernels run over whichever words are resident (ciphertext shares in secure
 schemes, plaintext in the baselines); partitioning across DPUs never changes
 the math, only the byte accounting.  Every untrusted surface consults the
-session's one ``Tamper``: a spec mutates one 32-bit word at its target on
-the next matching access or transfer.  Every byte charged to the channel
-crosses it through ``_h2d`` or ``_d2h``.
+session's one ``Tamper``: a spec mutates one 32-bit word at its target, in
+place at rest (``AT_REST``, so later reads see it) and in a copy in transit.
+Every byte charged to the channel crosses it through ``_h2d`` or ``_d2h``.
 """
 
 from dataclasses import dataclass, replace
@@ -24,6 +24,7 @@ from .yao.garble import evaluate as gc_evaluate
 DEVICE_TARGETS = ("resident_share", "channel_h2d", "channel_d2h",
                   "device_result", "gc_table")
 TAMPER_TARGETS = DEVICE_TARGETS + ("sealed_tags", "sealed_precompute")
+AT_REST = frozenset({"resident_share", "sealed_tags", "sealed_precompute"})
 MUTATIONS = ("bit_flip", "word_randomize")
 
 
@@ -84,13 +85,13 @@ class Tamper:
         return None
 
     def hit(self, target: str, arr: np.ndarray) -> np.ndarray:
-        """``arr`` itself, or a copy with one 32-bit word mutated by a
-        ``target`` spec; a uint64 array counts as twice as many uint32
-        words.  An empty ``arr`` leaves the spec armed."""
+        """``arr`` with one 32-bit word mutated by a ``target`` spec, in place
+        if at rest (C-contiguous ``AT_REST`` words), else in a copy; uint64
+        counts as two uint32 words.  An empty ``arr`` leaves the spec armed."""
         spec = self._take(target) if arr.size else None
         if spec is None:
             return arr
-        out = arr.copy()
+        out = arr if target in AT_REST else arr.copy()
         flat = out.reshape(-1).view(np.uint32)
         idx = (int(self._rng.integers(0, flat.size)) if spec.position == "random"
                else spec.position % flat.size)
@@ -151,12 +152,10 @@ class PimDevice:
         if self._resident[name].shape != array.shape:
             raise DimensionError("store shape mismatch")
         self._resident[name] = self._h2d(
-            np.ascontiguousarray(array, dtype=np.uint32), False)
+            np.ascontiguousarray(array, dtype=np.uint32), False).copy()
 
     def _access(self, name: str) -> np.ndarray:
-        self._resident[name] = self.tamper.hit("resident_share",
-                                               self._resident[name])
-        return self._resident[name]
+        return self.tamper.hit("resident_share", self._resident[name])
 
     # -- kernels ------------------------------------------------------------
 

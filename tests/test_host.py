@@ -425,10 +425,10 @@ class TestEmbeddingOp:
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("batch,pf,rows,cols", [
         (1, 3, 4, 3), (3, 1, 4, 3), (3, 2, 1, 3), (3, 2, 4, 1), (1, 1, 1, 1),
-        (0, 2, 4, 3)])
+        (0, 2, 4, 3), (2, 2, 4, 0)])
     def test_honest_lookup_edges_verify(self, scheme, batch, pf, rows, cols):
-        """A bag, an id per bag, a row or a column of one, and an empty
-        lookup (batch 0) all pass the check."""
+        """A bag, an id per bag, a row or a column of one, an empty lookup
+        (batch 0) and a table of no columns all pass the check."""
         rng = np.random.default_rng(batch * 1000 + pf * 100 + rows * 10 + cols)
         table = ring.from_signed_array(rng.integers(-4000, 4000, (rows, cols)))
         ids = rng.integers(0, rows, batch * pf)

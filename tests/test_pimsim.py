@@ -248,7 +248,7 @@ class TestTamperPoint:
         assert [(e["mutation"], e["index"]) for e in t.log] == [
             ("word_randomize", 5), ("bit_flip", 3)]
         assert t.hit("channel_d2h", self.WORDS) is self.WORDS
-        assert t.hit("resident_share", self.WORDS)[0] != self.WORDS[0]
+        assert t.hit("resident_share", self.WORDS.copy())[0] != self.WORDS[0]
 
     def test_unarmed_hit_returns_the_same_object(self):
         t = Tamper()
@@ -296,8 +296,37 @@ class TestTamperPoint:
                       np.empty((3, 0, 4), dtype=np.uint64)):
             assert t.hit(target, empty) is empty
         assert t.log == []
-        assert t.hit(target, self.WORDS) is not self.WORDS
+        assert (t.hit(target, self.WORDS.copy()) != self.WORDS).sum() == 1
         assert [e["target"] for e in t.log] == [target]
+
+    @pytest.mark.parametrize("target", TAMPER_TARGETS)
+    def test_hit_persists_at_rest_and_copies_in_transit(self, target):
+        """A hit on stored words mutates them in place, so every later read
+        sees it; a hit in transit mutates a copy and leaves its input."""
+        at_rest = {"resident_share", "sealed_tags", "sealed_precompute"}
+        assert pimsim.AT_REST == at_rest
+        words = self.WORDS.copy()
+        t = Tamper()
+        t.arm(TamperSpec(target))
+        hit = t.hit(target, words)
+        assert (hit != self.WORDS).sum() == 1
+        if target in at_rest:
+            assert hit is words
+        else:
+            assert hit is not words and np.array_equal(words, self.WORDS)
+
+    def test_resident_hit_after_store_leaves_the_callers_words(self):
+        """``store`` keeps its own copy, so a resident hit mutates the
+        device's words, never the caller's array."""
+        dev = fresh_device()
+        dev.load("W", np.zeros((2, 4), dtype=np.uint32))
+        words = self.WORDS.reshape(2, 4).copy()
+        dev.store("W", words)
+        dev.arm_tamper(TamperSpec("resident_share"))
+        y = dev.gemv("W", np.ones(4, dtype=np.uint32))
+        assert np.array_equal(words, self.WORDS.reshape(2, 4))
+        assert not np.array_equal(y, words.sum(axis=1, dtype=np.uint32))
+        assert np.array_equal(dev.gemv("W", np.ones(4, dtype=np.uint32)), y)
 
     @pytest.mark.parametrize("mutation", MUTATIONS)
     @pytest.mark.parametrize("position", [1, 13, 29])

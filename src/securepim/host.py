@@ -241,14 +241,16 @@ class _PrivateOperand:
         return part
 
     def _merge(self, host_fn, device_fn, sealed_fn, args: tuple, cost: int,
-               res_sealed=None, rows=None) -> np.ndarray:
+               res_sealed=None, rows=None, partials=False) -> np.ndarray:
         """Merge one linear kernel of the held operand M with public
         ``args``: host only (``host_fn(M, *args)``, ``cost`` host MACs),
         device only (``device_fn(held, *args)``), sealed device
         (``sealed_fn(held, *args, ks, ctx, ctx_out)``), or the device share
         plus the runtime R-kernel or the opened ``res_sealed`` resCPU.
         With ``rows``, ``host_fn`` reads only those rows of M, and gets
-        the host part of them alone, in their order (``_host_part``)."""
+        the host part of them alone, in their order (``_host_part``).
+        With ``partials``, the device returns one partial result per DPU,
+        summed here mod 2^32 (once opened) before anything is added."""
         s = self.sess
         scheme = s.cfg.scheme
         if scheme not in DEVICE_SCHEMES:
@@ -257,8 +259,11 @@ class _PrivateOperand:
         if scheme in SEALED_SCHEMES:
             ctx_out = s.alloc_ctx()
             y = sealed_fn(self._held, *args, s.ks, self.ctx, ctx_out)
-            return s.ks.open(ctx_out, y, on_prf=s._prf)
-        res_pim = device_fn(self._held, *args)
+            res_pim = s.ks.open(ctx_out, y, on_prf=s._prf)
+        else:
+            res_pim = device_fn(self._held, *args)
+        if partials:
+            res_pim = res_pim.sum(axis=0, dtype=np.uint32)
         if scheme not in SHARE_SCHEMES:
             return res_pim
         if res_sealed is not None:
@@ -336,13 +341,15 @@ class PrivateMatrixOp(_PrivateOperand):
         self.row_tag_store = None if self.static else session.tag_store(X.T)
         self._place(X, "X", vectors)
 
-    def _product(self, vec, store, step: str, *kernel_fns) -> np.ndarray:
+    def _product(self, vec, store, step: str, *kernel_fns,
+                 partials=False) -> np.ndarray:
         """The product of X with ``vec`` by ``kernel_fns`` (host, device and
-        sealed), merged with the next use's resCPU if precomputed, and
-        verified against ``store``."""
+        sealed; the device ones return per-DPU ``partials`` if set), merged
+        with the next use's resCPU if precomputed, and verified against
+        ``store``."""
         vec = np.ascontiguousarray(vec, dtype=np.uint32)
         y = self._merge(*kernel_fns, (vec,), self.shape[0] * self.shape[1],
-                        self._next_use(vec)[1])
+                        self._next_use(vec)[1], partials=partials)
         self.sess.verify_gemv(f"{self.step}:{step}", store, vec, y)
         return y
 
@@ -353,14 +360,16 @@ class PrivateMatrixOp(_PrivateOperand):
                              dev.matvec_rows, dev.matvec_enc)
 
     def matvec_t(self, e: np.ndarray) -> np.ndarray:
-        """X.T @ e, merged; verified against the row tags."""
+        """X.T @ e, merged from the device's per-DPU partials; verified
+        against the row tags."""
         if self.static:
             raise ConfigError("matvec_t needs an op built without static "
                               "vectors, which has the row tags")
         dev = self.sess.device
         return self._product(e, self.row_tag_store, "grad", kernels.gemv_t,
                              dev.matvec_cols,
-                             functools.partial(dev.matvec_enc, transpose=True))
+                             functools.partial(dev.matvec_enc, transpose=True),
+                             partials=True)
 
 
 class EmbeddingOp(_PrivateOperand):

@@ -48,12 +48,20 @@ def gemv(W: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("ij,j->i", W, x)
 
 
-def gemv_t(W: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """g = W.T @ e over the ring."""
+def gemv_t(W: np.ndarray, e: np.ndarray, rows: int = None) -> np.ndarray:
+    """g = W.T @ e over the ring.  With ``rows`` (at least 1), the partial
+    W_b.T @ e_b of each block b of ``rows`` consecutive rows instead (the
+    last may be shorter), as a (blocks, n) array whose rows sum to g."""
     W, e = _words(W), _words(e)
     if e.ndim != 1 or W.shape[0] != e.size:
         raise DimensionError(f"gemv_t: {W.shape}.T x {e.shape}")
-    return np.einsum("ij,i->j", W, e)
+    if rows is None:
+        return np.einsum("ij,i->j", W, e)
+    m, n = W.shape
+    if m % rows:
+        return np.stack([np.einsum("ij,i->j", W[i:i + rows], e[i:i + rows])
+                         for i in range(0, m, rows)])
+    return np.einsum("bij,bi->bj", W.reshape(-1, rows, n), e.reshape(-1, rows))
 
 
 def embedding(table, ids, weights, batch, pf):

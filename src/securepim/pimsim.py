@@ -2,8 +2,12 @@
 a host-device channel, and deterministic cost counters.
 
 Kernels run over whichever words are resident (ciphertext shares in secure
-schemes, plaintext in the baselines); partitioning across DPUs never changes
-the math, only the byte accounting.  Every untrusted surface consults the
+schemes, plaintext in the baselines), each matrix's rows split in blocks
+over the DPUs.  A vector every DPU reads whole (``X @ w``, ``W @ x``) is
+broadcast, one copy per DPU; the error vector of ``X.T @ e`` is scattered,
+each DPU sent only the entries of its own row block, and each DPU that
+holds rows returns its own partial product, which the host sums.  DPUs
+never talk to each other.  Every untrusted surface consults the
 session's one ``Tamper``: a spec mutates one 32-bit word at its target, in
 place at rest (``AT_REST``, so later reads see it) and in a copy in transit.
 Every byte charged to the channel crosses it through ``_h2d`` or ``_d2h``.
@@ -32,9 +36,10 @@ DPU_COUNT = 4
 MRAM_BYTES_PER_DPU = 4 << 20   # scaled-down stand-in for 64 MiB MRAM
 
 
-def per_dpu_bytes(nbytes: int) -> int:
-    """The bytes each DPU holds of ``nbytes`` split evenly over the DPUs."""
-    return -(-nbytes // DPU_COUNT)
+def per_dpu(n: int) -> int:
+    """The bytes (or rows) each DPU holds of ``n`` split evenly over the
+    DPUs; the last DPUs may hold fewer, or none."""
+    return -(-n // DPU_COUNT)
 
 
 @dataclass
@@ -139,10 +144,10 @@ class PimDevice:
              secret_plaintext: bool = False) -> str:
         """Make ``array`` resident, its rows split evenly over the DPUs."""
         array = np.ascontiguousarray(array, dtype=np.uint32)
-        per_dpu = per_dpu_bytes(array.nbytes)
-        used = sum(per_dpu_bytes(d.nbytes) for d in self._resident.values())
-        if used + per_dpu > MRAM_BYTES_PER_DPU:
-            raise CapacityError(f"{name}: {per_dpu} B/DPU over budget")
+        per_dpu_bytes = per_dpu(array.nbytes)
+        used = sum(per_dpu(d.nbytes) for d in self._resident.values())
+        if used + per_dpu_bytes > MRAM_BYTES_PER_DPU:
+            raise CapacityError(f"{name}: {per_dpu_bytes} B/DPU over budget")
         self._resident[name] = self._h2d(array, secret_plaintext).copy()
         return name
 
@@ -160,14 +165,23 @@ class PimDevice:
     # -- kernels ------------------------------------------------------------
 
     def _broadcast(self, vec: np.ndarray) -> np.ndarray:
-        """Send a vector operand to every DPU."""
+        """Send a vector every DPU reads whole to every DPU."""
         return self._h2d(np.ascontiguousarray(vec, dtype=np.uint32), False,
                          replicate=True)
 
+    def _scatter(self, vec: np.ndarray) -> np.ndarray:
+        """Send each DPU the entries of ``vec`` for its own row block: one
+        copy of ``vec`` crosses the channel in all."""
+        return self._h2d(np.ascontiguousarray(vec, dtype=np.uint32), False)
+
     def _gemv(self, X, vec, transpose=False):
-        """X @ vec (X.T @ vec if ``transpose``) over device-side operands."""
+        """X @ vec over device-side operands; if ``transpose``, each DPU's
+        partial X_d.T @ vec_d over its own row block instead, one row per
+        DPU that holds rows, for the host to sum."""
         self.report.device_mac_ops += X.size
-        return kernels.gemv_t(X, vec) if transpose else kernels.gemv(X, vec)
+        if transpose:
+            return kernels.gemv_t(X, vec, rows=per_dpu(X.shape[0]) or 1)
+        return kernels.gemv(X, vec)
 
     def _embedding(self, table, ids, weights, batch, pf, open_rows=None):
         """The lookup over ``table``; a sealed one is gathered from the
@@ -192,9 +206,10 @@ class PimDevice:
         return self.gemv(name, w)
 
     def matvec_cols(self, name: str, e: np.ndarray) -> np.ndarray:
-        """Gradient direction X.T @ e over the resident rows."""
+        """Gradient direction X.T @ e over the resident rows, as one partial
+        per DPU that holds rows: (blocks, cols), summing to X.T @ e."""
         X = self._access(name)
-        return self._d2h(self._gemv(X, self._broadcast(e), transpose=True))
+        return self._d2h(self._gemv(X, self._scatter(e), transpose=True))
 
     def embedding(self, name: str, ids: np.ndarray, weights: np.ndarray,
                   batch: int, pf: int) -> np.ndarray:
@@ -218,7 +233,7 @@ class PimDevice:
                             lambda open_: self._gemv(W, open_(x)))
 
     def matvec_enc(self, name, vec, ks, ctx_mat, ctx_out, transpose=False):
-        vec = self._broadcast(vec)
+        vec = self._scatter(vec) if transpose else self._broadcast(vec)
         X = self._access(name)
         return self._sealed(ks, ctx_mat, ctx_out,
                             lambda open_: self._gemv(open_(X), vec, transpose))

@@ -180,12 +180,12 @@ def _encodable(v) -> bool:
 def _check_budget(name: str, p: dict) -> None:
     """Operands that could not fit the simulated device are rejected on every
     scheme, before any input is drawn: the placed matrices together, each
-    split over the DPUs by ``pimsim.per_dpu_bytes`` as ``PimDevice.load``
-    splits it, and every other array on its own under the same split."""
+    split over the DPUs by ``pimsim.per_dpu`` as ``PimDevice.load`` splits
+    it, and every other array on its own under the same split."""
     matrices, others = WORKLOADS[name][2](p)
 
     def per_dpu(words):
-        return pimsim.per_dpu_bytes(4 * words)
+        return pimsim.per_dpu(4 * words)
 
     need = max([sum(n * per_dpu(words) for n, words in matrices),
                 *map(per_dpu, others)])

@@ -273,6 +273,33 @@ class TestPrivateMatrixOp:
             op.matvec_t(w)
         assert [e["ok"] for e in sess.verification_events] == [True, False]
 
+    @pytest.mark.parametrize("target", ["device_result", "channel_d2h",
+                                        "channel_h2d"])
+    @pytest.mark.parametrize("scheme", ["pim_insecure", "pim_enc_dec",
+                                        "pim_runtime"])
+    def test_tampered_gradient_traffic_aborts_at_grad(self, scheme, target):
+        """Armed after the first matvec, a spec hits the scattered e on its
+        way in, or a word of the per-DPU partials on their way out (sealed
+        under pim_enc_dec); the host's sum then fails the row-tag check."""
+        X = np.arange(16, dtype=np.uint32).reshape(8, 2)
+        sess = session(scheme, verify=True)
+        op = PrivateMatrixOp(sess, X, step="iter")
+        op.matvec(np.asarray([1, 2], dtype=np.uint32))
+        hit, offered = sess.tamper.hit, []
+
+        def record(where, arr):
+            if where == target:
+                offered.append(arr.shape)
+            return hit(where, arr)
+
+        sess.tamper.hit = record
+        sess.tamper.arm(TamperSpec(target))
+        with pytest.raises(VerificationError) as exc_info:
+            op.matvec_t(np.arange(8, dtype=np.uint32))
+        assert exc_info.value.step == "iter:grad"
+        assert [t["target"] for t in sess.tamper.log] == [target]
+        assert offered[0] == ((8,) if target == "channel_h2d" else (4, 2))
+
 
 class TestEmbeddingOp:
     T = np.asarray([[1, 2], [3, 4], [5, 6]], dtype=np.uint32)

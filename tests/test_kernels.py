@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from securepim import kernels, mac, ring
+from securepim.errors import DimensionError
 
 from conftest import rand_words
 
@@ -77,6 +78,43 @@ def test_gemv_t_matches_bigint_oracle(seed):
     expect = [(sum(int(X[i, j]) * int(e[i]) for i in range(6))
                & ring.MASK) for j in range(4)]
     assert kernels.gemv_t(X, e).tolist() == expect
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=9), st.integers(min_value=1,
+                                                          max_value=9),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_gemv_t_partials_match_bigint_oracle(m, rows, seed):
+    """One partial per block of ``rows`` rows, the last one shorter when
+    ``rows`` does not divide m (or past m: one block)."""
+    rng = np.random.default_rng(seed)
+    X = rand_words(rng, (m, 3))
+    e = rand_words(rng, m)
+    starts = range(0, m, rows)
+    expect = [[(sum(int(X[i, j]) * int(e[i]) for i in range(b, min(b + rows, m)))
+                & ring.MASK) for j in range(3)] for b in starts]
+    got = kernels.gemv_t(X, e, rows=rows)
+    assert got.dtype == np.uint32
+    assert got.tolist() == expect
+
+
+@pytest.mark.parametrize("m, rows", [(0, 1), (4, 1), (4, 2), (5, 2), (5, 9)])
+def test_gemv_t_partials_at_the_most_wraps(m, rows):
+    """All-0xFFFFFFFF operands: the partials sum to the whole product, and
+    an empty matrix has no partials."""
+    full = np.uint32(ring.MASK)
+    W, e = np.full((m, 6), full), np.full(m, full)
+    got = kernels.gemv_t(W, e, rows=rows)
+    assert got.shape == (-(-m // rows), 6)
+    assert got.sum(axis=0, dtype=np.uint32).tolist() == \
+        kernels.gemv_t(W, e).tolist()
+
+
+@pytest.mark.parametrize("shape", [(3,), (5,), (4, 1)])
+def test_gemv_t_partials_keep_the_shape_rule(shape):
+    with pytest.raises(DimensionError):
+        kernels.gemv_t(np.zeros((4, 2), dtype=np.uint32),
+                       np.ones(shape, dtype=np.uint32), rows=2)
 
 
 def test_embedding_matches_bigint_oracle():

@@ -100,11 +100,14 @@ class TestKernels:
             dev.gemv("W", np.zeros(3, dtype=np.uint32))
 
     def test_matvec_cols_is_transpose(self):
+        """One row per DPU: each partial is its own row times its e entry,
+        and the partials sum to X.T @ e."""
         dev = fresh_device()
         X = np.asarray([[1, 2], [3, 4]], dtype=np.uint32)
         dev.load("X", X)
         g = dev.matvec_cols("X", np.asarray([1, 1], dtype=np.uint32))
-        assert g.tolist() == [4, 6]
+        assert g.tolist() == [[1, 2], [3, 4]]
+        assert g.sum(axis=0, dtype=np.uint32).tolist() == [4, 6]
 
     def test_matvec_rows_matches_plaintext_dot(self):
         dev = fresh_device()
@@ -156,6 +159,68 @@ class TestEncDecKernels:
         y = ks.open(ctx_out, dev.gemv_enc("W", sealed_x, ks, ctx_in, ctx_out))
         assert y.tolist() == [3, 7]
         assert dev.report.device_prf_calls > 0
+
+
+def ring_oracle(X, e):
+    """X.T @ e mod 2^32 over Python ints."""
+    return np.asarray([sum(int(a) * int(b) for a, b in zip(col, e)) % (1 << 32)
+                       for col in X.T], dtype=np.uint32)
+
+
+class TestGradientTraffic:
+    """X.T @ e scatters e, one copy in all, and gathers one partial per DPU
+    that holds rows, ceil(rows / DPU_COUNT) rows each."""
+
+    # (rows, cols, DPUs that hold rows)
+    SHAPES = [(768, 32, 4), (101, 4, 4), (3, 2, 3), (1, 2, 1)]
+
+    @staticmethod
+    def operands(rows, cols):
+        rng = np.random.default_rng(rows)
+        return (rng.integers(0, 1 << 32, (rows, cols), dtype=np.uint32),
+                rng.integers(0, 1 << 32, rows, dtype=np.uint32))
+
+    @staticmethod
+    def assert_partials(parts, X, e, blocks):
+        """Each partial is its own row block's X_d.T @ e_d."""
+        step = -(-len(X) // pimsim.DPU_COUNT)
+        assert parts.shape == (blocks, X.shape[1])
+        for d, part in enumerate(parts):
+            rows = slice(d * step, (d + 1) * step)
+            assert np.array_equal(part, ring_oracle(X[rows], e[rows]))
+        assert np.array_equal(parts.sum(axis=0, dtype=np.uint32),
+                              ring_oracle(X, e))
+
+    @pytest.mark.parametrize("rows, cols, blocks", SHAPES)
+    def test_matvec_cols_bytes(self, rows, cols, blocks):
+        X, e = self.operands(rows, cols)
+        dev = fresh_device()
+        dev.load("X", X)
+        before = dataclasses.replace(dev.report)
+        parts = dev.matvec_cols("X", e)
+        assert dev.report.bytes_h2d - before.bytes_h2d == 4 * rows
+        assert dev.report.bytes_d2h - before.bytes_d2h == 4 * cols * blocks
+        self.assert_partials(parts, X, e, blocks)
+
+    @pytest.mark.parametrize("rows, cols, blocks", SHAPES)
+    def test_matvec_enc_transpose_bytes(self, ks, rows, cols, blocks):
+        X, e = self.operands(rows, cols)
+        ctx_mat, ctx_out = ctx(version=1), ctx(version=2)
+        dev = fresh_device()
+        dev.load("X", ks.seal(ctx_mat, X))
+        before = dataclasses.replace(dev.report)
+        sealed = dev.matvec_enc("X", e, ks, ctx_mat, ctx_out, transpose=True)
+        assert dev.report.bytes_h2d - before.bytes_h2d == 4 * rows
+        assert dev.report.bytes_d2h - before.bytes_d2h == 4 * cols * blocks
+        self.assert_partials(ks.open(ctx_out, sealed), X, e, blocks)
+
+    def test_forward_product_still_broadcasts(self):
+        X, w = self.operands(101, 4)
+        dev = fresh_device()
+        dev.load("X", X)
+        before = dev.report.bytes_h2d
+        dev.matvec_rows("X", w[:4])
+        assert dev.report.bytes_h2d - before == pimsim.DPU_COUNT * 4 * 4
 
 
 class TestTamper:

@@ -31,6 +31,15 @@ device_prf_calls``, when an embedding lookup began to regenerate and open
 only the rows its ids read: only the six ``dlrm`` cases on ``cpu_secure``,
 ``pim_enc_dec`` and ``pim_runtime`` moved, each in its online PRF calls
 (host 16 -> 7 and 24 -> 15, device 20 -> 11), and no phase total rose.
+They were re-recorded a seventh time, with ``--allow bytes_h2d --allow
+bytes_d2h --allow host_prf_calls --allow device_prf_calls``, when the
+gradient direction ``X.T @ e`` began to scatter ``e`` by row block (one
+copy, not one per DPU) and to return one partial per DPU for the host to
+sum: only the 13 ``linreg``/``logreg`` device cases moved, in their online
+channel bytes (``linreg`` 480 -> 192 h2d and 120 -> 192 d2h), and the four
+``pim_enc_dec`` cases also in their online PRF calls, one keystream block
+per iteration on each side for the larger sealed partials (``linreg`` host
+9 -> 12, device 33 -> 36).  No digest or tamper log moved.
 The shapes are small to keep the sweep fast; the acceptance suite covers
 the default ones.
 """

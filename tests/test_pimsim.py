@@ -214,14 +214,6 @@ class TestGradientTraffic:
         assert dev.report.bytes_d2h - before.bytes_d2h == 4 * cols * blocks
         self.assert_partials(ks.open(ctx_out, sealed), X, e, blocks)
 
-    def test_forward_product_still_broadcasts(self):
-        X, w = self.operands(101, 4)
-        dev = fresh_device()
-        dev.load("X", X)
-        before = dev.report.bytes_h2d
-        dev.matvec_rows("X", w[:4])
-        assert dev.report.bytes_h2d - before == pimsim.DPU_COUNT * 4 * 4
-
 
 class TestTamper:
     def test_device_result_mutates_one_word(self):

@@ -21,7 +21,7 @@ from .errors import (CapacityError, ConfigError, GcEvaluationFault,
                      SecurePimError, VerificationError)
 from .host import VARIANTS, SchemeConfig
 from .pimsim import CostReport, TamperSpec
-from .workloads import WORKLOADS, run_workload
+from .workloads import WORKLOADS, check_int, merged_params, run_workload
 
 SCHEMA_VERSION = 1
 
@@ -98,7 +98,7 @@ def _emit(report: dict, out_path):
 
 
 def cmd_run(args) -> int:
-    """Run the flags' scenario or each ``--config`` one; keys are checked first."""
+    """Run the flags' scenario or each ``--config`` one, all checked first."""
     flags = {k: v for k, v in vars(args).items()
              if k in SCENARIO and v is not None}
     if args.config is None:
@@ -112,8 +112,8 @@ def cmd_run(args) -> int:
         if not objs:
             raise ConfigError(f"config {args.config!r} is an empty batch: "
                               f"it names no scenario to run")
-    scenarios = [_scenario(obj) for obj in objs]
-    return max((_run_scenario(sc) for sc in scenarios), default=EXIT_OK)
+    runs = [_scenario(obj) for obj in objs]
+    return max((_run_scenario(*run) for run in runs), default=EXIT_OK)
 
 
 def _read_json(path, what: str):
@@ -138,11 +138,20 @@ def _check_keys(what: str, obj, keys, required=()):
         raise ConfigError(f"{what} is missing the required keys {missing}")
 
 
-def _scenario(obj) -> dict:
-    """The scenario object with every missing or null key at its default."""
+def _scenario(obj) -> tuple:
+    """(scenario, config, tamper, campaign), each field checked by what takes
+    it and nulls defaulted; a tamper that never fires shows only in a run."""
     _check_keys("scenario", obj, list(SCENARIO))
-    return {k: default if obj.get(k) is None else obj[k]
-            for k, default in SCENARIO.items()}
+    sc = {k: default if obj.get(k) is None else obj[k]
+          for k, default in SCENARIO.items()}
+    if sc["out"] is not None and not isinstance(sc["out"], str):
+        raise ConfigError(f"out must be a path, got {sc['out']!r}")
+    cfg = SchemeConfig(sc["scheme"], sc["verify"], sc["variant"])
+    spec = None if sc["tamper"] is None else parse_tamper(sc["tamper"])
+    campaign = None if sc["campaign"] is None else _campaign(sc["campaign"])
+    check_int("seed", sc["seed"])
+    merged_params(sc["workload"], sc["params"], cfg.scheme)
+    return sc, cfg, spec, campaign
 
 
 def _campaign(spec) -> Campaign:
@@ -153,14 +162,8 @@ def _campaign(spec) -> Campaign:
     return Campaign(**spec)
 
 
-def _run_scenario(sc) -> int:
-    """Run one scenario; a malformed field raises ConfigError before it
-    runs, from the type or function that takes the field."""
-    if sc["out"] is not None and not isinstance(sc["out"], str):
-        raise ConfigError(f"out must be a path, got {sc['out']!r}")
-    cfg = SchemeConfig(sc["scheme"], sc["verify"], sc["variant"])
-    spec = None if sc["tamper"] is None else parse_tamper(sc["tamper"])
-    campaign = None if sc["campaign"] is None else _campaign(sc["campaign"])
+def _run_scenario(sc, cfg, spec, campaign) -> int:
+    """Run one checked scenario and write its report."""
     aborted = words = None
     try:
         words, sess = run_workload(sc["workload"], cfg, sc["seed"],

@@ -21,10 +21,6 @@ class CapacityError(SecurePimError):
     """Resident data would exceed per-DPU memory."""
 
 
-class TaintViolation(SecurePimError):
-    """A plaintext-tagged private buffer crossed the channel in a secure scheme."""
-
-
 class VerificationError(SecurePimError):
     """A MAC check failed; carries its step and, once ``run_workload``
     re-raises it, the session it aborted."""

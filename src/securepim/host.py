@@ -63,8 +63,7 @@ class Session:
         self.offline = CostReport()
         self.online = CostReport()
         self.tamper = Tamper(seed)
-        self.device = PimDevice(report=self.offline, tamper=self.tamper,
-                                secure_mode=cfg.scheme in SHARE_SCHEMES)
+        self.device = PimDevice(report=self.offline, tamper=self.tamper)
         self._version = 0
         self._names = 0
         self.verification_events = []
@@ -174,6 +173,7 @@ class _PrivateOperand:
     """A private operand held where the scheme keeps it: the one placement
     and merge path of every op.  A private matrix is placed once, offline;
     PublicMatrixOp holds its private vector afresh on every call."""
+    _r = _pre = None   # R = M - C kept in trusted memory; planned resCPUs
 
     def _protect(self, M: np.ndarray, ctx=None, reshare=False) -> np.ndarray:
         """M as the scheme keeps it outside trusted memory: plain, sealed
@@ -200,7 +200,6 @@ class _PrivateOperand:
         way R = M - C is taken from the share, at no keystream cost."""
         s = self.sess
         data = self._protect(M)
-        self._r = self._pre = None
         if s.cfg.scheme == "pim_precompute":
             r = M - data
             if vectors is None:
@@ -209,8 +208,7 @@ class _PrivateOperand:
                 self._pre = [(None, s.seal_precomputed(kernels.gemv(r, v),
                                                        M.size), np.array(v))
                              for v in vectors]
-        self._held = s.device.load(s._next_name(prefix), data,
-                                   secret_plaintext=data is M) \
+        self._held = s.device.load(s._next_name(prefix), data) \
             if s.cfg.scheme in DEVICE_SCHEMES else data
 
     def _next_use(self, vec=None):
@@ -289,7 +287,6 @@ class PublicMatrixOp(_PrivateOperand):
         self.W = np.ascontiguousarray(W, dtype=np.uint32)
         self.step = step
         self._use = 0
-        self._r = self._pre = None
         s = session
         self.tag_store = s.tag_store(self.W)
         if s.cfg.scheme in DEVICE_SCHEMES:
@@ -361,10 +358,11 @@ class PrivateMatrixOp(_PrivateOperand):
 
     def matvec_t(self, e: np.ndarray) -> np.ndarray:
         """X.T @ e, merged from the device's per-DPU partials; verified
-        against the row tags."""
+        against the row tags.  e crosses to the device in clear."""
         if self.static:
             raise ConfigError("matvec_t needs an op built without static "
                               "vectors, which has the row tags")
+        self.sess.record_leak("regression_error_vector_revealed")
         dev = self.sess.device
         return self._product(e, self.row_tag_store, "grad", kernels.gemv_t,
                              dev.matvec_cols,

@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from . import kernels
-from .errors import CapacityError, ConfigError, DimensionError, TaintViolation
+from .errors import CapacityError, ConfigError, DimensionError
 from .yao.circuit import bits_to_words
 from .yao.garble import evaluate as gc_evaluate
 
@@ -112,10 +112,9 @@ class Tamper:
 
 
 class PimDevice:
-    def __init__(self, report: CostReport, tamper: Tamper, secure_mode: bool):
+    def __init__(self, report: CostReport, tamper: Tamper):
         self.report = report
         self.tamper = tamper
-        self.secure_mode = secure_mode
         self._resident = {}   # name -> resident words
 
     # delegates to the session's Tamper, kept for the names tracers patch
@@ -126,10 +125,7 @@ class PimDevice:
 
     # -- channel ------------------------------------------------------------
 
-    def _h2d(self, arr: np.ndarray, secret_plaintext: bool, replicate: bool = False):
-        if self.secure_mode and secret_plaintext:
-            raise TaintViolation("plaintext private buffer on the h2d channel")
-        copies = DPU_COUNT if replicate else 1
+    def _h2d(self, arr: np.ndarray, copies: int = 1):
         self.report.bytes_h2d += arr.nbytes * copies
         return self.tamper.hit("channel_h2d", arr)
 
@@ -140,24 +136,22 @@ class PimDevice:
 
     # -- residency ----------------------------------------------------------
 
-    def load(self, name: str, array: np.ndarray,
-             secret_plaintext: bool = False) -> str:
+    def load(self, name: str, array: np.ndarray) -> str:
         """Make ``array`` resident, its rows split evenly over the DPUs."""
         array = np.ascontiguousarray(array, dtype=np.uint32)
         per_dpu_bytes = per_dpu(array.nbytes)
         used = sum(per_dpu(d.nbytes) for d in self._resident.values())
         if used + per_dpu_bytes > MRAM_BYTES_PER_DPU:
             raise CapacityError(f"{name}: {per_dpu_bytes} B/DPU over budget")
-        self._resident[name] = self._h2d(array, secret_plaintext).copy()
+        self._resident[name] = self._h2d(array).copy()
         return name
 
     def store(self, name: str, array: np.ndarray) -> None:
-        """Overwrite resident words in place (layer-to-layer refresh); secret
-        plaintext is resident only on a device whose channel takes it."""
+        """Overwrite resident words in place (layer-to-layer refresh)."""
         if self._resident[name].shape != array.shape:
             raise DimensionError("store shape mismatch")
         self._resident[name] = self._h2d(
-            np.ascontiguousarray(array, dtype=np.uint32), False).copy()
+            np.ascontiguousarray(array, dtype=np.uint32)).copy()
 
     def _access(self, name: str) -> np.ndarray:
         return self.tamper.hit("resident_share", self._resident[name])
@@ -166,13 +160,12 @@ class PimDevice:
 
     def _broadcast(self, vec: np.ndarray) -> np.ndarray:
         """Send a vector every DPU reads whole to every DPU."""
-        return self._h2d(np.ascontiguousarray(vec, dtype=np.uint32), False,
-                         replicate=True)
+        return self._h2d(np.ascontiguousarray(vec, dtype=np.uint32), DPU_COUNT)
 
     def _scatter(self, vec: np.ndarray) -> np.ndarray:
         """Send each DPU the entries of ``vec`` for its own row block: one
         copy of ``vec`` crosses the channel in all."""
-        return self._h2d(np.ascontiguousarray(vec, dtype=np.uint32), False)
+        return self._h2d(np.ascontiguousarray(vec, dtype=np.uint32))
 
     def _gemv(self, X, vec, transpose=False):
         """X @ vec over device-side operands; if ``transpose``, each DPU's
@@ -189,8 +182,8 @@ class PimDevice:
         ids = np.ascontiguousarray(ids, dtype=np.uint32)
         weights = np.ascontiguousarray(weights, dtype=np.uint32)
         # the ids travel in clear, and whatever arrives indexes some row
-        ids = self._h2d(ids, False) % table.shape[0]
-        weights = self._h2d(weights, False)
+        ids = self._h2d(ids) % table.shape[0]
+        weights = self._h2d(weights)
         self.report.device_mac_ops += ids.size * table.shape[1]
         if open_rows is not None:
             read, ids = kernels.distinct_rows(ids, table.shape[0])
@@ -253,7 +246,7 @@ class PimDevice:
         packed into one uint32 word."""
         self.report.gc_ciphertexts += gc.ciphertext_count
         self.report.gc_bytes += gc.table_bytes
-        gc = replace(gc, tables=self._h2d(gc.tables, False))
-        bits = gc_evaluate(gc, self._h2d(input_labels, False),
+        gc = replace(gc, tables=self._h2d(gc.tables))
+        bits = gc_evaluate(gc, self._h2d(input_labels),
                            row_tamper=partial(self.tamper.hit, "gc_table"))
         return self._d2h(bits_to_words(bits.T))

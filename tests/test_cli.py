@@ -248,6 +248,23 @@ class TestScenarioSchema:
         assert out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
 
+    @pytest.mark.parametrize("bad", [{"scheme": "warp"},
+                                     {"params": {"dim": 0}}], ids=repr)
+    def test_bad_value_in_a_batch_writes_nothing(self, tmp_path, capsys,
+                                                 monkeypatch, bad):
+        """Every value of a batch is checked before any scenario runs, as
+        every key is: the scenario before a bad value writes no report."""
+        monkeypatch.chdir(tmp_path)
+        cfg = self.write_config(tmp_path, [
+            {"workload": "mlp", "scheme": "cpu_insecure", "out": "one.json"},
+            {"workload": "mlp", "scheme": "cpu_insecure", **bad,
+             "out": "two.json"}])
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
     @pytest.mark.parametrize("flag", [
         ["--workload", "mlp"], ["--scheme", "pim_runtime"],
         ["--variant", "A"], ["--verify"], ["--tamper", "device_result"],

@@ -1,5 +1,5 @@
 """Device simulator: placement and byte accounting, ring kernels, enc/dec
-kernels, tamper hooks and taint checking.
+kernels, tamper hooks, and the masking of what the device receives.
 """
 
 import dataclasses
@@ -14,7 +14,6 @@ from securepim.errors import (
     ConfigError,
     DimensionError,
     GcEvaluationFault,
-    TaintViolation,
 )
 from securepim.host import DEVICE_SCHEMES, SchemeConfig, Session
 from securepim.pimsim import (
@@ -35,8 +34,8 @@ from securepim.workloads import (
 from conftest import TEST_KEY, ctx, rand_words
 
 
-def fresh_device(secure=False):
-    return PimDevice(CostReport(), Tamper(), secure_mode=secure)
+def fresh_device():
+    return PimDevice(CostReport(), Tamper())
 
 
 class TestLoadAccounting:
@@ -440,22 +439,6 @@ class TestTamperPoint:
         assert len(sess.device.tamper_log) == 1
 
 
-class TestTaint:
-    def test_secure_mode_rejects_plaintext_private_load(self):
-        dev = fresh_device(secure=True)
-        with pytest.raises(TaintViolation):
-            dev.load("X", np.ones((2, 2), dtype=np.uint32),
-                     secret_plaintext=True)
-
-    def test_insecure_mode_allows_it(self):
-        dev = fresh_device(secure=False)
-        dev.load("X", np.ones((2, 2), dtype=np.uint32), secret_plaintext=True)
-
-    def test_secure_mode_allows_cipher(self):
-        dev = fresh_device(secure=True)
-        dev.load("C", np.ones((2, 2), dtype=np.uint32))
-
-
 class TestCostDeterminism:
     def test_identical_runs_identical_reports(self):
         reports = []
@@ -513,3 +496,46 @@ class TestChannelInvariant:
                    "channel_d2h": sess.offline.bytes_d2h + sess.online.bytes_d2h}
         assert offered == charged
         assert min(charged.values()) > 0
+
+
+class TestMasking:
+    """What the device receives of a private operand depends on the session
+    key: under two keys at one input seed, every word of each private
+    matrix it loads (an ``X`` or ``T`` handle) and of each private vector a
+    PublicMatrixOp sends (``gemv`` or ``gemv_enc`` on a ``W`` handle)
+    differs.  pim_insecure is the control: it receives the same words."""
+
+    CASES = [(w, s) for w, s, variant in _scenarios() if variant == "A"]
+
+    def test_covers_every_device_scheme_a_workload_runs_on(self):
+        assert len(self.CASES) == 22
+
+    @staticmethod
+    def received(workload, scheme, key_seed):
+        """The private words the device receives in one run of the body."""
+        sess = Session(SchemeConfig(scheme), key_seed)
+        dev, seen = sess.device, []
+
+        def recording(call, prefixes):
+            def record(name, words, *rest):
+                if name[0] in prefixes:
+                    seen.append(np.array(words))
+                return call(name, words, *rest)
+            return record
+
+        dev.load = recording(dev.load, "XT")
+        dev.gemv = recording(dev.gemv, "W")
+        dev.gemv_enc = recording(dev.gemv_enc, "W")
+        WORKLOADS[workload][0](sess, np.random.default_rng(0),
+                               merged_params(workload, None, scheme))
+        return seen
+
+    @pytest.mark.parametrize("workload, scheme", CASES)
+    def test_private_words_depend_on_the_key(self, workload, scheme):
+        a, b = (self.received(workload, scheme, k) for k in (0, 1))
+        assert len(a) == len(b) > 0
+        for x, y in zip(a, b):
+            if scheme == "pim_insecure":
+                assert np.array_equal(x, y)
+            else:
+                assert np.all(x != y), f"{np.sum(x == y)} of {x.size} equal"

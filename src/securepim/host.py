@@ -275,14 +275,13 @@ class _PrivateOperand:
 class PublicMatrixOp(_PrivateOperand):
     """Linear layer with a public matrix applied to a private vector.
 
-    pim_precompute requires the number of applications up front so resCPU
-    for every use can be computed and sealed in the offline phase, each
-    under the context that use shares its vector with.
+    pim_precompute plans one application: the resCPU of that use is
+    computed and sealed in the offline phase, under the context the use
+    shares its vector with.
     """
 
     @_offline
-    def __init__(self, session: Session, W: np.ndarray, uses: int = 1,
-                 step: str = "gemv"):
+    def __init__(self, session: Session, W: np.ndarray, step: str = "gemv"):
         self.sess = session
         self.W = np.ascontiguousarray(W, dtype=np.uint32)
         self.step = step
@@ -292,13 +291,10 @@ class PublicMatrixOp(_PrivateOperand):
         if s.cfg.scheme in DEVICE_SCHEMES:
             self.handle = s.device.load(s._next_name("W"), self.W)
         if s.cfg.scheme == "pim_precompute":
-            self._pre = []
-            for _ in range(uses):
-                ctx = s.alloc_ctx()
-                r = sharing.host_share(ctx, (self.W.shape[1],), s.ks, s._prf)
-                res_cpu = kernels.gemv(self.W, r)
-                sealed = s.seal_precomputed(res_cpu, self.W.size)
-                self._pre.append((ctx, sealed, None))
+            ctx = s.alloc_ctx()
+            r = sharing.host_share(ctx, (self.W.shape[1],), s.ks, s._prf)
+            sealed = s.seal_precomputed(kernels.gemv(self.W, r), self.W.size)
+            self._pre = [(ctx, sealed, None)]
 
     def apply(self, x: np.ndarray, reshare: bool = False) -> np.ndarray:
         """Merged raw GEMV result (pre-truncation), verified if configured;
@@ -390,26 +386,31 @@ class EmbeddingOp(_PrivateOperand):
         self.row_tag_store = session.tag_store(table.T)
         self._place(table, "T")
 
-    def lookup(self, ids, weights, batch: int, pf: int) -> np.ndarray:
+    def lookup(self, ids, weights) -> np.ndarray:
+        """The weighted sum of each bag, one per row of the (batch, pf)
+        ``ids`` and ``weights``: a (batch, cols) result."""
         s = self.sess
-        ids = np.ascontiguousarray(ids, dtype=np.int64)
-        weights = np.ascontiguousarray(weights, dtype=np.uint32)
+        ids = np.asarray(ids)
         rows, cols = self.shape
+        if ids.dtype.kind not in "iu":
+            raise ConfigError(f"embedding ids must be integers, not {ids.dtype}")
         if ids.size and (ids.min() < 0 or ids.max() >= rows):
             raise ConfigError(f"embedding ids must lie in [0, {rows})")
+        ids = np.ascontiguousarray(ids, dtype=np.int64)
+        weights = np.ascontiguousarray(weights, dtype=np.uint32)
         s.record_leak("dlrm_indices_in_clear")
         read, inv = kernels.distinct_rows(ids, rows)
         out = self._merge(
             lambda part, _ids, *rest: kernels.embedding(part, inv, *rest),
             s.device.embedding, s.device.embedding_enc,
-            (ids, weights, batch, pf), ids.size * cols, rows=read)
+            (ids, weights), ids.size * cols, rows=read)
         s.verify_gemv(self.step, self.row_tag_store, weights, out,
-                      functools.partial(self._bag_tags, ids, batch, pf))
+                      functools.partial(self._bag_tags, ids))
         return out
 
-    def _bag_tags(self, ids, batch: int, pf: int, tags) -> mac.TagVector:
+    def _bag_tags(self, ids, tags) -> mac.TagVector:
         """Each id's row tag times s^(cols * (batch - 1 - b)), b its bag."""
-        cols = self.shape[1]
+        (batch, pf), cols = ids.shape, self.shape[1]
         pw = np.append(kernels.powers(self.sess.s, cols * batch), np.uint64(1))
         pw = np.repeat(pw[cols * np.arange(1, batch + 1)], pf)
-        return mac.TagVector(kernels.mulmod61(tags.residues[ids], pw))
+        return mac.TagVector(kernels.mulmod61(tags.residues[ids.ravel()], pw))

@@ -64,12 +64,12 @@ def gemv_t(W: np.ndarray, e: np.ndarray, rows: int = None) -> np.ndarray:
     return np.einsum("bij,bi->bj", W.reshape(-1, rows, n), e.reshape(-1, rows))
 
 
-def embedding(table, ids, weights, batch, pf):
-    """Weighted gather-reduce: out[k] = sum_j w[k*pf+j] * table[ids[k*pf+j]]."""
-    if not np.size(ids) == np.size(weights) == batch * pf:
-        raise DimensionError("embedding: |ids| and |weights| must equal batch * pf")
-    rows = _words(table)[np.reshape(ids, (batch, pf))]
-    return np.einsum("kjc,kj->kc", rows, _words(weights).reshape(batch, pf))
+def embedding(table, ids, weights):
+    """Weighted gather-reduce, one bag per row of the (batch, pf) ``ids``
+    and ``weights``: out[k] = sum_j weights[k, j] * table[ids[k, j]]."""
+    if np.ndim(ids) != 2 or np.shape(ids) != np.shape(weights):
+        raise DimensionError("embedding: ids and weights must be 2-D, of one shape")
+    return np.einsum("kjc,kj->kc", _words(table)[ids], _words(weights))
 
 
 def distinct_rows(ids, rows: int):

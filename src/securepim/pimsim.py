@@ -72,30 +72,25 @@ class TamperSpec:
 
 
 class Tamper:
-    """The one tamper point of every untrusted surface: armed specs, RNG and
-    log.  A spec fires once; specs on one target fire in the order armed."""
+    """The one tamper point of every untrusted surface: a run's one armed
+    spec, RNG and log.  The spec fires once, on its target's first hit."""
 
     def __init__(self, seed: int = 0):
         self._rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD17]))
-        self._armed = []
+        self._spec = None
         self.log = []
 
     def arm(self, spec: TamperSpec) -> None:
-        self._armed.append(spec)
-
-    def _take(self, target):
-        for i, spec in enumerate(self._armed):
-            if spec.target == target:
-                return self._armed.pop(i)
-        return None
+        self._spec = spec
 
     def hit(self, target: str, arr: np.ndarray) -> np.ndarray:
         """``arr`` with one 32-bit word mutated by a ``target`` spec, in place
         if at rest (C-contiguous ``AT_REST`` words), else in a copy; uint64
         counts as two uint32 words.  An empty ``arr`` leaves the spec armed."""
-        spec = self._take(target) if arr.size else None
-        if spec is None:
+        spec = self._spec
+        if spec is None or spec.target != target or not arr.size:
             return arr
+        self._spec = None
         out = arr if target in AT_REST else arr.copy()
         flat = out.reshape(-1).view(np.uint32)
         idx = (int(self._rng.integers(0, flat.size)) if spec.position == "random"
@@ -176,7 +171,7 @@ class PimDevice:
             return kernels.gemv_t(X, vec, rows=per_dpu(X.shape[0]) or 1)
         return kernels.gemv(X, vec)
 
-    def _embedding(self, table, ids, weights, batch, pf, open_rows=None):
+    def _embedding(self, table, ids, weights, open_rows=None):
         """The lookup over ``table``; a sealed one is gathered from the
         distinct rows it reads, which ``open_rows(words, rows=rows)`` opens."""
         ids = np.ascontiguousarray(ids, dtype=np.uint32)
@@ -188,7 +183,7 @@ class PimDevice:
         if open_rows is not None:
             read, ids = kernels.distinct_rows(ids, table.shape[0])
             table = open_rows(table[read], rows=read)
-        return kernels.embedding(table, ids, weights, batch, pf)
+        return kernels.embedding(table, ids, weights)
 
     def gemv(self, name: str, x: np.ndarray) -> np.ndarray:
         W = self._access(name)
@@ -204,10 +199,10 @@ class PimDevice:
         X = self._access(name)
         return self._d2h(self._gemv(X, self._scatter(e), transpose=True))
 
-    def embedding(self, name: str, ids: np.ndarray, weights: np.ndarray,
-                  batch: int, pf: int) -> np.ndarray:
+    def embedding(self, name: str, ids: np.ndarray,
+                  weights: np.ndarray) -> np.ndarray:
         table = self._access(name)
-        return self._d2h(self._embedding(table, ids, weights, batch, pf))
+        return self._d2h(self._embedding(table, ids, weights))
 
     # -- enc/dec baseline: the device holds the key, decrypts, computes on
     # plaintext, and reseals the result before it leaves (Fig. 12 style).
@@ -231,10 +226,10 @@ class PimDevice:
         return self._sealed(ks, ctx_mat, ctx_out,
                             lambda open_: self._gemv(open_(X), vec, transpose))
 
-    def embedding_enc(self, name, ids, weights, batch, pf, ks, ctx_tab, ctx_out):
+    def embedding_enc(self, name, ids, weights, ks, ctx_tab, ctx_out):
         T = self._access(name)
         return self._sealed(ks, ctx_tab, ctx_out, lambda open_: self._embedding(
-            T, ids, weights, batch, pf, open_))
+            T, ids, weights, open_))
 
     def _count_device_prf(self, n):
         self.report.device_prf_calls += n

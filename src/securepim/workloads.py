@@ -50,7 +50,7 @@ def run_mlp(sess: Session, rng, p):
     # growth factor dim * |w|max <= 1/2 keeps activations and raw sums bounded
     weights = [_raw(rng, -1 / 32, 1 / 32, (dim, dim)) for _ in range(depth)]
     x = _raw(rng, -1, 1, dim)
-    layers = [PublicMatrixOp(sess, W, uses=1, step=f"layer{i}")
+    layers = [PublicMatrixOp(sess, W, step=f"layer{i}")
               for i, W in enumerate(weights)]
     for i, layer in enumerate(layers):
         y_raw = layer.apply(x, reshare=i > 0)
@@ -62,10 +62,10 @@ def run_dlrm(sess: Session, rng, p):
     outs = []
     for t in range(p["tables"]):
         table = _raw(rng, -1, 1, (p["rows"], p["cols"]))
-        ids = rng.integers(0, p["rows"], size=p["batch"] * p["pf"])
-        weights = rng.integers(1, 4, size=ids.size).astype(np.uint32)
+        ids = rng.integers(0, p["rows"], size=(p["batch"], p["pf"]))
+        weights = rng.integers(1, 4, size=ids.shape).astype(np.uint32)
         op = EmbeddingOp(sess, table, step=f"table{t}")
-        outs.append(op.lookup(ids, weights, p["batch"], p["pf"]))
+        outs.append(op.lookup(ids, weights))
     return np.concatenate([o.ravel() for o in outs])
 
 

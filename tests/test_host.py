@@ -64,18 +64,18 @@ class TestPublicMatrixOp:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_all_schemes_agree_on_hand_instance(self, scheme):
         sess = session(scheme)
-        op = PublicMatrixOp(sess, self.W, uses=1)
+        op = PublicMatrixOp(sess, self.W)
         assert op.apply(self.x).tolist() == [3, 7]
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_zero_vector_gives_zero(self, scheme):
         sess = session(scheme)
-        op = PublicMatrixOp(sess, self.W, uses=1)
+        op = PublicMatrixOp(sess, self.W)
         assert not op.apply(np.zeros(2, dtype=np.uint32)).any()
 
     def test_verified_clean_run_passes(self):
         sess = session("pim_runtime", verify=True)
-        op = PublicMatrixOp(sess, self.W, uses=1)
+        op = PublicMatrixOp(sess, self.W)
         assert op.apply(self.x).tolist() == [3, 7]
         assert sess.verification_events == [{"step": "gemv:0", "ok": True}]
 
@@ -85,34 +85,34 @@ class TestPublicMatrixOp:
             sess = session("pim_runtime", verify=True, seed=trial)
             W = (rng.integers(-64, 64, size=(4, 4)) & ring.MASK).astype(np.uint32)
             x = (rng.integers(-64, 64, size=4) & ring.MASK).astype(np.uint32)
-            op = PublicMatrixOp(sess, W, uses=1)
+            op = PublicMatrixOp(sess, W)
             expect = (ring.to_signed_array(W).reshape(4, 4)
                       @ ring.to_signed_array(x) & ring.MASK).astype(np.uint32)
             assert np.array_equal(op.apply(x), expect)
 
     def test_precompute_online_phase_has_no_host_kernel(self):
         sess = session("pim_precompute")
-        op = PublicMatrixOp(sess, self.W, uses=2)
+        op = PublicMatrixOp(sess, self.W)
         assert sess.offline.host_mac_ops >= self.W.size
-        op.apply(self.x)
         op.apply(self.x)
         assert sess.online.host_mac_ops == 0
 
     def test_precompute_opens_stored_rescpu(self):
         # integration of sealed storage: result must still be exact
         sess = session("pim_precompute", verify=True)
-        op = PublicMatrixOp(sess, self.W, uses=1)
+        op = PublicMatrixOp(sess, self.W)
         assert op.apply(self.x).tolist() == [3, 7]
 
     def test_precompute_exhausted_is_config_error(self):
-        op = PublicMatrixOp(session("pim_precompute"), self.W, uses=1)
+        op = PublicMatrixOp(session("pim_precompute"), self.W)
         op.apply(self.x)
         with pytest.raises(ConfigError, match="no precomputed resCPU left"):
             op.apply(self.x)
 
     # per scheme: offline ledger, online ledger and reshare count after three
-    # verified applies of one 5x7 matrix; pim_precompute shares each vector
-    # under the context its resCPU was precomputed with
+    # verified applies of one 5x7 matrix, one on pim_precompute, which plans
+    # one use and shares its vector under the context its resCPU was
+    # precomputed with
     TAG_OFFLINE = CostReport(host_mac_ops=35, host_prf_calls=5)
     DEVICE_OFFLINE = CostReport(host_mac_ops=35, host_prf_calls=5,
                                 bytes_h2d=140)
@@ -129,9 +129,11 @@ class TestPublicMatrixOp:
             host_prf_calls=24, device_prf_calls=12, **DEVICE_ONLINE), 0),
         "pim_runtime": (DEVICE_OFFLINE, CostReport(
             host_mac_ops=105, host_prf_calls=24, **DEVICE_ONLINE), 2),
-        "pim_precompute": (CostReport(host_mac_ops=140, host_prf_calls=17,
+        "pim_precompute": (CostReport(host_mac_ops=70, host_prf_calls=9,
                                       bytes_h2d=140),
-                           CostReport(host_prf_calls=24, **DEVICE_ONLINE), 2),
+                           CostReport(host_prf_calls=8, bytes_h2d=112,
+                                      bytes_d2h=20, device_mac_ops=35,
+                                      verify_ops=1), 0),
     }
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -140,8 +142,10 @@ class TestPublicMatrixOp:
         W = (rng.integers(-128, 129, (5, 7)) & ring.MASK).astype(np.uint32)
         xs = [(rng.integers(-4096, 4097, 7) & ring.MASK).astype(np.uint32)
               for _ in range(3)]
+        if scheme == "pim_precompute":
+            xs = xs[:1]
         sess = session(scheme, verify=True, seed=3)
-        op = PublicMatrixOp(sess, W, uses=3)
+        op = PublicMatrixOp(sess, W)
         for i, x in enumerate(xs):
             assert np.array_equal(op.apply(x, reshare=i > 0),
                                   kernels.gemv(W, x))
@@ -149,7 +153,7 @@ class TestPublicMatrixOp:
         assert sess.offline == offline
         assert sess.online == online
         assert sess.verification_events == [
-            {"step": f"gemv:{i}", "ok": True} for i in range(3)]
+            {"step": f"gemv:{i}", "ok": True} for i in range(len(xs))]
         assert sess.reshare_events == reshares
 
     @pytest.mark.parametrize("scheme", ["pim_runtime", "pim_enc_dec"])
@@ -161,7 +165,7 @@ class TestPublicMatrixOp:
         W = (rng.integers(-128, 129, (16, 16)) & ring.MASK).astype(np.uint32)
         x = (rng.integers(-4096, 4097, 16) & ring.MASK).astype(np.uint32)
         sess = session(scheme, verify=True, seed=seed)
-        op = PublicMatrixOp(sess, W, uses=1)
+        op = PublicMatrixOp(sess, W)
         sess.device.arm_tamper(TamperSpec("channel_h2d", "word_randomize"))
         with pytest.raises(VerificationError):
             op.apply(x)
@@ -308,32 +312,31 @@ class TestEmbeddingOp:
     def test_hand_instance_all_schemes(self, scheme):
         sess = session(scheme)
         op = EmbeddingOp(sess, self.T)
-        out = op.lookup(np.asarray([0, 2]), np.asarray([1, 1], dtype=np.uint32),
-                        batch=1, pf=2)
+        out = op.lookup(np.asarray([[0, 2]]),
+                        np.asarray([[1, 1]], dtype=np.uint32))
         assert out.tolist() == [[6, 8]]
 
     def test_verified_lookup(self):
         sess = session("pim_runtime", verify=True)
         op = EmbeddingOp(sess, self.T)
-        op.lookup(np.asarray([0, 2, 1, 1]),
-                  np.asarray([1, 2, 3, 1], dtype=np.uint32), batch=2, pf=2)
+        op.lookup(np.asarray([[0, 2], [1, 1]]),
+                  np.asarray([[1, 2], [3, 1]], dtype=np.uint32))
         assert sess.verification_events[-1]["ok"]
 
     def test_precompute_online_prf_free(self):
         sess = session("pim_precompute")
         op = EmbeddingOp(sess, self.T)
         prf_before = sess.online.host_prf_calls
-        op.lookup(np.asarray([0, 2]), np.asarray([1, 1], dtype=np.uint32),
-                  batch=1, pf=2)
+        op.lookup(np.asarray([[0, 2]]), np.asarray([[1, 1]], dtype=np.uint32))
         assert sess.online.host_prf_calls == prf_before
 
     def test_pooling_permutation_invariant(self):
         sess = session("pim_runtime")
         op = EmbeddingOp(sess, self.T)
-        ids = np.asarray([0, 1, 2])
-        ws = np.asarray([2, 3, 4], dtype=np.uint32)
-        a = op.lookup(ids, ws, batch=1, pf=3)
-        b = op.lookup(ids[::-1].copy(), ws[::-1].copy(), batch=1, pf=3)
+        ids = np.asarray([[0, 1, 2]])
+        ws = np.asarray([[2, 3, 4]], dtype=np.uint32)
+        a = op.lookup(ids, ws)
+        b = op.lookup(ids[:, ::-1].copy(), ws[:, ::-1].copy())
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -341,18 +344,28 @@ class TestEmbeddingOp:
     def test_out_of_range_ids_are_config_errors(self, scheme, bad):
         op = EmbeddingOp(session(scheme, verify=True), self.T)
         with pytest.raises(ConfigError):
-            op.lookup(np.asarray(bad), np.asarray([1, 1], dtype=np.uint32),
-                      batch=1, pf=2)
+            op.lookup(np.asarray([bad]), np.asarray([[1, 1]], dtype=np.uint32))
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("bad", [[[0.9, 2.7]], [[True, False]]],
+                             ids=["float", "bool"])
+    def test_non_integer_ids_are_config_errors(self, scheme, bad):
+        """Float and bool ids are refused, not truncated to a row index."""
+        sess = session(scheme, verify=True)
+        op = EmbeddingOp(sess, self.T)
+        with pytest.raises(ConfigError, match="integers"):
+            op.lookup(np.asarray(bad), np.asarray([[1, 1]], dtype=np.uint32))
+        assert sess.online == CostReport()
 
     def test_batched_check_matches_per_row_oracle(self):
         rng = np.random.default_rng(5)
         table = ring.from_signed_array(rng.integers(-4000, 4000, size=(6, 4)))
-        ids = np.asarray([0, 5, 2, 2, 4, 1])
-        ws = np.asarray([1, 2, 3, 1, 3, 2], dtype=np.uint32)
+        ids = np.asarray([[0, 5], [2, 2], [4, 1]])
+        ws = np.asarray([[1, 2], [3, 1], [3, 2]], dtype=np.uint32)
         sess = session("pim_runtime", verify=True)
         seen = []
         sess.check_verified = lambda step, e, r: seen.append((e, r))
-        out = EmbeddingOp(sess, table).lookup(ids, ws, batch=3, pf=2)
+        out = EmbeddingOp(sess, table).lookup(ids, ws)
 
         def lift(w):
             return ring.to_signed(int(w)) % mac.Q
@@ -369,7 +382,7 @@ class TestEmbeddingOp:
         ftag_e = ftag_r = 0
         for k in range(3):
             bag = pow(sess.s, 4 * (2 - k), mac.Q)
-            ftag_e += bag * sum(tags[ids[k * 2 + j]] * lift(ws[k * 2 + j])
+            ftag_e += bag * sum(tags[ids[k, j]] * lift(ws[k, j])
                                 for j in range(2)) % mac.Q
             ftag_r += bag * horner(out[k])
         assert ftag_r % mac.Q == horner(out.ravel())
@@ -383,9 +396,8 @@ class TestEmbeddingOp:
         # flat word 5 of the (3, 2) result: batch row 2, column 1
         sess.device.arm_tamper(TamperSpec("device_result", "bit_flip", 5))
         with pytest.raises(VerificationError):
-            op.lookup(np.asarray([0, 2, 1, 1, 2, 0]),
-                      np.asarray([1, 2, 3, 1, 1, 1], dtype=np.uint32),
-                      batch=3, pf=2)
+            op.lookup(np.asarray([[0, 2], [1, 1], [2, 0]]),
+                      np.asarray([[1, 2], [3, 1], [1, 1]], dtype=np.uint32))
         assert sess.device.tamper_log[0]["index"] == 5
         assert [e["ok"] for e in sess.verification_events] == [False]
 
@@ -406,10 +418,9 @@ class TestEmbeddingOp:
 
         sess.tamper.hit = record
         sess.tamper.arm(TamperSpec("channel_h2d", "bit_flip", position=1))
-        ids = np.asarray([0, 2, 1, 1])
+        ids = np.asarray([[0, 2], [1, 1]])
         with pytest.raises(VerificationError):
-            op.lookup(ids, np.asarray([1, 2, 3, 1], dtype=np.uint32),
-                      batch=2, pf=2)
+            op.lookup(ids, np.asarray([[1, 2], [3, 1]], dtype=np.uint32))
         assert sess.tamper.log[0]["target"] == "channel_h2d"
         assert sess.tamper.log[0]["index"] == 1
         assert offered[0].dtype == np.uint32
@@ -439,14 +450,14 @@ class TestEmbeddingOp:
 
     @pytest.mark.parametrize("scheme", sorted(host.DEVICE_SCHEMES))
     def test_flip_at_every_result_word_aborts(self, scheme):
-        ids = np.asarray([0, 2, 1, 1, 2, 0])
-        ws = np.asarray([1, 2, 3, 1, 1, 1], dtype=np.uint32)
+        ids = np.asarray([[0, 2], [1, 1], [2, 0]])
+        ws = np.asarray([[1, 2], [3, 1], [1, 1]], dtype=np.uint32)
         for position in range(6):   # every word of the (3, 2) result
             sess = session(scheme, verify=True)
             op = EmbeddingOp(sess, self.T)
             sess.tamper.arm(TamperSpec("device_result", "bit_flip", position))
             with pytest.raises(VerificationError):
-                op.lookup(ids, ws, batch=3, pf=2)
+                op.lookup(ids, ws)
             assert sess.tamper.log[0]["index"] == position
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -458,18 +469,19 @@ class TestEmbeddingOp:
         (batch 0) and a table of no columns all pass the check."""
         rng = np.random.default_rng(batch * 1000 + pf * 100 + rows * 10 + cols)
         table = ring.from_signed_array(rng.integers(-4000, 4000, (rows, cols)))
-        ids = rng.integers(0, rows, batch * pf)
-        ws = rng.integers(1, 4, batch * pf).astype(np.uint32)
+        ids = rng.integers(0, rows, (batch, pf))
+        ws = rng.integers(1, 4, (batch, pf)).astype(np.uint32)
         sess = session(scheme, verify=True)
-        out = EmbeddingOp(sess, table).lookup(ids, ws, batch=batch, pf=pf)
-        assert np.array_equal(out, kernels.embedding(table, ids, ws, batch, pf))
+        out = EmbeddingOp(sess, table).lookup(ids, ws)
+        assert out.shape == (batch, cols)
+        assert np.array_equal(out, kernels.embedding(table, ids, ws))
         assert sess.verification_events == [{"step": "emb", "ok": True}]
 
     # an 8 x 3 table read at rows 0, 1 and 7: words 0..5 and 21..23 touch
     # keystream blocks 0, 1 and 5 of its six
     T8 = np.arange(24, dtype=np.uint32).reshape(8, 3)
-    IDS = np.asarray([0, 1, 7, 7])
-    WS = np.asarray([1, 2, 3, 1], dtype=np.uint32)
+    IDS = np.asarray([[0, 1], [7, 7]])
+    WS = np.asarray([[1, 2], [3, 1]], dtype=np.uint32)
     # online (host, device) PRF calls of that lookup, unverified; a verified
     # one opens the whole tag store (16 words, four blocks) on the host
     ROW_PRF = {"cpu_insecure": (0, 0), "cpu_secure": (3, 0),
@@ -489,7 +501,7 @@ class TestEmbeddingOp:
         sess = session(scheme, verify=verify)
         op = EmbeddingOp(sess, self.T8)
         before = self.online_prf(sess)
-        out = op.lookup(self.IDS, self.WS, batch=2, pf=2)
+        out = op.lookup(self.IDS, self.WS)
         assert out.tolist() == [[6, 9, 12], [84, 88, 92]]
         host, device = self.ROW_PRF[scheme]
         assert self.online_prf(sess) == (before[0] + host + 4 * verify,
@@ -505,10 +517,10 @@ class TestEmbeddingOp:
         sess = session(scheme, verify=verify)
         op = EmbeddingOp(sess, self.T8)
         before = self.online_prf(sess)
-        ids = np.asarray([3, 0, 7, 1, 6, 2, 5, 4, 0, 7])
-        ws = np.ones(10, dtype=np.uint32)
-        out = op.lookup(ids, ws, batch=5, pf=2)
-        assert np.array_equal(out, kernels.embedding(self.T8, ids, ws, 5, 2))
+        ids = np.asarray([[3, 0], [7, 1], [6, 2], [5, 4], [0, 7]])
+        ws = np.ones((5, 2), dtype=np.uint32)
+        out = op.lookup(ids, ws)
+        assert np.array_equal(out, kernels.embedding(self.T8, ids, ws))
         host, device = full_prf[scheme]
         assert self.online_prf(sess) == (before[0] + host + 4 * verify,
                                          before[1] + device)
@@ -525,9 +537,9 @@ class TestEmbeddingOp:
         sess.tamper.arm(TamperSpec("resident_share", "word_randomize", position))
         if read:
             with pytest.raises(VerificationError):
-                op.lookup(self.IDS, self.WS, batch=2, pf=2)
+                op.lookup(self.IDS, self.WS)
         else:
-            out = op.lookup(self.IDS, self.WS, batch=2, pf=2)
+            out = op.lookup(self.IDS, self.WS)
             assert out.tolist() == [[6, 9, 12], [84, 88, 92]]
             assert sess.verification_events == [{"step": "emb", "ok": True}]
         assert sess.tamper.log == [{"target": "resident_share",
@@ -537,8 +549,7 @@ class TestEmbeddingOp:
     def test_index_leak_declared(self):
         sess = session("pim_runtime")
         op = EmbeddingOp(sess, self.T)
-        op.lookup(np.asarray([0]), np.asarray([1], dtype=np.uint32),
-                  batch=1, pf=1)
+        op.lookup(np.asarray([[0]]), np.asarray([[1]], dtype=np.uint32))
         assert "dlrm_indices_in_clear" in sess.leaks
 
 
@@ -649,7 +660,7 @@ class TestPhases:
 
     M = np.arange(16, dtype=np.uint32).reshape(4, 4)
     BUILD = {
-        "public": lambda s, M: PublicMatrixOp(s, M, uses=2),
+        "public": lambda s, M: PublicMatrixOp(s, M),
         "private": lambda s, M: PrivateMatrixOp(s, M),
         "static": lambda s, M: PrivateMatrixOp(s, M, vectors=[M[0], M[1]]),
         "embedding": lambda s, M: EmbeddingOp(s, M),
@@ -699,14 +710,17 @@ class TestOperandShapes:
 
     @pytest.mark.parametrize("verify", [False, True])
     @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("n_ids, n_weights", [(3, 3), (1, 1), (2, 3),
-                                                  (2, 1)])
-    def test_size_mismatched_lookup(self, n_ids, n_weights, scheme, verify):
-        """batch * pf = 2 ids and weights are wanted."""
+    @pytest.mark.parametrize("ids_shape, weights_shape", [
+        ((2,), (2,)), ((1, 2), (2,)), ((1, 2), (2, 1)), ((1, 2), (1, 3)),
+        ((1, 1, 2), (1, 1, 2))])
+    def test_size_mismatched_lookup(self, ids_shape, weights_shape, scheme,
+                                    verify):
+        """ids and weights must both be (batch, pf): 1-D ids, weights of
+        another shape and 3-D ids are refused."""
         op = EmbeddingOp(session(scheme, verify=verify), self.X)
         with pytest.raises(DimensionError):
-            op.lookup(np.zeros(n_ids, dtype=np.int64),
-                      np.ones(n_weights, dtype=np.uint32), batch=1, pf=2)
+            op.lookup(np.zeros(ids_shape, dtype=np.int64),
+                      np.ones(weights_shape, dtype=np.uint32))
 
 
 class TestLedgers:
@@ -727,7 +741,7 @@ class TestLedgers:
         self.assert_aborted_session(VerificationError, "mlp", {"depth": 1}, "A",
                              "channel_d2h")
         sess = session("pim_runtime", verify=True)
-        op = PublicMatrixOp(sess, np.eye(4, dtype=np.uint32), uses=1)
+        op = PublicMatrixOp(sess, np.eye(4, dtype=np.uint32))
         sess.tamper.arm(TamperSpec("channel_d2h"))
         with pytest.raises(VerificationError) as exc_info:
             op.apply(np.arange(1, 5, dtype=np.uint32))
@@ -767,7 +781,7 @@ class TestLedgers:
 
     def test_reshare_counter(self):
         sess = session("pim_runtime")
-        op = PublicMatrixOp(sess, np.eye(4, dtype=np.uint32), uses=3)
+        op = PublicMatrixOp(sess, np.eye(4, dtype=np.uint32))
         x = np.arange(4, dtype=np.uint32)
         op.apply(x, reshare=False)
         op.apply(x, reshare=True)

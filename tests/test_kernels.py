@@ -43,11 +43,11 @@ def ring_gemv(W, x):
     return [sum(int(w) * int(v) for w, v in zip(row, x)) & ring.MASK for row in W]
 
 
-def ring_embedding(table, ids, ws, batch, pf):
-    """Big-int weighted gather-reduce mod 2^32, one list per batch row."""
-    return [[sum(int(ws[k * pf + j]) * int(table[ids[k * pf + j]][c])
-                 for j in range(pf)) & ring.MASK for c in range(len(table[0]))]
-            for k in range(batch)]
+def ring_embedding(table, ids, ws):
+    """Big-int weighted gather-reduce mod 2^32, one list per row of ids."""
+    return [[sum(int(w) * int(table[i][c]) for i, w in zip(bag, bag_ws))
+             & ring.MASK for c in range(len(table[0]))]
+            for bag, bag_ws in zip(ids, ws)]
 
 
 def rand_residues(rng, shape):
@@ -120,19 +120,19 @@ def test_gemv_t_partials_keep_the_shape_rule(shape):
 def test_embedding_matches_bigint_oracle():
     rng = np.random.default_rng(42)
     table = rand_words(rng, (32, 8))
-    ids = np.asarray(rng.integers(0, 32, size=12), dtype=np.int64)
-    ws = rand_words(rng, 12)
-    expect = ring_embedding(table, ids, ws, 3, 4)
-    assert kernels.embedding(table, ids, ws, 3, 4).tolist() == expect
+    ids = np.asarray(rng.integers(0, 32, size=(3, 4)), dtype=np.int64)
+    ws = rand_words(rng, (3, 4))
+    expect = ring_embedding(table, ids, ws)
+    assert kernels.embedding(table, ids, ws).tolist() == expect
 
 
-def ring_kernel_cases(W, x, e, table, ids, ws, batch, pf):
+def ring_kernel_cases(W, x, e, table, ids, ws):
     """(kernel result, big-int oracle) for gemv, gemv_t and embedding."""
     Wt = [list(col) for col in zip(*np.asarray(W).tolist())]
     return [(kernels.gemv(W, x), ring_gemv(np.asarray(W).tolist(), x)),
             (kernels.gemv_t(W, e), ring_gemv(Wt, e)),
-            (kernels.embedding(table, ids, ws, batch, pf),
-             ring_embedding(np.asarray(table).tolist(), ids, ws, batch, pf))]
+            (kernels.embedding(table, ids, ws),
+             ring_embedding(np.asarray(table).tolist(), ids, ws))]
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (7, 5), (64, 384)])
@@ -141,9 +141,9 @@ def test_ring_kernels_at_the_most_wraps(m, n):
     full = np.uint32(ring.MASK)
     W = np.full((m, n), full)
     table = np.full((4 * m, n), full)
-    ids = np.arange(4 * m)[::-1].copy()
+    ids = np.arange(4 * m)[::-1].reshape(m, 4)
     cases = ring_kernel_cases(W, np.full(n, full), np.full(m, full), table, ids,
-                              np.full(4 * m, full), m, 4)
+                              np.full((m, 4), full))
     for got, want in cases:
         assert got.dtype == np.uint32
         assert got.tolist() == want
@@ -155,12 +155,12 @@ def test_ring_kernels_wrap_other_integer_inputs(as_list):
     lists of them give the words their uint32 wraps give."""
     rng = np.random.default_rng(9)
     W, table, ws = (rng.integers(-(1 << 40), 1 << 40, size=shape)
-                    for shape in [(6, 5), (10, 3), 8])
-    ids = rng.integers(0, 10, size=8)
+                    for shape in [(6, 5), (10, 3), (2, 4)])
+    ids = rng.integers(0, 10, size=(2, 4))
 
     def cases(cast):
         return ring_kernel_cases(cast(W), cast(W[0]), cast(W[:, 0]), cast(table),
-                                 ids, cast(ws), 2, 4)
+                                 ids, cast(ws))
 
     given = cases(np.ndarray.tolist if as_list else lambda a: a)
     for (got, want), (from_words, _) in zip(given,
@@ -171,15 +171,15 @@ def test_ring_kernels_wrap_other_integer_inputs(as_list):
 
 def test_ring_kernels_on_zero_size_operands():
     z = np.zeros
-    ids = np.zeros(8, dtype=np.int64)
+    ids = np.zeros((2, 4), dtype=np.int64)
     for got, shape in [(kernels.gemv(z((0, 5), np.uint32), z(5, np.uint32)), (0,)),
                        (kernels.gemv(z((4, 0), np.uint32), z(0, np.uint32)), (4,)),
                        (kernels.gemv_t(z((0, 5), np.uint32), z(0, np.uint32)), (5,)),
                        (kernels.gemv_t(z((4, 0), np.uint32), z(4, np.uint32)), (0,)),
                        (kernels.embedding(z((3, 8), np.uint32), ids[:0],
-                                          z(0, np.uint32), 0, 4), (0, 8)),
+                                          z((0, 4), np.uint32)), (0, 8)),
                        (kernels.embedding(z((3, 0), np.uint32), ids,
-                                          z(8, np.uint32), 2, 4), (2, 0))]:
+                                          z((2, 4), np.uint32)), (2, 0))]:
         assert got.dtype == np.uint32 and got.shape == shape
         assert not got.any()
 

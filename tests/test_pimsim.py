@@ -118,23 +118,24 @@ class TestKernels:
     def test_embedding_hand_instance(self):
         dev = fresh_device()
         dev.load("T", np.asarray([[1, 2], [3, 4], [5, 6]], dtype=np.uint32))
-        out = dev.embedding("T", np.asarray([0, 2]),
-                            np.asarray([1, 1], dtype=np.uint32), batch=1, pf=2)
+        out = dev.embedding("T", np.asarray([[0, 2]]),
+                            np.asarray([[1, 1]], dtype=np.uint32))
         assert out.tolist() == [[6, 8]]
 
     def test_embedding_zero_weights(self):
         dev = fresh_device()
         dev.load("T", rand_words(np.random.default_rng(0), (8, 4)))
-        out = dev.embedding("T", np.arange(4), np.zeros(4, dtype=np.uint32),
-                            batch=2, pf=2)
+        out = dev.embedding("T", np.arange(4).reshape(2, 2),
+                            np.zeros((2, 2), dtype=np.uint32))
+        assert out.shape == (2, 4)
         assert not out.any()
 
     def test_embedding_pf1_selects_row(self):
         dev = fresh_device()
         T = np.asarray([[9, 9], [7, 5]], dtype=np.uint32)
         dev.load("T", T)
-        out = dev.embedding("T", np.asarray([1]),
-                            np.asarray([1], dtype=np.uint32), batch=1, pf=1)
+        out = dev.embedding("T", np.asarray([[1]]),
+                            np.asarray([[1]], dtype=np.uint32))
         assert out.tolist() == [[7, 5]]
 
     def test_embedding_ids_wrap_modulo_rows(self):
@@ -142,8 +143,8 @@ class TestKernels:
         whatever arrives: an id past the table wraps, never IndexError."""
         dev = fresh_device()
         dev.load("T", np.asarray([[9, 9], [7, 5]], dtype=np.uint32))
-        out = dev.embedding("T", np.asarray([5]),
-                            np.asarray([1], dtype=np.uint32), batch=1, pf=1)
+        out = dev.embedding("T", np.asarray([[5]]),
+                            np.asarray([[1]], dtype=np.uint32))
         assert out.tolist() == [[7, 5]]
         assert dev.report.bytes_h2d == 16 + 4 + 4   # table, id, weight
 
@@ -294,24 +295,18 @@ class TestTamperPoint:
         assert t.hit("device_result", self.WORDS) is self.WORDS
         assert [e["target"] for e in t.log] == ["device_result"]
 
-    def test_specs_on_one_target_fire_in_armed_order(self):
-        t = Tamper()
-        t.arm(TamperSpec("resident_share", position=0))
-        t.arm(TamperSpec("channel_d2h", position=5))
-        t.arm(TamperSpec("channel_d2h", "bit_flip", position=3))
-        t.hit("channel_d2h", self.WORDS)
-        t.hit("channel_d2h", self.WORDS)
-        assert [(e["mutation"], e["index"]) for e in t.log] == [
-            ("word_randomize", 5), ("bit_flip", 3)]
-        assert t.hit("channel_d2h", self.WORDS) is self.WORDS
-        assert t.hit("resident_share", self.WORDS.copy())[0] != self.WORDS[0]
-
     def test_unarmed_hit_returns_the_same_object(self):
+        """A hit on a target no spec is armed for changes nothing, and the
+        spec armed for another target stays armed until its own is hit."""
         t = Tamper()
         assert t.hit("channel_h2d", self.WORDS) is self.WORDS
-        t.arm(TamperSpec("device_result"))
+        t.arm(TamperSpec("resident_share", position=0))
         assert t.hit("channel_h2d", self.WORDS) is self.WORDS
+        assert t.hit("channel_d2h", self.WORDS) is self.WORDS
         assert t.log == []
+        assert t.hit("resident_share", self.WORDS.copy())[0] != self.WORDS[0]
+        assert t.log[0]["target"] == "resident_share"
+        assert t.hit("resident_share", self.WORDS) is self.WORDS
 
     @pytest.mark.parametrize("scheme", ["pim_runtime", "pim_precompute"])
     def test_unarmed_sealed_hits_draw_nothing(self, scheme):

@@ -48,6 +48,15 @@ class SchemeConfig:
             raise ConfigError(f"verify must be true or false, got {self.verify!r}")
 
 
+def _integers(what: str, a, dtype) -> np.ndarray:
+    """``a`` as a contiguous ``dtype`` array; ConfigError unless it holds
+    integers, which the cast would otherwise truncate or take as words."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "iu":
+        raise ConfigError(f"{what} must be integers, not {a.dtype}")
+    return np.ascontiguousarray(a, dtype=dtype)
+
+
 def derive_key_hex(seed: int) -> str:
     return hashlib.sha256(b"securepim-key:" + str(seed).encode()).hexdigest()[:32]
 
@@ -300,7 +309,7 @@ class PublicMatrixOp(_PrivateOperand):
         """Merged raw GEMV result (pre-truncation), verified if configured;
         ``reshare`` counts the share of x as a refresh."""
         s = self.sess
-        x = np.ascontiguousarray(x, dtype=np.uint32)
+        x = _integers("vector", x, np.uint32)
         ctx, res_sealed = self._next_use()
         self._held = self._protect(x, ctx, reshare)
         dev = s.device
@@ -340,7 +349,7 @@ class PrivateMatrixOp(_PrivateOperand):
         sealed; the device ones return per-DPU ``partials`` if set), merged
         with the next use's resCPU if precomputed, and verified against
         ``store``."""
-        vec = np.ascontiguousarray(vec, dtype=np.uint32)
+        vec = _integers("vector", vec, np.uint32)
         y = self._merge(*kernel_fns, (vec,), self.shape[0] * self.shape[1],
                         self._next_use(vec)[1], partials=partials)
         self.sess.verify_gemv(f"{self.step}:{step}", store, vec, y)
@@ -390,14 +399,12 @@ class EmbeddingOp(_PrivateOperand):
         """The weighted sum of each bag, one per row of the (batch, pf)
         ``ids`` and ``weights``: a (batch, cols) result."""
         s = self.sess
-        ids = np.asarray(ids)
         rows, cols = self.shape
-        if ids.dtype.kind not in "iu":
-            raise ConfigError(f"embedding ids must be integers, not {ids.dtype}")
+        # past 2^63 a uint64 id turns negative, which the range check refuses
+        ids = _integers("embedding ids", ids, np.int64)
         if ids.size and (ids.min() < 0 or ids.max() >= rows):
             raise ConfigError(f"embedding ids must lie in [0, {rows})")
-        ids = np.ascontiguousarray(ids, dtype=np.int64)
-        weights = np.ascontiguousarray(weights, dtype=np.uint32)
+        weights = _integers("embedding weights", weights, np.uint32)
         s.record_leak("dlrm_indices_in_clear")
         read, inv = kernels.distinct_rows(ids, rows)
         out = self._merge(

@@ -45,31 +45,43 @@ def _raw(rng, lo, hi, shape):
                         dtype=np.int32).view(np.uint32)
 
 
-def run_mlp(sess: Session, rng, p):
-    depth, dim = p["depth"], p["dim"]
+def draw_mlp(rng, p):
     # growth factor dim * |w|max <= 1/2 keeps activations and raw sums bounded
-    weights = [_raw(rng, -1 / 32, 1 / 32, (dim, dim)) for _ in range(depth)]
-    x = _raw(rng, -1, 1, dim)
+    depth, dim = p["depth"], p["dim"]
+    return {"weights": _raw(rng, -1 / 32, 1 / 32, (depth, dim, dim)),
+            "x": _raw(rng, -1, 1, dim)}
+
+
+def run_mlp(sess: Session, inputs, p):
     layers = [PublicMatrixOp(sess, W, step=f"layer{i}")
-              for i, W in enumerate(weights)]
+              for i, W in enumerate(inputs["weights"])]
+    # a copy, so that a zero-layer MLP does not return its drawn input
+    x = inputs["x"].copy()
     for i, layer in enumerate(layers):
         y_raw = layer.apply(x, reshare=i > 0)
         x = ring.relu_array(ring.trunc_array(y_raw))
     return x
 
 
-def run_dlrm(sess: Session, rng, p):
+def draw_dlrm(rng, p):
+    bags = (p["batch"], p["pf"])
+    draws = [(_raw(rng, -1, 1, (p["rows"], p["cols"])),
+              rng.integers(0, p["rows"], size=bags),
+              rng.integers(1, 4, size=bags).astype(np.uint32))
+             for _ in range(p["tables"])]
+    return dict(zip(("tables", "ids", "weights"), map(np.stack, zip(*draws))))
+
+
+def run_dlrm(sess: Session, inputs, p):
     outs = []
-    for t in range(p["tables"]):
-        table = _raw(rng, -1, 1, (p["rows"], p["cols"]))
-        ids = rng.integers(0, p["rows"], size=(p["batch"], p["pf"]))
-        weights = rng.integers(1, 4, size=ids.shape).astype(np.uint32)
+    for t, (table, ids, weights) in enumerate(
+            zip(inputs["tables"], inputs["ids"], inputs["weights"])):
         op = EmbeddingOp(sess, table, step=f"table{t}")
         outs.append(op.lookup(ids, weights))
     return np.concatenate([o.ravel() for o in outs])
 
 
-def _regression(sess: Session, rng, p, logistic: bool):
+def _draw_regression(rng, p, logistic: bool):
     n, d = p["samples"], p["features"]
     if logistic:
         # each feature plants its row's label, +1/8 or -1/8, under noise in
@@ -82,9 +94,13 @@ def _regression(sess: Session, rng, p, logistic: bool):
     else:
         X = _raw(rng, -0.25, 0.25, (n, d))
         y = _raw(rng, -1, 1, n)
+    return {"X": X, "y": y}
+
+
+def _regression(sess: Session, inputs, p, logistic: bool):
     lr_raw = ring.fx_encode_nearest(p["lr"])
-    op = PrivateMatrixOp(sess, X, step="iter")
-    w = np.zeros(d, dtype=np.uint32)
+    op = PrivateMatrixOp(sess, inputs["X"], step="iter")
+    w = np.zeros(p["features"], dtype=np.uint32)
     a2y = sess.cfg.variant == "A2Y" and sess.cfg.scheme in DEVICE_SCHEMES
     for _ in range(p["iterations"]):
         pred = ring.trunc_array(op.matvec(w))
@@ -94,18 +110,20 @@ def _regression(sess: Session, rng, p, logistic: bool):
             a = sess.a2y_activation(pred)
         else:
             a = ring.clamp_unit_array(pred)
-        g = ring.trunc_array(op.matvec_t(a - y))
+        g = ring.trunc_array(op.matvec_t(a - inputs["y"]))
         w = w - ring.fx_mul_trunc_array(g, lr_raw)
     return w
 
 
-def run_gemm(sess: Session, rng, p):
-    """GEMM of a private A with a public B, one GEMV per column of B."""
+def draw_gemm(rng, p):
     n = p["n"]
-    A = _raw(rng, -1, 1, (n, n))
-    B = _raw(rng, -1, 1, (n, n))
-    cols = [np.ascontiguousarray(B[:, j]) for j in range(n)]
-    op = PrivateMatrixOp(sess, A, step="gemm", vectors=cols)
+    return {"A": _raw(rng, -1, 1, (n, n)), "B": _raw(rng, -1, 1, (n, n))}
+
+
+def run_gemm(sess: Session, inputs, p):
+    """GEMM of a private A with a public B, one GEMV per column of B."""
+    cols = [np.ascontiguousarray(inputs["B"][:, j]) for j in range(p["n"])]
+    op = PrivateMatrixOp(sess, inputs["A"], step="gemm", vectors=cols)
     out = np.stack(
         [ring.trunc_array(op.matvec(c, step_suffix=f"col{j}"))
          for j, c in enumerate(cols)], axis=1)
@@ -118,12 +136,15 @@ def unroll_conv_input(img: np.ndarray, k: int, stride: int) -> np.ndarray:
     return windows[::stride, ::stride].reshape(-1, k * k)
 
 
-def run_conv(sess: Session, rng, p):
+def draw_conv(rng, p):
+    return {"img": _raw(rng, -1, 1, (p["size"], p["size"])),
+            "kern": _raw(rng, -1, 1, (p["kernel"], p["kernel"]))}
+
+
+def run_conv(sess: Session, inputs, p):
     """Convolution lowered to a GEMV over the unrolled (private) input."""
-    img = _raw(rng, -1, 1, (p["size"], p["size"]))
-    kern = _raw(rng, -1, 1, (p["kernel"], p["kernel"]))
-    U = unroll_conv_input(img, p["kernel"], p["stride"])
-    kvec = kern.ravel()
+    U = unroll_conv_input(inputs["img"], p["kernel"], p["stride"])
+    kvec = inputs["kern"].ravel()
     op = PrivateMatrixOp(sess, U, step="conv", vectors=[kvec])
     return ring.trunc_array(op.matvec(kvec))
 
@@ -133,22 +154,26 @@ def _conv_operands(p):
     return [(1, per_side ** 2 * p["kernel"] ** 2)], [p["size"] ** 2]
 
 
-# name -> (body, defaults, operands): ``operands(p)`` gives, from the params
-# alone, the matrices the body places as (count, words) and the word counts
-# of the other arrays it draws or sends
+# name -> (body, defaults, operands, draw): ``draw(rng, p)`` gives the named
+# input arrays that the body ``(sess, inputs, p) -> words`` reads, and
+# ``operands(p)`` gives, from the params alone, the matrices the body places
+# as (count, words) and the word counts of the other arrays it draws or sends
 WORKLOADS = {
     "mlp": (run_mlp, MLP_DEFAULTS,
-            lambda p: ([(p["depth"], p["dim"] ** 2)], [p["dim"]])),
+            lambda p: ([(p["depth"], p["dim"] ** 2)], [p["dim"]]), draw_mlp),
     "dlrm": (run_dlrm, DLRM_DEFAULTS,
              lambda p: ([(p["tables"], p["rows"] * p["cols"])],
-                        [p["batch"] * p["pf"], p["batch"] * p["cols"]])),
+                        [p["batch"] * p["pf"], p["batch"] * p["cols"]]),
+             draw_dlrm),
     "linreg": (partial(_regression, logistic=False), LINREG_DEFAULTS,
-               lambda p: ([(1, p["samples"] * p["features"])], [p["samples"]])),
+               lambda p: ([(1, p["samples"] * p["features"])], [p["samples"]]),
+               partial(_draw_regression, logistic=False)),
     "logreg": (partial(_regression, logistic=True), LOGREG_DEFAULTS,
-               lambda p: ([(1, p["samples"] * p["features"])], [p["samples"]])),
+               lambda p: ([(1, p["samples"] * p["features"])], [p["samples"]]),
+               partial(_draw_regression, logistic=True)),
     "gemm": (run_gemm, GEMM_DEFAULTS,
-             lambda p: ([(1, p["n"] ** 2)], [p["n"] ** 2])),
-    "conv": (run_conv, CONV_DEFAULTS, _conv_operands),
+             lambda p: ([(1, p["n"] ** 2)], [p["n"] ** 2]), draw_gemm),
+    "conv": (run_conv, CONV_DEFAULTS, _conv_operands, draw_conv),
 }
 
 TRAINING_WORKLOADS = frozenset({"linreg", "logreg"})
@@ -220,22 +245,35 @@ def merged_params(name: str, params, scheme: str) -> dict:
     return p
 
 
+# one slot: the inputs of the last run, under its (name, seed, sorted
+# params); no draw reads the scheme, verify, variant or tamper
+_drawn = {}
+
+
 def run_workload(name: str, cfg: SchemeConfig, seed: int, params=None,
                  tamper=None):
     """The one setup path: check the input, merge the workload's defaults with
-    ``params``, seed the input generator, build the session, arm ``tamper`` on
-    its ``Tamper`` and run the body ``(sess, rng, p) -> words``; returns
-    (words, sess).  A check that aborts the body re-raises with ``session``
-    set to ``sess``.  Malformed input, and a ``tamper`` that the body returned
-    without firing, raise ConfigError."""
+    ``params``, draw its inputs from a generator seeded with ``seed`` (or
+    take them, read-only, from the last run at the same workload, seed and
+    params), build the session, arm ``tamper`` on its ``Tamper`` and run the
+    body ``(sess, inputs, p) -> words``; returns (words, sess).  A check that
+    aborts the body re-raises with ``session`` set to ``sess``.  Malformed
+    input, and a ``tamper`` that the body returned without firing, raise
+    ConfigError."""
     check_int("seed", seed)
     p = merged_params(name, params, cfg.scheme)
-    rng = np.random.default_rng(seed)
+    key = (name, seed, tuple(sorted(p.items())))
+    if key not in _drawn:
+        _drawn.clear()
+        _drawn[key] = WORKLOADS[name][3](np.random.default_rng(seed), p)
+        for a in _drawn[key].values():
+            a.flags.writeable = False
+    inputs = _drawn[key]
     sess = Session(cfg, seed)
     if tamper is not None:
         sess.tamper.arm(tamper)
     try:
-        words = WORKLOADS[name][0](sess, rng, p)
+        words = WORKLOADS[name][0](sess, inputs, p)
     except (VerificationError, GcEvaluationFault) as exc:
         exc.session = sess
         raise

@@ -13,6 +13,7 @@ from securepim.cli import (
     parse_tamper,
 )
 from securepim.errors import ConfigError
+from securepim.host import SCHEMES
 
 
 def run_cli(tmp_path, *args):
@@ -311,6 +312,26 @@ class TestDeterminism:
         assert main(args + ["--out", str(a)]) == EXIT_OK
         assert main(args + ["--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+
+    def test_reports_do_not_depend_on_the_scenario_before(self, tmp_path):
+        """One workload's twelve default scenarios, each scheme with and
+        without --verify, run in one order and then in reverse in the same
+        process: every report is byte-identical."""
+        runs = [["run", "--workload", "dlrm", "--scheme", scheme, "--seed", "2",
+                 *verify] for scheme in SCHEMES for verify in ([], ["--verify"])]
+
+        def reports(argvs, tag):
+            got = {}
+            for argv in argvs:
+                out = tmp_path / f"{tag}{len(got)}.json"
+                assert main(argv + ["--out", str(out)]) == EXIT_OK
+                got[tuple(argv)] = out.read_bytes()
+            return got
+
+        ahead = reports(runs, "ahead")
+        assert len(ahead) == 12
+        assert reports(runs[::-1], "back") == ahead
 
 
 class TestCompare:

@@ -357,6 +357,17 @@ class TestEmbeddingOp:
             op.lookup(np.asarray(bad), np.asarray([[1, 1]], dtype=np.uint32))
         assert sess.online == CostReport()
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("bad", [[[1.9, 2.7]], [[True, True]]],
+                             ids=["float", "bool"])
+    def test_non_integer_weights_are_config_errors(self, scheme, bad):
+        """Float and bool weights are refused, not truncated to words."""
+        sess = session(scheme, verify=True)
+        op = EmbeddingOp(sess, self.T)
+        with pytest.raises(ConfigError, match="weights must be integers"):
+            op.lookup(np.asarray([[0, 2]]), np.asarray(bad))
+        assert sess.online == CostReport()
+
     def test_batched_check_matches_per_row_oracle(self):
         rng = np.random.default_rng(5)
         table = ring.from_signed_array(rng.integers(-4000, 4000, size=(6, 4)))
@@ -707,6 +718,19 @@ class TestOperandShapes:
         sess = session(scheme, verify=verify)
         with pytest.raises(DimensionError):
             self.CALLS[call](sess, self.X, np.ones(shape, dtype=np.uint32))
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("bad", [[0.5, 1.5, 2.9], [True, False, True]],
+                             ids=["float", "bool"])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_non_integer_vector_is_config_error(self, call, bad, scheme):
+        """A float or bool vector of the right length is refused, not
+        truncated to words, before anything is sent or computed."""
+        sess = session(scheme, verify=True)
+        n = self.X.shape[call == "matvec_t"]
+        with pytest.raises(ConfigError, match="vector must be integers"):
+            self.CALLS[call](sess, self.X, np.asarray(bad[:n]))
+        assert sess.online == CostReport()
 
     @pytest.mark.parametrize("verify", [False, True])
     @pytest.mark.parametrize("scheme", SCHEMES)

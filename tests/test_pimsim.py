@@ -521,8 +521,9 @@ class TestMasking:
         dev.load = recording(dev.load, "XT")
         dev.gemv = recording(dev.gemv, "W")
         dev.gemv_enc = recording(dev.gemv_enc, "W")
-        WORKLOADS[workload][0](sess, np.random.default_rng(0),
-                               merged_params(workload, None, scheme))
+        p = merged_params(workload, None, scheme)
+        WORKLOADS[workload][0](
+            sess, WORKLOADS[workload][3](np.random.default_rng(0), p), p)
         return seen
 
     @pytest.mark.parametrize("workload, scheme", CASES)

@@ -5,10 +5,14 @@ The oracles re-derive every result with plain signed numpy arithmetic,
 independently of the sharing/device machinery.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from securepim import ring
+from securepim.cli import build_report, render
 from securepim.errors import ConfigError
 from securepim.host import (
     DEVICE_SCHEMES,
@@ -302,3 +306,117 @@ class TestPhases:
         matrices = WORKLOADS[name][2](merged_params(name, None, scheme))[0]
         assert sess.offline.bytes_h2d == 4 * sum(n * w for n, w in matrices)
         assert sess.offline.bytes_h2d > 0
+
+
+class TestInputReuse:
+    """``run_workload`` keeps the inputs of its last (workload, seed,
+    params) and hands them, read-only, to the next run at that key, whatever
+    its scheme; any other key draws anew."""
+
+    RUNS = [(name, scheme) for name in sorted(WORKLOADS) for scheme in SCHEMES
+            if not (name in TRAINING_WORKLOADS and scheme == "pim_precompute")]
+
+    @staticmethod
+    def count_draws(monkeypatch):
+        """The seeds of the input generators made from now on; the tamper
+        generator of each session is seeded with a SeedSequence instead."""
+        seeds, make = [], np.random.default_rng
+
+        def counting(seed=None):
+            if not isinstance(seed, np.random.SeedSequence):
+                seeds.append(seed)
+            return make(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        return seeds
+
+    @staticmethod
+    def capture_inputs(monkeypatch, name):
+        """The inputs each run of ``name``'s body receives, in order."""
+        seen, (body, *rest) = [], WORKLOADS[name]
+
+        def capturing(sess, inputs, p):
+            seen.append(inputs)
+            return body(sess, inputs, p)
+
+        monkeypatch.setitem(WORKLOADS, name, (capturing, *rest))
+        return seen
+
+    @staticmethod
+    def report(name, scheme, seed=4):
+        words, sess = run_workload(name, SchemeConfig(scheme, verify=True),
+                                   seed)
+        return render(build_report({}, words, sess))
+
+    @pytest.mark.parametrize("name, scheme", RUNS)
+    def test_reused_inputs_give_the_cold_run(self, name, scheme, monkeypatch):
+        """After a run of another scheme at the same key, a run draws
+        nothing and reports byte for byte what it reports after a run at
+        another seed, which leaves the slot cold for it: digest, both
+        ledgers, verification events and leaks."""
+        other = "pim_runtime" if scheme == "cpu_insecure" else "cpu_insecure"
+        self.report(name, other, seed=5)
+        cold = self.report(name, scheme)
+        self.report(name, other)
+        seeds = self.count_draws(monkeypatch)
+        assert self.report(name, scheme) == cold
+        assert seeds == []
+
+    def test_another_seed_or_params_draws_anew(self, monkeypatch):
+        seeds = self.count_draws(monkeypatch)
+        runs = [("pim_runtime", 0, None), ("cpu_insecure", 0, None),
+                ("pim_precompute", 0, {"depth": 10, "dim": 16}),
+                ("pim_runtime", 1, None), ("pim_runtime", 1, {"depth": 3}),
+                ("pim_runtime", 1, {"dim": 16, "depth": 3}),
+                ("pim_runtime", 0, {"depth": 3})]
+        for scheme, seed, params in runs:
+            run_workload("mlp", SchemeConfig(scheme), seed, params)
+        assert seeds == [0, 1, 1, 0]
+
+    @pytest.mark.parametrize("name, scheme, params", [
+        ("mlp", "pim_runtime", {"dim": 2048, "depth": 2}),
+        ("dlrm", "cpu_insecure", {"batch": 1 << 30}),
+        ("linreg", "pim_precompute", None),
+        ("logreg", "pim_precompute", None)])
+    def test_rejected_input_neither_draws_nor_evicts(self, name, scheme,
+                                                     params, monkeypatch):
+        run_workload("gemm", SchemeConfig("pim_runtime"), 2)
+        seeds = self.count_draws(monkeypatch)
+        with pytest.raises(ConfigError):
+            run_workload(name, SchemeConfig(scheme), 2, params)
+        run_workload("gemm", SchemeConfig("cpu_secure"), 2)
+        assert seeds == []
+
+    def test_one_slot(self, monkeypatch):
+        """A run at another key lets the last run's inputs go."""
+        seen = self.capture_inputs(monkeypatch, "dlrm")
+        run_workload("dlrm", SchemeConfig("pim_runtime"), 3)
+        held = [weakref.ref(arr) for arr in seen.pop().values()]
+        run_workload("dlrm", SchemeConfig("pim_runtime"), 4)
+        gc.collect()
+        assert [ref() for ref in held] == [None] * 3
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_drawn_arrays_are_read_only(self, name, monkeypatch):
+        seen = self.capture_inputs(monkeypatch, name)
+        run_workload(name, SchemeConfig("pim_runtime"), 6)
+        assert seen[0]
+        for arr in seen[0].values():
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+
+    @pytest.mark.parametrize("scheme", ["cpu_insecure", "pim_runtime"])
+    @pytest.mark.parametrize("name, params", [
+        *((name, None) for name in sorted(WORKLOADS)),
+        ("mlp", {"depth": 0}), ("linreg", {"iterations": 0}),
+        ("logreg", {"iterations": 0})])
+    def test_words_never_alias_the_inputs(self, name, params, scheme,
+                                          monkeypatch):
+        """Twice at one key: the second run's words are a fresh array too."""
+        seen = self.capture_inputs(monkeypatch, name)
+        for _ in range(2):
+            words, _ = run_workload(name, SchemeConfig(scheme), 8, params)
+            assert words.flags.writeable
+            assert not any(np.shares_memory(words, arr)
+                           for arr in seen[-1].values())
+        assert seen[0] is seen[1]

@@ -347,6 +347,15 @@ class TestEmbeddingOp:
             op.lookup(np.asarray([bad]), np.asarray([[1, 1]], dtype=np.uint32))
 
     @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_uint64_ids_past_int64_are_out_of_range(self, scheme):
+        """A uint64 id of 2^63 or more wraps negative in the int64 cast,
+        which the range check refuses."""
+        op = EmbeddingOp(session(scheme, verify=True), self.T)
+        with pytest.raises(ConfigError, match="must lie in"):
+            op.lookup(np.asarray([[1 << 63, 0]], dtype=np.uint64),
+                      np.asarray([[1, 1]], dtype=np.uint32))
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("bad", [[[0.9, 2.7]], [[True, False]]],
                              ids=["float", "bool"])
     def test_non_integer_ids_are_config_errors(self, scheme, bad):

@@ -4,9 +4,9 @@ A keystream block is AES-128(key) applied to a 128-bit counter laid out as
 little-endian fields ``version(32) || stream_id(32) || block_index(64)``;
 each block yields four ring words.  A context is ``(key, version)``; its
 stream is addressable by block, so regeneration is bit-exact, and a share
-takes the first words of its context's stream.  A share or sealed array
-laid out in rows can also be regenerated or opened row by row
-(``otp_rows``): only the blocks those rows touch are encrypted and charged.
+takes the first words of its context's stream.  ``KeyStore.pad`` lays out
+every pad (share, seal, garbling seeds), and can give chosen rows alone:
+only the blocks those rows touch are encrypted and charged.
 """
 
 import math
@@ -98,18 +98,22 @@ class KeyStore:
         return self._blocks(ctx.key_id, ctx.version, stream_id, index[:nblocks],
                             nblocks, on_prf)[:count]
 
-    def otp_rows(self, ctx: OtpContext, rows: np.ndarray, width: int,
-                 stream_id: int = STREAM_SHARE, on_prf=None) -> np.ndarray:
-        """Rows ``rows`` (ascending, distinct) of the stream laid out
-        ``width`` words a row: ``otp_words(ctx, n * width).reshape(n,
-        width)[rows]`` for any ``n`` past the last row, from the blocks those
-        rows touch, each encrypted and charged once.
+    def pad(self, ctx: OtpContext, shape, stream_id: int = STREAM_SHARE,
+            on_prf=None, rows=None) -> np.ndarray:
+        """The stream laid out in ``shape``: its first words in C order.
+        With ``rows`` (ascending, distinct), only those rows of the 2-D
+        layout ``shape[1]`` words a row, ``pad(ctx, (n, shape[1]))[rows]``
+        for any ``n`` past the last row, from the blocks those rows touch,
+        each encrypted and charged once.
 
-        The stream is read in units of ``u = gcd(width, 4)`` words, so no
-        unit straddles a block and a block holds ``4 / u`` of them.  A row
-        of whole blocks (``u = 4``) is its own blocks, in order.
+        Rows are read in units of ``u = gcd(width, 4)`` words, so no unit
+        straddles a block and a block holds ``4 / u`` of them.  A row of
+        whole blocks (``u = 4``) is its own blocks, in order.
         """
-        rows = np.asarray(rows, dtype=np.int64)
+        if rows is None:
+            return self.otp_words(ctx, math.prod(shape), stream_id,
+                                  on_prf).reshape(shape)
+        rows, width = np.asarray(rows, dtype=np.int64), shape[1]
         unit = math.gcd(width, WORDS_PER_BLOCK)
         per_row, per_block = width // unit, WORDS_PER_BLOCK // unit
         units = (rows[:, None] * per_row + np.arange(per_row)).ravel()
@@ -121,23 +125,18 @@ class KeyStore:
         first = np.ones(block.size, dtype=bool)
         first[1:] = block[1:] != block[:-1]
         index = block[first]
-        pad = self._blocks(ctx.key_id, ctx.version, stream_id, index, index.size,
-                           on_prf).reshape(-1, unit)
+        words = self._blocks(ctx.key_id, ctx.version, stream_id, index,
+                             index.size, on_prf).reshape(-1, unit)
         slot = np.searchsorted(index, block) * per_block + units % per_block
-        return pad[slot].reshape(rows.size, width)
+        return words[slot].reshape(rows.size, width)
 
     def seal(self, ctx: OtpContext, words: np.ndarray, on_prf=None,
              rows=None) -> np.ndarray:
         """XOR with the sealing stream; an involution, so also unseals.
         With ``rows`` (ascending, distinct), ``words`` holds only those rows
-        of a 2-D array, and only their pad is taken (``otp_rows``)."""
-        if rows is not None:
-            words = np.asarray(words, dtype=np.uint32)
-            return words ^ self.otp_rows(ctx, rows, words.shape[1], STREAM_SEAL,
-                                         on_prf)
-        flat = np.ascontiguousarray(words, dtype=np.uint32).ravel()
-        pad = self.otp_words(ctx, flat.size, stream_id=STREAM_SEAL, on_prf=on_prf)
-        return (flat ^ pad).reshape(np.shape(words))
+        of a 2-D array, and only their pad is taken."""
+        words = np.asarray(words, dtype=np.uint32, order="C")
+        return words ^ self.pad(ctx, words.shape, STREAM_SEAL, on_prf, rows)
 
     open = seal  # XOR involution
 

@@ -151,12 +151,12 @@ class Session:
         whole vector under one fresh context, whose uncharged STREAM_GC gives
         one garbling seed per scalar; the device evaluates the clamp, learns
         the activations (declared leak), host stores both labels per C bit."""
-        words = np.asarray(p, dtype=np.uint32).ravel()
+        words = _integers("activation vector", p, np.uint32).ravel()
         ctx = self.alloc_ctx()
         c = sharing.split(words, ctx, self.ks, on_prf=self._prf)
         r = words - c
-        pad = self.ks.otp_words(ctx, 4 * words.size, stream_id=STREAM_GC)
-        seeds = pad.view("<u8").reshape(-1, 2)   # each seed's (low, high) words
+        # each seed's (low, high) words
+        seeds = self.ks.pad(ctx, (words.size, 4), STREAM_GC).view("<u8")
         gcirc, labels, _ot, stats = prepare_switch(r, c, seeds)
         out = self.device.evaluate_garbled(gcirc, labels)
         self.a2y_scalars += words.size
@@ -292,7 +292,7 @@ class PublicMatrixOp(_PrivateOperand):
     @_offline
     def __init__(self, session: Session, W: np.ndarray, step: str = "gemv"):
         self.sess = session
-        self.W = np.ascontiguousarray(W, dtype=np.uint32)
+        self.W = _integers("matrix", W, np.uint32)
         self.step = step
         self._use = 0
         s = session
@@ -336,7 +336,7 @@ class PrivateMatrixOp(_PrivateOperand):
     def __init__(self, session: Session, X: np.ndarray, step: str = "mat",
                  vectors=None):
         self.sess = session
-        X = np.ascontiguousarray(X, dtype=np.uint32)
+        X = _integers("matrix", X, np.uint32)
         self.step = step
         self.static = vectors is not None
         self.col_tag_store = session.tag_store(X)
@@ -348,8 +348,7 @@ class PrivateMatrixOp(_PrivateOperand):
         """The product of X with ``vec`` by ``kernel_fns`` (host, device and
         sealed; the device ones return per-DPU ``partials`` if set), merged
         with the next use's resCPU if precomputed, and verified against
-        ``store``."""
-        vec = _integers("vector", vec, np.uint32)
+        ``store``.  ``vec`` has passed ``_integers``."""
         y = self._merge(*kernel_fns, (vec,), self.shape[0] * self.shape[1],
                         self._next_use(vec)[1], partials=partials)
         self.sess.verify_gemv(f"{self.step}:{step}", store, vec, y)
@@ -358,7 +357,8 @@ class PrivateMatrixOp(_PrivateOperand):
     def matvec(self, w: np.ndarray, step_suffix: str = "dot") -> np.ndarray:
         """X @ w, merged; verified against the column tags."""
         dev = self.sess.device
-        return self._product(w, self.col_tag_store, step_suffix, kernels.gemv,
+        return self._product(_integers("vector", w, np.uint32),
+                             self.col_tag_store, step_suffix, kernels.gemv,
                              dev.matvec_rows, dev.matvec_enc)
 
     def matvec_t(self, e: np.ndarray) -> np.ndarray:
@@ -367,6 +367,7 @@ class PrivateMatrixOp(_PrivateOperand):
         if self.static:
             raise ConfigError("matvec_t needs an op built without static "
                               "vectors, which has the row tags")
+        e = _integers("vector", e, np.uint32)
         self.sess.record_leak("regression_error_vector_revealed")
         dev = self.sess.device
         return self._product(e, self.row_tag_store, "grad", kernels.gemv_t,
@@ -390,7 +391,7 @@ class EmbeddingOp(_PrivateOperand):
     @_offline
     def __init__(self, session: Session, table: np.ndarray, step: str = "emb"):
         self.sess = session
-        table = np.ascontiguousarray(table, dtype=np.uint32)
+        table = _integers("embedding table", table, np.uint32)
         self.step = step
         self.row_tag_store = session.tag_store(table.T)
         self._place(table, "T")

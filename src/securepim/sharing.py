@@ -6,7 +6,7 @@ regenerates R on demand instead of storing it, with one exception: under
 pim_precompute an operand with no static vectors (an embedding table) keeps
 R = P - C in trusted memory, so its online phase needs no PRF calls.  A
 lookup that reads only some rows of a share regenerates R for those rows
-alone, from the keystream blocks they touch (``KeyStore.otp_rows``).
+alone, from the keystream blocks they touch (``KeyStore.pad``).
 """
 
 import numpy as np
@@ -18,10 +18,7 @@ def host_share(ctx: OtpContext, shape, ks: KeyStore, on_prf=None,
                rows=None) -> np.ndarray:
     """Regenerate R for a share of the given shape, or only ``R[rows]``
     (ascending, distinct) of a 2-D one."""
-    if rows is not None:
-        return ks.otp_rows(ctx, rows, shape[1], on_prf=on_prf)
-    size = int(np.prod(shape, dtype=np.int64))
-    return ks.otp_words(ctx, size, on_prf=on_prf).reshape(shape)
+    return ks.pad(ctx, shape, on_prf=on_prf, rows=rows)
 
 
 def split(plain: np.ndarray, ctx: OtpContext, ks: KeyStore, on_prf=None) -> np.ndarray:

@@ -45,14 +45,11 @@ def prepare_switch(r_word, c_word, seed):
     word_bits = ring.WORD_BITS
     scalar = np.ndim(seed) == 0
     gc, pairs = garble(circ, [seed] if scalar else seed)
-    copies = np.arange(gc.batch)
-    r_bits = words_to_bits(r_word, word_bits).reshape(word_bits, gc.batch)
-    c_bits = words_to_bits(c_word, word_bits).reshape(-1)
-    garbler = pairs[np.arange(word_bits)[:, None], r_bits, copies]
-    evaluator_pairs = pairs[word_bits:].swapaxes(1, 2).reshape(-1, 2, 2)
-    labels = evaluator_pairs[np.arange(c_bits.size), c_bits]
-    ot = SimpleNamespace(released=c_bits.size)
-    input_labels = np.concatenate([garbler, labels.reshape(word_bits, -1, 2)])
+    # one gather: each input wire's label of its bit, R's wires then C's
+    bits = np.concatenate([words_to_bits(r_word, word_bits),
+                           words_to_bits(c_word, word_bits)])
+    input_labels = pairs[np.arange(len(bits))[:, None], bits, np.arange(gc.batch)]
+    ot = SimpleNamespace(released=word_bits * gc.batch)
     if scalar:
         inputs = circ.garbler_inputs + circ.evaluator_inputs
         input_labels = {w: _to_int(label[0]) for w, label in zip(inputs, input_labels)}

@@ -96,9 +96,10 @@ class TestOtpWords:
 
 
 
-class TestOtpRows:
-    """Rows of a stream laid out ``width`` words a row, against the slices
-    of the whole stream, charged one PRF call per distinct block."""
+class TestPadRows:
+    """Rows of a stream laid out ``width`` words a row (``pad`` with
+    ``rows``), against the slices of the whole stream, charged one PRF call
+    per distinct block."""
 
     N = 40   # rows of the full stream each case slices
 
@@ -112,8 +113,8 @@ class TestOtpRows:
         list(range(40))])
     def test_rows_equal_slices_of_the_stream(self, ks, width, rows):
         calls = []
-        got = ks.otp_rows(ctx(), np.asarray(rows, dtype=np.int64), width,
-                          on_prf=calls.append)
+        got = ks.pad(ctx(), (self.N, width), on_prf=calls.append,
+                     rows=np.asarray(rows, dtype=np.int64))
         full = ks.otp_words(ctx(), self.N * width).reshape(self.N, width)
         assert got.dtype == np.uint32
         assert got.shape == (len(rows), width)
@@ -123,15 +124,16 @@ class TestOtpRows:
     @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 16])
     def test_every_row_charges_the_whole_stream(self, ks, width):
         calls = []
-        ks.otp_rows(ctx(), np.arange(self.N), width, on_prf=calls.append)
+        ks.pad(ctx(), (self.N, width), on_prf=calls.append,
+               rows=np.arange(self.N))
         assert sum(calls) == blocks_of(self.N * width)
 
     def test_adjacent_rows_share_a_block(self, ks):
         """Width 2 packs two rows in a block and width 3 straddles blocks:
         a block two rows touch is encrypted and charged once."""
         calls = []
-        ks.otp_rows(ctx(), np.asarray([2, 3]), 2, on_prf=calls.append)
-        ks.otp_rows(ctx(), np.asarray([1, 2]), 3, on_prf=calls.append)
+        ks.pad(ctx(), (4, 2), on_prf=calls.append, rows=np.asarray([2, 3]))
+        ks.pad(ctx(), (3, 3), on_prf=calls.append, rows=np.asarray([1, 2]))
         # block 1 (words 4..7); words 3..5 and 6..8 both touch block 1
         assert calls == [1, 3]
 
@@ -141,7 +143,8 @@ class TestOtpRows:
         integer dtype address the blocks exactly."""
         rows = np.asarray([3, 17, 38], dtype=dtype)
         full = ks.otp_words(ctx(), self.N * 5).reshape(self.N, 5)
-        assert np.array_equal(ks.otp_rows(ctx(), rows, 5), full[[3, 17, 38]])
+        assert np.array_equal(ks.pad(ctx(), (self.N, 5), rows=rows),
+                              full[[3, 17, 38]])
 
     def test_open_rows_of_a_sealed_array(self, ks):
         x = np.arange(24, dtype=np.uint32).reshape(8, 3)
@@ -152,7 +155,7 @@ class TestOtpRows:
     def test_rows_follow_the_stream_id(self, ks):
         rows = np.asarray([2, 5])
         full = ks.otp_words(ctx(), 32, stream_id=STREAM_SEAL).reshape(8, 4)
-        assert np.array_equal(ks.otp_rows(ctx(), rows, 4, STREAM_SEAL),
+        assert np.array_equal(ks.pad(ctx(), (8, 4), STREAM_SEAL, rows=rows),
                               full[rows])
 
 
@@ -167,6 +170,20 @@ class TestSealOpen:
         sealed = ks.seal(ctx(), zeros)
         assert np.array_equal(
             sealed, ks.otp_words(ctx(), 16, stream_id=STREAM_SEAL))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_sealed_words_are_c_contiguous_in_their_shape(self, ks, order):
+        """An at-rest tamper mutates sealed words in place, so they are
+        always their own C-contiguous array, whatever the input's layout."""
+        x = np.asarray(np.arange(12, dtype=np.int64).reshape(3, 4), order=order)
+        sealed = ks.seal(ctx(), x)
+        assert sealed.shape == (3, 4) and sealed.flags.c_contiguous
+        assert np.array_equal(
+            sealed, x.astype(np.uint32) ^ ks.pad(ctx(), (3, 4), STREAM_SEAL))
+
+    def test_pad_lays_out_the_first_words(self, ks):
+        assert np.array_equal(ks.pad(ctx(), (3, 5), STREAM_SEAL),
+                              ks.otp_words(ctx(), 15, STREAM_SEAL).reshape(3, 5))
 
     def test_versions_give_distinct_ciphertexts(self, ks):
         x = np.arange(64, dtype=np.uint32)

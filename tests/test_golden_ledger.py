@@ -3,43 +3,13 @@
 ``golden_ledger.json`` holds, per scenario, what a run leaves behind:
 the result digest, every field of the offline and online ``CostReport``,
 the verification and leak events, the tamper log and the A2Y and reshare
-counters (or, for a rejected configuration, the error type).  The values
-were first recorded from the code before the scheme dispatch in ``host`` was
-factored into one placement and one merge path, so any change to where an
-operand lives or how results merge that moves a counter fails here.  They
-were re-recorded once, when placement PRF calls moved to the offline ledger
-(only ``host_prf_calls`` moved, each case's two-phase sum held), and the
-``gc_table`` case once more when the A2Y switch began sending a whole
-activation vector before the device evaluates any of it: its aborted run
-now charges all 8 scalars' OTP words, tables and labels (online
-``host_prf_calls``, ``gc_ciphertexts``, ``gc_bytes`` and ``bytes_h2d``;
-every other case and the tamper log stayed as they were).  They were
-re-recorded a third time, with ``tools/golden_diff.py --allow
-host_prf_calls``, when every additive share began to come from one
-``sharing.split`` and R was derived once per operand: only
-``host_prf_calls`` moved, in the five ``gemm``/``conv`` ``pim_precompute``
-cases (offline) and the two A2Y cases (online).  They were re-recorded a
-fourth time, with ``--allow bytes_h2d``, when op constructors began to run
-in the offline phase: the device loads of placed operands moved from online
-to offline ``bytes_h2d`` in 50 cases, and each case's offline plus online
-total of every counter held.  They were re-recorded a fifth time, with
-``--allow tampers``, when a ``gc_table`` spec began to mutate one 32-bit
-word of the rows the first AND stage decrypts, at its ``position``: only
-the ``gc_table`` case's tamper index moved (5 -> 1), and no phase total.
-They were re-recorded a sixth time, with ``--allow host_prf_calls --allow
-device_prf_calls``, when an embedding lookup began to regenerate and open
-only the rows its ids read: only the six ``dlrm`` cases on ``cpu_secure``,
-``pim_enc_dec`` and ``pim_runtime`` moved, each in its online PRF calls
-(host 16 -> 7 and 24 -> 15, device 20 -> 11), and no phase total rose.
-They were re-recorded a seventh time, with ``--allow bytes_h2d --allow
-bytes_d2h --allow host_prf_calls --allow device_prf_calls``, when the
-gradient direction ``X.T @ e`` began to scatter ``e`` by row block (one
-copy, not one per DPU) and to return one partial per DPU for the host to
-sum: only the 13 ``linreg``/``logreg`` device cases moved, in their online
-channel bytes (``linreg`` 480 -> 192 h2d and 120 -> 192 d2h), and the four
-``pim_enc_dec`` cases also in their online PRF calls, one keystream block
-per iteration on each side for the larger sealed partials (``linreg`` host
-9 -> 12, device 33 -> 36).  No digest or tamper log moved.
+counters (or, for a rejected configuration, the error type), so any change
+to where an operand lives, how results merge or what a phase charges that
+moves a counter, a digest or an event fails here.  A change that moves a
+field on purpose re-records the file with ``PYTHONPATH=src python
+tools/golden_diff.py --allow FIELD ... --write``, which first lists every
+moved field and each phase total that moved; ``CHANGES.md`` records each
+re-record and what moved in it.
 The shapes are small to keep the sweep fast; the acceptance suite covers
 the default ones.
 """

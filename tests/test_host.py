@@ -2,6 +2,7 @@
 offline/online ledger separation, and the arithmetic-to-Yao activation.
 """
 
+import dataclasses
 import gc
 import weakref
 
@@ -734,12 +735,53 @@ class TestOperandShapes:
     @pytest.mark.parametrize("call", sorted(CALLS))
     def test_non_integer_vector_is_config_error(self, call, bad, scheme):
         """A float or bool vector of the right length is refused, not
-        truncated to words, before anything is sent or computed."""
+        truncated to words, before anything is sent, computed or declared
+        revealed (``matvec_t``'s error vector)."""
         sess = session(scheme, verify=True)
         n = self.X.shape[call == "matvec_t"]
         with pytest.raises(ConfigError, match="vector must be integers"):
             self.CALLS[call](sess, self.X, np.asarray(bad[:n]))
         assert sess.online == CostReport()
+        assert sess.leaks == []
+
+    BUILDS = {
+        "W": lambda s, M: PublicMatrixOp(s, M),
+        "X": lambda s, M: PrivateMatrixOp(s, M),
+        "table": lambda s, M: EmbeddingOp(s, M),
+        "a2y": lambda s, M: s.a2y_activation(M),
+    }
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("bad", [[[1.9, 2.7], [0.5, -1.2]],
+                                     [[True, False], [False, True]]],
+                             ids=["float", "bool"])
+    @pytest.mark.parametrize("operand", sorted(BUILDS))
+    def test_non_integer_operand_is_config_error(self, operand, bad, scheme):
+        """A float or bool matrix, table or activation vector is refused,
+        not truncated to words, before either phase is charged."""
+        sess = session(scheme, verify=True, variant="A2Y")
+        offline = dataclasses.replace(sess.offline)
+        with pytest.raises(ConfigError, match="must be integers"):
+            self.BUILDS[operand](sess, np.asarray(bad))
+        assert sess.offline == offline
+        assert sess.online == CostReport()
+        assert sess.leaks == []
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_int64_operands_wrap_to_words(self, scheme):
+        """An int64 matrix or table is taken as its words mod 2^32, which
+        the signed lift of the check reads back."""
+        big = np.array([[-1, 2], [3, (1 << 33) + 5], [-7, (1 << 32) - 4]])
+        words = big.astype(np.uint32)
+        e, ids = np.arange(1, 4), np.array([[2, 0]])
+        sess = session(scheme, verify=True)
+        assert np.array_equal(PublicMatrixOp(sess, big.T).apply(e),
+                              kernels.gemv(words.T, e.astype(np.uint32)))
+        op = PrivateMatrixOp(sess, big)
+        assert np.array_equal(op.matvec_t(e),
+                              kernels.gemv_t(words, e.astype(np.uint32)))
+        assert np.array_equal(EmbeddingOp(sess, big).lookup(ids, ids),
+                              words[None, 2] * 2)
 
     @pytest.mark.parametrize("verify", [False, True])
     @pytest.mark.parametrize("scheme", SCHEMES)

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from securepim import pimsim, ring
-from securepim.crypto import KeyStore
+from securepim.crypto import STREAM_GC, KeyStore
 from securepim.errors import (
     CapacityError,
     ConfigError,
     DimensionError,
     GcEvaluationFault,
 )
-from securepim.host import DEVICE_SCHEMES, SchemeConfig, Session
+from securepim.host import DEVICE_SCHEMES, SCHEMES, SchemeConfig, Session
 from securepim.pimsim import (
     MUTATIONS,
     TAMPER_TARGETS,
@@ -491,6 +491,53 @@ class TestChannelInvariant:
                    "channel_d2h": sess.offline.bytes_d2h + sess.online.bytes_d2h}
         assert offered == charged
         assert min(charged.values()) > 0
+
+
+def _default_runs():
+    """Every default (workload, scheme, verify, variant) that
+    ``merged_params`` accepts: A on each workload, A2Y on ``logreg``."""
+    runs = []
+    for w in sorted(WORKLOADS):
+        variants = ("A", "A2Y") if w == "logreg" else ("A",)
+        for s in SCHEMES:
+            try:
+                merged_params(w, None, s)
+            except ConfigError:
+                continue
+            runs += [(w, s, v, a) for v in (False, True) for a in variants]
+    return runs
+
+
+class TestKeystreamInvariant:
+    """Every keystream block the host's ``KeyStore`` encrypts is charged:
+    the blocks outside ``STREAM_GC`` are the host and device PRF calls of
+    both phases, and the ``STREAM_GC`` blocks, uncharged, are one garbling
+    seed per A2Y scalar.  A keystream read that forgets ``on_prf`` fails
+    here."""
+
+    RUNS = _default_runs()
+
+    def test_covers_every_default_run(self):
+        assert len(self.RUNS) == 78
+
+    @pytest.mark.parametrize("workload, scheme, verify, variant", RUNS)
+    def test_every_block_is_charged(self, monkeypatch, workload, scheme,
+                                    verify, variant):
+        encrypted = {"prf": 0, "gc": 0}
+        blocks = KeyStore._blocks
+
+        def counting_blocks(self, key_id, version, stream_id, index, nblocks,
+                            on_prf):
+            encrypted["gc" if stream_id == STREAM_GC else "prf"] += nblocks
+            return blocks(self, key_id, version, stream_id, index, nblocks,
+                          on_prf)
+
+        monkeypatch.setattr(KeyStore, "_blocks", counting_blocks)
+        cfg = SchemeConfig(scheme, verify=verify, variant=variant)
+        _words, sess = run_workload(workload, cfg, 0)
+        charged = sum(r.host_prf_calls + r.device_prf_calls
+                      for r in (sess.offline, sess.online))
+        assert encrypted == {"prf": charged, "gc": sess.a2y_scalars}
 
 
 class TestMasking:
